@@ -1,17 +1,32 @@
-"""Dense exact linear algebra over a prime field, on int64 numpy arrays."""
+"""Dense exact linear algebra over a prime field, on numpy arrays.
+
+Row updates keep every intermediate product below p**2.  That fits in
+int64 for p < 2**31, so smaller primes use int64 arrays; from 2**31 on the
+arrays hold exact Python ints (dtype=object).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+INT64_PRIME_LIMIT = 2 ** 31
+
+
+def _reduced(matrix, p: int):
+    """matrix mod p, as int64 below INT64_PRIME_LIMIT and Python ints from it."""
+    a = np.array(matrix, dtype=np.int64)
+    if p >= INT64_PRIME_LIMIT:
+        a = a.astype(object)
+    return a % p
+
 
 def rank_mod(matrix, p: int) -> int:
     """Rank of an integer matrix over F_p by Gaussian elimination.
 
-    Entries may be arbitrary ints; they are reduced mod p.  Row updates keep
-    every intermediate product below p**2, which fits in int64 for p < 2**31.
+    Entries must fit in int64; they are reduced mod p.  Exact for every
+    prime p: int64 arithmetic below 2**31, Python ints from there on.
     """
-    a = np.array(matrix, dtype=np.int64) % p
+    a = _reduced(matrix, p)
     if a.size == 0:
         return 0
     rows, cols = a.shape
@@ -38,16 +53,15 @@ def rank_mod(matrix, p: int) -> int:
     return rank
 
 
-def nullity_mod(matrix, p: int) -> int:
-    a = np.asarray(matrix)
-    return (a.shape[1] if a.size else 0) - rank_mod(a, p)
-
-
 def invert_mod(matrix, p: int):
-    """Inverse of a square matrix over F_p, or None if singular."""
-    a = np.array(matrix, dtype=np.int64) % p
+    """Inverse of a square matrix over F_p, or None if singular.
+
+    Same arithmetic rule as rank_mod: an int64 array below 2**31, an array of
+    Python ints (dtype=object) from there on.
+    """
+    a = _reduced(matrix, p)
     n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
+    aug = np.concatenate([a, np.eye(n, dtype=a.dtype)], axis=1)
     row = 0
     for c in range(n):
         pivot = None

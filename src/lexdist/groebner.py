@@ -28,16 +28,39 @@ DEFAULT_CHAR = 32003
 DEGREVLEX = DegRevLexOrder()
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The smallest strong pseudoprime to all of these bases (Sorenson-Webster
+# 2015), so Miller-Rabin with them is exact below it.
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    Exact for p below 3.3e24; raises InvalidInputError at or above that
+    bound, where these bases no longer decide primality.
+    """
+    if p >= _MR_LIMIT:
+        raise InvalidInputError(f"characteristic {p} is too large to certify as prime")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -37,9 +37,6 @@ class GradedBettiTable:
     def as_dict(self):
         return dict(self.entries)
 
-    def max_i(self):
-        return max((i for (i, _), _ in self.entries), default=0)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -9,6 +9,8 @@ Shakin quotient this is an ideal for every attainable H.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .errors import (
     ClosureError,
     InvalidFamilyError,
@@ -21,6 +23,7 @@ from .monomials import (
     binom,
     degree_masks,
     hilbert_function,
+    hilbert_numerator,
     hilbert_upto,
     mask_to_monomials,
     masks_to_ideal,
@@ -192,31 +195,25 @@ def stable_lex_embedding(a, ideal: MonomialIdeal) -> MonomialIdeal:
 
     Degreewise truncation can miss generators the embedded ideal acquires
     above the cutoff, which matters for invariants that look upward
-    (saturation, local cohomology).  This raises the cutoff until the
-    finite embedded ideal provably matches the target Hilbert function in
-    every degree: agreement up to both Taylor regularity bounds plus the
-    ambient dimension forces the Hilbert polynomials to coincide, and past
-    the last generator a prefix-plus-base staircase grows by shadows, which
-    keeps its pieces prefix-plus-base.
+    (saturation, local cohomology).  Starting from the largest generator
+    degree, this embeds the Hilbert function up to a cutoff and compares
+    Hilbert-series numerators.  Equal numerators mean equal Hilbert
+    functions in every degree, so the candidate is the embedding; otherwise
+    their lowest differing coefficient is the first degree where the
+    Hilbert functions differ, and that degree is the next cutoff.
     """
     base = base_ideal(a)
-    n = base.n
-    if ideal.n != n:
+    if ideal.n != base.n:
         raise InvalidInputError("ambient mismatch")
+    target = hilbert_numerator(ideal)
     cutoff = max(ideal.max_degree(), base.max_degree(), 1)
     while True:
-        values = hilbert_upto(ideal, cutoff)
-        candidate = lex_embed(base, values, cutoff)
-        horizon = max(
-            sum(sum(g) for g in ideal.gens),
-            sum(sum(g) for g in candidate.gens),
-            cutoff,
-        ) + n + 1
-        target = hilbert_upto(ideal, horizon)
-        got = hilbert_upto(candidate, horizon)
+        candidate = lex_embed(base, hilbert_upto(ideal, cutoff), cutoff)
+        got = hilbert_numerator(candidate)
         if got == target:
             return candidate
-        cutoff = next(d for d in range(cutoff + 1, horizon + 1) if got[d] != target[d])
+        pairs = zip_longest(got, target, fillvalue=0)
+        cutoff = next(d for d, (x, y) in enumerate(pairs) if x != y)
 
 
 def is_admissible_hf(a, values, dmax: int | None = None) -> bool:

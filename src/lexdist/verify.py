@@ -339,23 +339,22 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     from .homology import _koszul_monomial, _table
 
     base_masks = monomials.degree_masks(base, dmax)
-    embed_cache = {}
-    table_cache = {}
+    # Hilbert-series numerator -> (embedded ideal, its Betti table).  The
+    # embedding depends on the ideal only through its series, but an error
+    # payload also depends on the starting cutoff, so failures stay uncached.
+    cache = {}
     for chain in _chain_stream(n, base_masks, dmax, budget):
         report.cases_checked += 1
         h = _hf_of_chain(n, chain)
         ideal = monomials.masks_to_ideal(n, list(chain))
-        embedded = embed_cache.get(ideal.gens)
-        if embedded is None:
+        key = monomials.hilbert_numerator(ideal)
+        if key not in cache:
             embedded, err = _stable_embed(base, ideal)
             if err is not None:
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue
-            embed_cache[ideal.gens] = embedded
-        target = table_cache.get(embedded.gens)
-        if target is None:
-            target = koszul_betti(embedded, j_max, p)
-            table_cache[embedded.gens] = target
+            cache[key] = embedded, koszul_betti(embedded, j_max, p)
+        embedded, target = cache[key]
         imasks = _extend_chain(n, chain, j_max + 1)
         mine = _table(n, j_max, _koszul_monomial(n, imasks, j_max, p), p)
         bad = _betti_leq(mine, target)
@@ -390,19 +389,19 @@ def verify_coh_extremal(a, dmax: int, window=None,
                 "budget": budget, **_shakin_params(a)},
     )
     base_masks = monomials.degree_masks(base, dmax)
-    table_cache = {}
+    table_cache = {}  # Hilbert-series numerator -> table of the embedded ideal
     for chain in _chain_stream(n, base_masks, dmax, budget):
         report.cases_checked += 1
         h = _hf_of_chain(n, chain)
         ideal = monomials.masks_to_ideal(n, list(chain))
-        embedded, err = _stable_embed(base, ideal)
-        if err is not None:
-            report.failures.append({"ideal": ideal.to_json(), **err})
-            continue
-        target = table_cache.get(embedded.gens)
-        if target is None:
-            target = local_coh_monomial(embedded, window=window, p=p)
-            table_cache[embedded.gens] = target
+        key = monomials.hilbert_numerator(ideal)
+        if key not in table_cache:
+            embedded, err = _stable_embed(base, ideal)
+            if err is not None:
+                report.failures.append({"ideal": ideal.to_json(), **err})
+                continue
+            table_cache[key] = local_coh_monomial(embedded, window=window, p=p)
+        target = table_cache[key]
         mine = local_coh_monomial(ideal, window=window, p=p)
         bad = []
         for (i, j), v in mine.as_dict().items():

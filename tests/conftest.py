@@ -53,6 +53,24 @@ def geometric_inverse_coeffs(r, upto):
     return tuple(comb(d + r - 1, r - 1) for d in range(upto + 1))
 
 
+def brute_rank_mod(rows, p):
+    """Rank over F_p by Gaussian elimination on Python ints (exact for any p)."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 @pytest.fixture
 def rng():
     import random

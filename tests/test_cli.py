@@ -1,5 +1,6 @@
 """cli module: subcommands, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,26 @@ def test_byte_identical_output(capsys, files, tmp_path):
                      "--samples", "4", "--seed", "9", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of the --out bytes over the non-Shakin base (x2*x3) at dmax 3: 490
+# cases each.  Their ClosureError failures are recorded per ideal, so a cache
+# keyed too coarsely would drop or reorder entries and change the digest.
+GOLDEN_REPORTS = {
+    "macaulay-lex": "ba46c214759aacf1fe495e56866b8f21adda6a2b38696e21261b75748fc5e0cc",
+    "betti-extremal": "821ebd78396ce311b654a5215c1a3ec3a1af88e82042e2c52f23fe698af46ad8",
+    "coh-extremal": "608170bd0105bd277efc7c1fa7fcf8fb5e795f0ca2455fa4cc228a20dd4a166a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
+def test_verify_report_bytes_pinned(tmp_path, kind):
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps({"n": 3, "gens": [[0, 1, 1]]}))
+    out = tmp_path / "report.json"
+    code = main(["verify", kind, "--dmax", "3", "--shakin", str(raw), "--out", str(out)])
+    assert code == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS[kind]
 
 
 def test_pretty_rendering(capsys, files):

@@ -1,10 +1,13 @@
 """groebner module: division, bases, initial data, saturation, H^0."""
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexdist._modmat import invert_mod, rank_mod
 from lexdist.errors import InvalidInputError
 from lexdist.groebner import (
     DEFAULT_CHAR,
@@ -20,6 +23,7 @@ from lexdist.groebner import (
     initial_forms_ideal,
     initial_ideal,
     intersect,
+    is_prime,
     normal_form,
     parse_poly,
     saturate_maximal,
@@ -33,7 +37,10 @@ from lexdist.monomials import (
 )
 from lexdist import monomials
 
+from conftest import brute_rank_mod
+
 P = DEFAULT_CHAR
+LARGE_P = 4294967311  # prime above 2**32
 LEX = LexOrder()
 DRL = DegRevLexOrder()
 
@@ -244,3 +251,51 @@ def test_change_fixing_form(rng):
             continue
         g = change_fixing_form(coeffs, P)
         assert g.apply_to_form(coeffs) == (0, 0, 1)
+
+
+# --- the prime field -----------------------------------------------------------
+
+def _trial_division(p):
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(p) == _trial_division(p) for p in range(-2, 10 ** 4))
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    for c in (561, 41041, 3215031751):
+        assert not is_prime(c)
+
+
+def test_is_prime_is_fast_on_large_primes():
+    t0 = time.perf_counter()
+    assert is_prime(2 ** 61 - 1) and is_prime(LARGE_P)
+    assert time.perf_counter() - t0 < 1.0  # trial division takes minutes here
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    with pytest.raises(InvalidInputError):
+        is_prime(3317044064679887385961981)
+
+
+def test_rank_mod_exact_above_int64_range():
+    gen = random.Random(4294967311)
+    for _ in range(200):
+        k = gen.randint(1, 3)
+        left = [[gen.randrange(LARGE_P) for _ in range(k)] for _ in range(4)]
+        right = [[gen.randrange(LARGE_P) for _ in range(4)] for _ in range(k)]
+        m = [[sum(a * b for a, b in zip(row, col)) % LARGE_P for col in zip(*right)]
+             for row in left]
+        assert rank_mod(m, LARGE_P) == brute_rank_mod(m, LARGE_P)
+
+
+def test_invert_mod_exact_above_int64_range(rng):
+    for _ in range(20):
+        m = [[rng.randrange(LARGE_P) for _ in range(4)] for _ in range(4)]
+        inv = invert_mod(m, LARGE_P)
+        if inv is None:
+            continue
+        prod = [[sum(int(a) * int(b) for a, b in zip(row, col)) % LARGE_P
+                 for col in zip(*inv)] for row in m]
+        assert prod == [[int(i == j) for j in range(4)] for i in range(4)]

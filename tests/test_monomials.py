@@ -1,6 +1,8 @@
 """monomials module: ideals, Hilbert functions, slices, series transforms."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from lexdist.monomials import (
     degree_monomials,
     format_monomial,
     hilbert_function,
+    hilbert_numerator,
     hilbert_upto,
     intersect,
     is_xn_stable,
@@ -22,6 +25,7 @@ from lexdist.monomials import (
     series_transform,
     slice_last_variable,
     standard_monomials,
+    _hilbert_by_masks,
 )
 
 from conftest import (
@@ -133,6 +137,12 @@ def test_hilbert_unit_ideal():
     assert hilbert_function(MonomialIdeal(2, [(0, 0)]), 3) == (0, 0, 0, 0)
 
 
+def test_hilbert_no_variables():
+    # A = K: one standard monomial, in degree 0
+    assert hilbert_function(MonomialIdeal(0), 3) == (1, 0, 0, 0)
+    assert _hilbert_by_masks(MonomialIdeal(0), 3) == (1, 0, 0, 0)
+
+
 @given(small_ideals(3, max_exp=3), st.integers(0, 5))
 def test_hilbert_matches_brute_force(ideal, dmax):
     assert hilbert_function(ideal, dmax) == brute_hilbert(ideal.gens, 3, dmax)
@@ -144,11 +154,35 @@ def test_hilbert_upto_matches(ideal, dmax):
 
 
 @given(small_ideals(4, max_gens=4, max_exp=1))
-def test_squarefree_route_matches_mask_route(ideal):
-    from lexdist.monomials import _hilbert_by_masks, _hilbert_squarefree
+def test_squarefree_ideals_match_mask_route(ideal):
+    assert hilbert_function(ideal, 5) == _hilbert_by_masks(ideal, 5)
 
-    if ideal.gens:
-        assert _hilbert_squarefree(ideal, 5) == _hilbert_by_masks(ideal, 5)
+
+@given(small_ideals(3, max_exp=3), st.integers(0, 3))
+def test_numerator_is_series_times_one_minus_t_cubed(ideal, extra):
+    num = hilbert_numerator(ideal)
+    dmax = len(num) + extra
+    values = hilbert_function(ideal, dmax)
+    assert values == brute_hilbert(ideal.gens, 3, dmax)
+    assert series_transform(values, 3) == num + (0,) * (dmax + 1 - len(num))
+
+
+def edge_ideal(n, edges):
+    return MonomialIdeal(n, [tuple(int(k in e) for k in range(n)) for e in edges])
+
+
+def test_complete_graph_edge_ideal():
+    # 45 generators: a subset-enumerating route would visit 2**45 subsets
+    ideal = edge_ideal(10, itertools.combinations(range(10), 2))
+    assert len(ideal.gens) == 45
+    assert hilbert_function(ideal, 6) == (1,) + (10,) * 6
+
+
+def test_random_graph_edge_ideal_matches_mask_route():
+    edges = random.Random(30).sample(list(itertools.combinations(range(10), 2)), 30)
+    ideal = edge_ideal(10, edges)
+    assert len(ideal.gens) == 30
+    assert hilbert_function(ideal, 6) == _hilbert_by_masks(ideal, 6)
 
 
 @given(small_ideals(3), st.integers(0, 5))

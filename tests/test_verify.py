@@ -189,6 +189,13 @@ def test_betti_invariance_run():
     assert report.cases_checked == 8
 
 
+def test_betti_invariance_above_int64_prime_range():
+    report = verify_betti_distraction_invariance(3, samples=20, dmax=6, seed=1,
+                                                 p=4294967311)
+    assert report.cases_checked == 20
+    assert report.failures == []
+
+
 def test_codistra_h0_run():
     report = verify_codistra_h0(3, samples=10, dmax=6, seed=17)
     assert report.passed
