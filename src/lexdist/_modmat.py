@@ -12,19 +12,21 @@ import numpy as np
 INT64_PRIME_LIMIT = 2 ** 31
 
 
+def field_dtype(p: int):
+    """Array dtype for arithmetic mod p: int64 below INT64_PRIME_LIMIT, else object."""
+    return np.int64 if p < INT64_PRIME_LIMIT else object
+
+
 def _reduced(matrix, p: int):
-    """matrix mod p, as int64 below INT64_PRIME_LIMIT and Python ints from it."""
-    a = np.array(matrix, dtype=np.int64)
-    if p >= INT64_PRIME_LIMIT:
-        a = a.astype(object)
-    return a % p
+    """matrix mod p, in field_dtype(p)."""
+    return np.array(matrix, dtype=field_dtype(p)) % p
 
 
 def rank_mod(matrix, p: int) -> int:
     """Rank of an integer matrix over F_p by Gaussian elimination.
 
-    Entries must fit in int64; they are reduced mod p.  Exact for every
-    prime p: int64 arithmetic below 2**31, Python ints from there on.
+    Entries are reduced mod p; below 2**31 they must fit in int64.  Exact
+    for every prime p: int64 arithmetic below 2**31, Python ints from there on.
     """
     a = _reduced(matrix, p)
     if a.size == 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groebner, monomials
-from ._modmat import rank_mod
+from ._modmat import field_dtype, rank_mod
 from .errors import InvalidInputError
 from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
 from .monomials import MonomialIdeal, binom, degree_masks, degree_monomials, mult_table
@@ -77,7 +77,7 @@ def _koszul_from_action(n, dims, action, dmax, p):
             if rows == 0 or cols == 0:
                 ranks[i, j] = 0
                 continue
-            m = np.zeros((rows, cols), dtype=np.int64)
+            m = np.zeros((rows, cols), dtype=field_dtype(p))
             for s_idx, s in enumerate(subsets[i]):
                 for b in range(dims[dsrc]):
                     col = s_idx * dims[dsrc] + b
@@ -127,7 +127,7 @@ def koszul_betti(ideal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:
     ideals act through normal forms against a degrevlex basis.
     """
     if isinstance(ideal, MonomialIdeal):
-        n = ideal.n
+        n, p = ideal.n, check_characteristic(p)
         masks = degree_masks(ideal, dmax + 1)
         return _table(n, dmax, _koszul_monomial(n, masks, dmax, p), p)
     if not isinstance(ideal, Ideal):

@@ -91,9 +91,10 @@ def _chain_stream(n, base_masks, dmax, budget=None):
     """All graded chains of monomial sets containing the base, as bitmasks.
 
     A chain (M_0, ..., M_dmax) with M_{d+1} containing both the shadow of
-    M_d and the base piece corresponds to exactly one monomial ideal with
-    generators of degree <= dmax containing the base ideal.  Chains stream
-    in lexicographic order of the per-degree added-bit masks.
+    M_d and the base piece corresponds to exactly one monomial ideal
+    generated by the base ideal and monomials of degree <= dmax (see
+    _chain_ideal).  Chains stream in lexicographic order of the per-degree
+    added-bit masks.
     """
     totals = [len(degree_monomials(n, d)) for d in range(dmax + 1)]
     estimate = _count_upper_bound(n, base_masks, dmax)
@@ -126,17 +127,30 @@ def _chain_stream(n, base_masks, dmax, budget=None):
     yield from rec(0, 0, ())
 
 
-def enumerate_monomial_ideals_modulo(a, dmax: int, budget: int | None = DEFAULT_BUDGET):
-    """All monomial ideals containing a, generated in degrees <= dmax.
+def _chain_ideal(base: MonomialIdeal, chain) -> MonomialIdeal:
+    """The ideal generated by the chain's graded pieces and the base.
 
-    Emits each ideal exactly once, in the canonical chain order of
-    _chain_stream.  Raises BudgetExceededError (with an upper-bound count
-    estimate) when more than budget ideals would be produced.
+    A chain stops at dmax, so base generators of higher degree lie in none
+    of its pieces; they are added here.
+    """
+    ideal = monomials.masks_to_ideal(base.n, list(chain))
+    above = tuple(g for g in base.gens if sum(g) >= len(chain))
+    return MonomialIdeal(base.n, ideal.gens + above) if above else ideal
+
+
+def enumerate_monomial_ideals_modulo(a, dmax: int, budget: int | None = DEFAULT_BUDGET):
+    """All monomial ideals generated by a and monomials of degree <= dmax.
+
+    Base generators above dmax are generators of every emitted ideal, so
+    each one contains a.  Emits each ideal exactly once, in the canonical
+    chain order of _chain_stream.  Raises BudgetExceededError (with an
+    upper-bound count estimate) when more than budget ideals would be
+    produced.
     """
     base = base_ideal(a)
     base_masks = monomials.degree_masks(base, dmax)
     for chain in _chain_stream(base.n, base_masks, dmax, budget):
-        yield monomials.masks_to_ideal(base.n, list(chain))
+        yield _chain_ideal(base, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +209,7 @@ def _sample_ideal_over(rng, base: MonomialIdeal, d: DistractionMatrix,
     """
     if rng.random() < 0.5:
         chain = random_superideal_chain(rng, base, dmax)
-        src = monomials.masks_to_ideal(base.n, chain)
-        return distract_ideal(d, src), chain
+        return distract_ideal(d, _chain_ideal(base, chain)), chain
     extras = [
         random_homogeneous_poly(rng, base.n, rng.randint(1, dmax), p)
         for _ in range(rng.randint(1, 2))
@@ -216,17 +229,10 @@ def _hf_of_chain(n, chain):
     )
 
 
-def _extend_chain(n, chain, upto):
-    masks = list(chain)
-    for d in range(len(chain) - 1, upto):
-        masks.append(shadow_mask(n, d, masks[d]))
-    return masks
-
-
-def _embed_chain(base, values, dmax):
-    """(masks, error payload) for the lex-embedding of values over base."""
+def _attempt(fn, *args):
+    """(fn(*args), None), or (None, error payload) if fn is not admissible."""
     try:
-        return embedded_masks(base, values, dmax), None
+        return fn(*args), None
     except NotAdmissibleError as exc:
         return None, {
             "error": type(exc).__name__,
@@ -235,26 +241,65 @@ def _embed_chain(base, values, dmax):
         }
 
 
-def _stable_embed(base, ideal):
-    """(embedded ideal, error payload) for the full lex-embedding of ideal."""
-    try:
-        return stable_lex_embedding(base, ideal), None
-    except NotAdmissibleError as exc:
-        return None, {
-            "error": type(exc).__name__,
-            "degree": exc.degree,
-            "message": str(exc),
-        }
+def _exceeding(left: dict, right: dict, keys=("i", "j")):
+    """Entries of left exceeding right (absent means 0), as payload rows.
+
+    keys names the parts of a dict key: ("i", "j") for (i, j) keys, ("j",)
+    for plain degree keys.
+    """
+    rows = []
+    for key, v in left.items():
+        bound = right.get(key, 0)
+        if v > bound:
+            parts = key if isinstance(key, tuple) else (key,)
+            rows.append({**dict(zip(keys, parts)), "left": v, "right": bound})
+    return rows
 
 
-def _betti_leq(small, big):
-    """Entries of small exceeding big, as payload rows."""
-    bigd = big.as_dict()
-    bad = []
-    for key, v in small.as_dict().items():
-        if v > bigd.get(key, 0):
-            bad.append({"i": key[0], "j": key[1], "left": v, "right": bigd.get(key, 0)})
-    return bad
+def _embedded_cases(report, base, dmax, budget, invariant):
+    """Every superideal of base with its lex-embedding, counted on report.
+
+    Yields (ideal, HF up to dmax, embedded ideal, invariant(embedded)).  The
+    embedding depends on an ideal only through its Hilbert series, so it is
+    cached by the series numerator.  An error payload also depends on the
+    starting cutoff, so a failing ideal is filed on report.failures, uncached,
+    and not yielded.
+    """
+    n = base.n
+    cache = {}
+    for chain in _chain_stream(n, monomials.degree_masks(base, dmax), dmax, budget):
+        report.cases_checked += 1
+        ideal = _chain_ideal(base, chain)
+        key = monomials.hilbert_numerator(ideal)
+        if key not in cache:
+            embedded, err = _attempt(stable_lex_embedding, base, ideal)
+            if err is not None:
+                report.failures.append({"ideal": ideal.to_json(), **err})
+                continue
+            cache[key] = embedded, invariant(embedded)
+        yield (ideal, _hf_of_chain(n, chain), *cache[key])
+
+
+def _distraction_pairs(report, n, samples, seed, p, max_degree):
+    """Seeded (monomial ideal, distraction, distracted ideal), counted on report."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        ideal = random_monomial_ideal(rng, n, max_degree=max_degree)
+        d = random_distraction(rng, n, p, columns=max_degree + 1)
+        report.cases_checked += 1
+        yield ideal, d, distract_ideal(d, ideal)
+
+
+def _sampled_cases(report, base, d, samples, seed, dmax, p):
+    """Seeded (J, monomial chain or None, HF(J)) over the distracted base.
+
+    Each sample is counted on report; see _sample_ideal_over for J.
+    """
+    rng = random.Random(seed)
+    for _ in range(samples):
+        j, chain = _sample_ideal_over(rng, base, d, dmax, p)
+        report.cases_checked += 1
+        yield j, chain, groebner.hilbert_function(j, dmax)
 
 
 def _shakin_params(a):
@@ -270,8 +315,8 @@ def _shakin_params(a):
 def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> VerificationReport:
     """Every superideal Hilbert function embeds to a lex ideal with equal HF.
 
-    Exhaustive over monomial ideals containing the base, generated in
-    degrees <= dmax.  For a Shakin base a failure would contradict the
+    Exhaustive over monomial ideals generated by the base and monomials of
+    degree <= dmax.  For a Shakin base a failure would contradict the
     Macaulay-lex property; for an arbitrary base (escape hatch) failures
     are legitimate counterexamples and are recorded.
     """
@@ -291,7 +336,7 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
         h = _hf_of_chain(n, chain)
         verdict = cache.get(h)
         if verdict is None:
-            masks, err = _embed_chain(base, h, dmax)
+            masks, err = _attempt(embedded_masks, base, h, dmax)
             if err is not None:
                 verdict = err
             elif _hf_of_chain(n, masks) != h:
@@ -301,7 +346,7 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
             cache[h] = verdict
         if verdict:
             report.failures.append({
-                "ideal": monomials.masks_to_ideal(n, list(chain)).to_json(),
+                "ideal": _chain_ideal(base, chain).to_json(),
                 "hilbert_function": list(h),
                 **verdict,
             })
@@ -314,7 +359,7 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
                           p: int = DEFAULT_CHAR, j_max: int | None = None) -> VerificationReport:
     """Graded Betti numbers are maximized by the embedded ideal.
 
-    Exhaustive over monomial superideals generated in degrees <= dmax;
+    Exhaustive over the superideals of enumerate_monomial_ideals_modulo;
     tables compared for all homological degrees and j <= j_max (default
     dmax + 1).  With pure powers present and small characteristic the
     statement is an open expectation, so violations are classified as
@@ -336,28 +381,12 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
             f"pure powers present: the statement assumes characteristic 0, "
             f"emulated here by p={p}"
         )
-    from .homology import _koszul_monomial, _table
 
-    base_masks = monomials.degree_masks(base, dmax)
-    # Hilbert-series numerator -> (embedded ideal, its Betti table).  The
-    # embedding depends on the ideal only through its series, but an error
-    # payload also depends on the starting cutoff, so failures stay uncached.
-    cache = {}
-    for chain in _chain_stream(n, base_masks, dmax, budget):
-        report.cases_checked += 1
-        h = _hf_of_chain(n, chain)
-        ideal = monomials.masks_to_ideal(n, list(chain))
-        key = monomials.hilbert_numerator(ideal)
-        if key not in cache:
-            embedded, err = _stable_embed(base, ideal)
-            if err is not None:
-                report.failures.append({"ideal": ideal.to_json(), **err})
-                continue
-            cache[key] = embedded, koszul_betti(embedded, j_max, p)
-        embedded, target = cache[key]
-        imasks = _extend_chain(n, chain, j_max + 1)
-        mine = _table(n, j_max, _koszul_monomial(n, imasks, j_max, p), p)
-        bad = _betti_leq(mine, target)
+    def betti(ideal):
+        return koszul_betti(ideal, j_max, p).as_dict()
+
+    for ideal, h, embedded, target in _embedded_cases(report, base, dmax, budget, betti):
+        bad = _exceeding(betti(ideal), target)
         if bad:
             payload = {
                 "ideal": ideal.to_json(),
@@ -388,25 +417,12 @@ def verify_coh_extremal(a, dmax: int, window=None,
         params={"n": n, "dmax": dmax, "window": list(window), "char": p,
                 "budget": budget, **_shakin_params(a)},
     )
-    base_masks = monomials.degree_masks(base, dmax)
-    table_cache = {}  # Hilbert-series numerator -> table of the embedded ideal
-    for chain in _chain_stream(n, base_masks, dmax, budget):
-        report.cases_checked += 1
-        h = _hf_of_chain(n, chain)
-        ideal = monomials.masks_to_ideal(n, list(chain))
-        key = monomials.hilbert_numerator(ideal)
-        if key not in table_cache:
-            embedded, err = _stable_embed(base, ideal)
-            if err is not None:
-                report.failures.append({"ideal": ideal.to_json(), **err})
-                continue
-            table_cache[key] = local_coh_monomial(embedded, window=window, p=p)
-        target = table_cache[key]
-        mine = local_coh_monomial(ideal, window=window, p=p)
-        bad = []
-        for (i, j), v in mine.as_dict().items():
-            if v > target[i, j]:
-                bad.append({"i": i, "j": j, "left": v, "right": target[i, j]})
+
+    def coh(ideal):
+        return local_coh_monomial(ideal, window=window, p=p).as_dict()
+
+    for ideal, h, _embedded, target in _embedded_cases(report, base, dmax, budget, coh):
+        bad = _exceeding(coh(ideal), target)
         if bad:
             report.failures.append({
                 "ideal": ideal.to_json(),
@@ -438,12 +454,8 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
         params={"n": n, "dmax": dmax, "samples": sample_count, "seed": seed,
                 "char": p, "distraction": d.to_json(), **_shakin_params(a)},
     )
-    rng = random.Random(seed)
-    for _ in range(sample_count):
-        j, chain = _sample_ideal_over(rng, base, d, dmax, p)
-        h = groebner.hilbert_function(j, dmax)
-        report.cases_checked += 1
-        masks, err = _embed_chain(base, h, dmax)
+    for j, chain, h in _sampled_cases(report, base, d, sample_count, seed, dmax, p):
+        masks, err = _attempt(embedded_masks, base, h, dmax)
         if err is not None:
             report.failures.append({
                 "ideal": j.to_json(),
@@ -497,13 +509,9 @@ def verify_betti_distraction_invariance(n: int, samples: int = 50, dmax: int = 5
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
                 "char": p, "max_degree": max_degree},
     )
-    rng = random.Random(seed)
-    for _ in range(samples):
-        ideal = random_monomial_ideal(rng, n, max_degree=max_degree)
-        d = random_distraction(rng, n, p, columns=max_degree + 1)
+    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p, max_degree):
         left = koszul_betti(ideal, dmax, p)
-        right = koszul_betti(distract_ideal(d, ideal), dmax, p)
-        report.cases_checked += 1
+        right = koszul_betti(distracted, dmax, p)
         if left.as_dict() != right.as_dict():
             report.failures.append({
                 "ideal": ideal.to_json(),
@@ -525,18 +533,10 @@ def verify_codistra_h0(n: int, samples: int = 100, dmax: int = 6,
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
                 "char": p, "max_degree": max_degree},
     )
-    rng = random.Random(seed)
-    for _ in range(samples):
-        ideal = random_monomial_ideal(rng, n, max_degree=max_degree)
-        d = random_distraction(rng, n, p, columns=max_degree + 1)
+    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p, max_degree):
         left = groebner.h0_hilbert_function(ideal, dmax)
-        right = groebner.h0_hilbert_function(distract_ideal(d, ideal), dmax)
-        report.cases_checked += 1
-        bad = [
-            {"j": j, "left": a_, "right": b_}
-            for j, (a_, b_) in enumerate(zip(left, right))
-            if a_ > b_
-        ]
+        right = groebner.h0_hilbert_function(distracted, dmax)
+        bad = _exceeding(dict(enumerate(left)), dict(enumerate(right)), ("j",))
         if bad:
             report.failures.append({
                 "ideal": ideal.to_json(),
@@ -575,48 +575,37 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
         report.notes.append(
             "betti mode rejected: pure powers present violate the P=0 hypothesis"
         )
-    rng = random.Random(seed)
+
+    def h0(ideal):
+        return dict(enumerate(groebner.h0_hilbert_function(ideal, dmax)))
+
     target_cache = {}
-    for _ in range(samples):
-        j, _chain = _sample_ideal_over(rng, base, d, dmax, p)
-        h = groebner.hilbert_function(j, dmax)
-        report.cases_checked += 1
+    for j, _chain, h in _sampled_cases(report, base, d, samples, seed, dmax, p):
         witness = groebner.initial_ideal(j)
         if witness.gens not in target_cache:
-            embedded, err = _stable_embed(base, witness)
+            embedded, err = _attempt(stable_lex_embedding, base, witness)
             if err is not None:
                 report.failures.append({"hilbert_function": list(h), **err})
                 target_cache[witness.gens] = None
                 continue
             target_cache[witness.gens] = {
-                "embedded": embedded,
-                "betti": koszul_betti(embedded, dmax, p) if betti_mode else None,
-                "h0": groebner.h0_hilbert_function(embedded, dmax),
-                "h0_distracted": groebner.h0_hilbert_function(
-                    distract_ideal(d, embedded), dmax),
+                "betti": koszul_betti(embedded, dmax, p).as_dict() if betti_mode else None,
+                "h0_vs_embedded": h0(embedded),
+                "h0_vs_distracted_embedded": h0(distract_ideal(d, embedded)),
             }
         target = target_cache[witness.gens]
         if target is None:
             continue
-        payload = {"ideal": j.to_json(), "hilbert_function": list(h)}
-        bad = False
+        viols = {}
         if betti_mode:
-            viol = _betti_leq(koszul_betti(j, dmax, p), target["betti"])
-            if viol:
-                payload["betti_violations"] = viol
-                bad = True
-        h0 = groebner.h0_hilbert_function(j, dmax)
-        for label, bound in (("h0_vs_embedded", target["h0"]),
-                             ("h0_vs_distracted_embedded", target["h0_distracted"])):
-            viol = [
-                {"j": jj, "left": x, "right": y}
-                for jj, (x, y) in enumerate(zip(h0, bound))
-                if x > y
-            ]
-            if viol:
-                payload[label] = viol
-                bad = True
-        if bad:
-            report.failures.append(payload)
+            viols["betti_violations"] = _exceeding(
+                koszul_betti(j, dmax, p).as_dict(), target["betti"])
+        mine = h0(j)
+        for label in ("h0_vs_embedded", "h0_vs_distracted_embedded"):
+            viols[label] = _exceeding(mine, target[label], ("j",))
+        viols = {label: rows for label, rows in viols.items() if rows}
+        if viols:
+            report.failures.append(
+                {"ideal": j.to_json(), "hilbert_function": list(h), **viols})
     report.runtime_s = time.perf_counter() - t0
     return report

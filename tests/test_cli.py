@@ -107,6 +107,12 @@ def test_betti(capsys, files):
     assert data["entries"] == {"0,0": 1, "1,2": 2, "2,3": 1}
 
 
+def test_betti_rejects_non_prime_characteristic(capsys, files):
+    code, data = run(capsys, "betti", "--ideal", files["mono"], "--dmax", "5", "--char", "4")
+    assert code == 2
+    assert data["error"] == "invalid-input"
+
+
 def test_localcoh(capsys, files):
     code, data = run(capsys, "localcoh", "--ideal", files["mono"], "--window=-3:2")
     assert code == 0
@@ -121,6 +127,13 @@ def test_verify_pass_and_fail_exit_codes(capsys, files):
     code, data = run(capsys, "verify", "macaulay-lex",
                      "--shakin", files["bad_base"], "--dmax", "4")
     assert code == 1 and not data["passed"]
+
+
+def test_verify_betti_extremal_rejects_non_prime_characteristic(capsys, files):
+    code, data = run(capsys, "verify", "betti-extremal", "--shakin", files["shakin"],
+                     "--dmax", "3", "--char", "1")
+    assert code == 2
+    assert data["error"] == "invalid-input"
 
 
 def test_verify_budget_exit_code(capsys, files, tmp_path):
@@ -156,24 +169,53 @@ def test_byte_identical_output(capsys, files, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of the --out bytes over the non-Shakin base (x2*x3) at dmax 3: 490
-# cases each.  Their ClosureError failures are recorded per ideal, so a cache
-# keyed too coarsely would drop or reorder entries and change the digest.
+# sha256 of the `verify KIND ARGS --out` bytes, with the expected exit code.
+# The three exhaustive kinds run over the non-Shakin base (x2*x3) at dmax 3:
+# 490 cases each.  Their ClosureError failures are recorded per ideal, so a
+# cache keyed too coarsely would drop or reorder entries and change the
+# digest.  The sampled kinds pin their seeded cases and failure payloads.
+# {raw} and {d} stand for the files holding RAW_BASE and DISTRACTION.
+RAW_BASE = {"n": 3, "gens": [[0, 1, 1]]}
+DISTRACTION = {"n": 3, "char": 32003, "rows": [
+    [{"c": [1, 0, 0]}, {"c": [1, 5, 0]}, {"c": [1, 0, 7]}],
+    [{"c": [0, 1, 0]}, {"c": [3, 1, 0]}, {"c": [0, 1, 2]}],
+    [{"c": [0, 0, 1]}, {"c": [4, 0, 1]}, {"c": [0, 9, 1]}],
+]}
 GOLDEN_REPORTS = {
-    "macaulay-lex": "ba46c214759aacf1fe495e56866b8f21adda6a2b38696e21261b75748fc5e0cc",
-    "betti-extremal": "821ebd78396ce311b654a5215c1a3ec3a1af88e82042e2c52f23fe698af46ad8",
-    "coh-extremal": "608170bd0105bd277efc7c1fa7fcf8fb5e795f0ca2455fa4cc228a20dd4a166a",
+    "macaulay-lex": (
+        "--dmax 3 --shakin {raw}", 1,
+        "ba46c214759aacf1fe495e56866b8f21adda6a2b38696e21261b75748fc5e0cc"),
+    "betti-extremal": (
+        "--dmax 3 --shakin {raw}", 1,
+        "821ebd78396ce311b654a5215c1a3ec3a1af88e82042e2c52f23fe698af46ad8"),
+    "coh-extremal": (
+        "--dmax 3 --shakin {raw}", 1,
+        "608170bd0105bd277efc7c1fa7fcf8fb5e795f0ca2455fa4cc228a20dd4a166a"),
+    "distraction-hf": (
+        "--dmax 4 --shakin {raw} --distraction {d} --samples 30 --seed 5", 1,
+        "c791b7c47aa46989983fd9dcc94ce31d06d1961f19821fb86e4a8b8b335f134b"),
+    "epsilon-d-extremal": (
+        "--dmax 4 --shakin {raw} --distraction {d} --samples 12 --seed 5", 1,
+        "8643e910909cd54f1195f0bea95da4b0098669ebfc5564910048c784ffdf3ce2"),
+    "betti-invariance": (
+        "--n 3 --dmax 5 --samples 10 --seed 5", 0,
+        "3e701805bd215e7222a425b9e16805b5d6264709562c84a0472a4f5a44af5de1"),
+    "codistra-h0": (
+        "--n 3 --dmax 6 --samples 20 --seed 5", 0,
+        "f426b0d9ddd493b85097916d8045b4c7544e2ea94d24a0226dcf45c5eafc748e"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
 def test_verify_report_bytes_pinned(tmp_path, kind):
-    raw = tmp_path / "raw.json"
-    raw.write_text(json.dumps({"n": 3, "gens": [[0, 1, 1]]}))
+    args, expected_code, digest = GOLDEN_REPORTS[kind]
+    paths = {"raw": tmp_path / "raw.json", "d": tmp_path / "d.json"}
+    paths["raw"].write_text(json.dumps(RAW_BASE))
+    paths["d"].write_text(json.dumps(DISTRACTION))
     out = tmp_path / "report.json"
-    code = main(["verify", kind, "--dmax", "3", "--shakin", str(raw), "--out", str(out)])
-    assert code == 1
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORTS[kind]
+    argv = ["verify", kind, *(a.format(**paths) for a in args.split()), "--out", str(out)]
+    assert main(argv) == expected_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_pretty_rendering(capsys, files):

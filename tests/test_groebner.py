@@ -41,6 +41,7 @@ from conftest import brute_rank_mod
 
 P = DEFAULT_CHAR
 LARGE_P = 4294967311  # prime above 2**32
+HUGE_P = 18446744073709551629  # prime above 2**64
 LEX = LexOrder()
 DRL = DegRevLexOrder()
 
@@ -280,14 +281,15 @@ def test_is_prime_refuses_beyond_its_exact_range():
 
 
 def test_rank_mod_exact_above_int64_range():
-    gen = random.Random(4294967311)
-    for _ in range(200):
-        k = gen.randint(1, 3)
-        left = [[gen.randrange(LARGE_P) for _ in range(k)] for _ in range(4)]
-        right = [[gen.randrange(LARGE_P) for _ in range(4)] for _ in range(k)]
-        m = [[sum(a * b for a, b in zip(row, col)) % LARGE_P for col in zip(*right)]
-             for row in left]
-        assert rank_mod(m, LARGE_P) == brute_rank_mod(m, LARGE_P)
+    for p in (LARGE_P, HUGE_P):
+        gen = random.Random(4294967311)
+        for _ in range(200):
+            k = gen.randint(1, 3)
+            left = [[gen.randrange(p) for _ in range(k)] for _ in range(4)]
+            right = [[gen.randrange(p) for _ in range(4)] for _ in range(k)]
+            m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                 for row in left]
+            assert rank_mod(m, p) == brute_rank_mod(m, p)
 
 
 def test_invert_mod_exact_above_int64_range(rng):

@@ -51,14 +51,15 @@ def test_enumerate_zero_base():
 
 def test_enumerate_no_duplicates_and_contains_base():
     # hand count over degree-1 choices: unit ideal, (x,y), three ideals over
-    # {x}, one over {y}, eight over the empty choice: 14 in total
-    base = MonomialIdeal(2, [(2, 0)])
-    seen = set()
-    for ideal in enumerate_monomial_ideals_modulo(base, 3):
-        assert ideal.gens not in seen
-        seen.add(ideal.gens)
-        assert all(ideal.contains(g) for g in base.gens)
-    assert len(seen) == 14
+    # {x}, one over {y}, eight over the empty choice: 14 in total.  In the
+    # second base y^3 lies above dmax and must still be in every ideal.
+    for base, dmax in ((MonomialIdeal(2, [(2, 0)]), 3), (MonomialIdeal(2, [(0, 3)]), 2)):
+        seen = set()
+        for ideal in enumerate_monomial_ideals_modulo(base, dmax):
+            assert ideal.gens not in seen
+            seen.add(ideal.gens)
+            assert all(ideal.contains(g) for g in base.gens)
+        assert len(seen) == 14
 
 
 def test_enumerate_budget_error():
@@ -118,6 +119,14 @@ def test_betti_extremal_small_characteristic_classifies_findings():
     # run must complete; any violation would be a finding, not a failure
     assert report.failures == []
     assert any("characteristic" in n for n in report.notes)
+
+
+@pytest.mark.parametrize("check", [verify_betti_extremal, verify_coh_extremal])
+def test_extremal_with_base_generator_above_dmax(check):
+    # x2^4 lies above dmax 3; every enumerated ideal must still contain it
+    report = check(shakin(2, powers=(3, 4)), 3)
+    assert report.cases_checked == 28
+    assert report.failures == []
 
 
 def test_coh_extremal_small():
@@ -190,10 +199,11 @@ def test_betti_invariance_run():
 
 
 def test_betti_invariance_above_int64_prime_range():
-    report = verify_betti_distraction_invariance(3, samples=20, dmax=6, seed=1,
-                                                 p=4294967311)
-    assert report.cases_checked == 20
-    assert report.failures == []
+    # primes above 2**32 and above 2**64
+    for p in (4294967311, 18446744073709551629):
+        report = verify_betti_distraction_invariance(3, samples=20, dmax=6, seed=1, p=p)
+        assert report.cases_checked == 20
+        assert report.failures == []
 
 
 def test_codistra_h0_run():
