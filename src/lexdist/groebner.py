@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import monomials
 from ._modmat import invert_mod
@@ -34,11 +34,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+@lru_cache
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin primality test.
 
     Exact for p below 3.3e24; raises InvalidInputError at or above that
-    bound, where these bases no longer decide primality.
+    bound, where these bases no longer decide primality.  Answers are
+    cached, since every check_characteristic call asks again.
     """
     if p >= _MR_LIMIT:
         raise InvalidInputError(f"characteristic {p} is too large to certify as prime")

@@ -1,11 +1,10 @@
 """Graded Betti numbers and local cohomology Hilbert functions.
 
-Betti numbers come from exact rank computations on the graded strands of
-the Koszul complex tensored with the quotient (any homogeneous ideal); a
-Taylor-complex route provides an independent oracle on monomial inputs.
-Local cohomology of monomial quotients is computed multidegree-by-
-multidegree through reduced simplicial homology of degree complexes,
-aggregated to total degree.
+For monomial ideals both are reduced simplicial homology of one small
+complex per multidegree, from one kernel: upper Koszul complexes give the
+Betti numbers, degree complexes the local cohomology.  General homogeneous
+ideals use exact ranks on dense Koszul strands of the quotient; a
+Taylor-complex route is an independent oracle on monomial inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from . import groebner, monomials
 from ._modmat import field_dtype, rank_mod
 from .errors import InvalidInputError
 from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
-from .monomials import MonomialIdeal, binom, degree_masks, degree_monomials, mult_table
+from .monomials import MonomialIdeal, binom, degree_masks, degree_monomials
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,61 @@ def _table(n, dmax, raw, p):
 # Koszul homology
 # ---------------------------------------------------------------------------
 
-def _koszul_from_action(n, dims, action, dmax, p):
-    """Betti numbers from a basis-level multiplication action.
+def _koszul_monomial(ideal, dmax, p):
+    """beta_{i,b}(A/I) = dim H~_{i-2}(K^b(I)) for b in the LCM lattice, |b| <= dmax.
 
-    dims[d] is the K-dimension of the quotient in degree d; action(d, b, k)
-    returns the expansion of x_{k+1} * (b-th basis element of degree d) as a
-    list of (basis index in degree d+1, coefficient).
+    The upper Koszul complex K^b(I) has one facet {k : g_k < b_k} per
+    generator g dividing x^b (Miller-Sturmfels, Thm 1.34).
     """
+    gens = ideal.gens
+    if dmax < 0 or (gens and not sum(gens[0])):
+        return {}
+    lattice = set()
+    for g in gens:  # an lcm's degree only grows, so pruning at dmax loses nothing
+        grown = {monomials.lcm(c, g) for c in lattice} | {g}
+        lattice |= {b for b in grown if sum(b) <= dmax}
+    raw = {(0, 0): 1}
+    for b in lattice:
+        faces = set()
+        for g in gens:
+            if monomials.divides(g, b):
+                facet = [k for k in range(len(b)) if g[k] < b[k]]
+                for size in range(len(facet) + 1):
+                    faces.update(itertools.combinations(facet, size))
+        for k, h in _reduced_homology(faces, p).items():
+            raw[k + 2, sum(b)] = raw.get((k + 2, sum(b)), 0) + h
+    return raw
+
+
+def _koszul_strands(ideal, dmax):
+    """beta_{i,j}(A/I) from dense Koszul strands; x_k acts on the standard
+    monomials of a degrevlex basis through normal forms."""
+    n, p = ideal.n, ideal.p
+    basis = ideal.groebner_basis()
+    masks = degree_masks(groebner.initial_ideal(ideal), dmax + 1)
+    std = []
+    stdpos = []
+    for d in range(dmax + 2):
+        monos = degree_monomials(n, d)
+        keep = [monos[k] for k in range(len(monos)) if not masks[d] >> k & 1]
+        std.append(keep)
+        stdpos.append({m: t for t, m in enumerate(keep)})
+    dims = [len(s) for s in std]
+
+    images = {}
+
+    def image(d, b, k):
+        # x_{k+1} * (b-th standard monomial of degree d) in the degree d+1 basis
+        key = (d, b, k)
+        if key not in images:
+            target = monomials.mul(std[d][b], monomials.variable(n, k))
+            if target in stdpos[d + 1]:
+                images[key] = [(stdpos[d + 1][target], 1)]
+            else:
+                nf = groebner.normal_form(Poly.from_monomial(target, p), basis)
+                images[key] = [(stdpos[d + 1][e], c) for e, c in nf.terms.items()]
+        return images[key]
+
     subsets = [list(itertools.combinations(range(n), i)) for i in range(n + 2)]
     pos = [dict((s, t) for t, s in enumerate(level)) for level in subsets]
     ranks = {}
@@ -84,7 +131,7 @@ def _koszul_from_action(n, dims, action, dmax, p):
                     for slot, k in enumerate(s):
                         t_idx = pos[i - 1][s[:slot] + s[slot + 1:]]
                         sign = -1 if slot & 1 else 1
-                        for b2, c in action(dsrc, b, k):
+                        for b2, c in image(dsrc, b, k):
                             m[t_idx * dims[dsrc + 1] + b2, col] += sign * c
             ranks[i, j] = rank_mod(m, p)
     raw = {}
@@ -98,67 +145,19 @@ def _koszul_from_action(n, dims, action, dmax, p):
     return raw
 
 
-def _koszul_monomial(n, masks, dmax, p):
-    """Fast path: quotient basis = standard monomials, action is 0/1."""
-    std = []
-    stdpos = []
-    for d in range(dmax + 2):
-        mask = masks[d] if d < len(masks) else 0
-        monos = degree_monomials(n, d)
-        keep = [k for k in range(len(monos)) if not mask >> k & 1]
-        std.append(keep)
-        stdpos.append({k: t for t, k in enumerate(keep)})
-    dims = [len(s) for s in std]
-
-    tables = [mult_table(n, d) for d in range(dmax + 1)]
-
-    def action(d, b, k):
-        target = tables[d][std[d][b]][k]
-        t = stdpos[d + 1].get(target)
-        return [] if t is None else [(t, 1)]
-
-    return _koszul_from_action(n, dims, action, dmax, p)
-
-
 def koszul_betti(ideal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:
-    """beta_{ij}(A/I) for j <= dmax via Koszul strand ranks.
+    """beta_{ij}(A/I) for j <= dmax.
 
-    Monomial ideals use standard monomials directly; general homogeneous
-    ideals act through normal forms against a degrevlex basis.
+    Monomial ideals split by multidegree into upper Koszul complexes;
+    general homogeneous ideals (over their own field) use dense Koszul
+    strands acting through normal forms against a degrevlex basis.
     """
     if isinstance(ideal, MonomialIdeal):
-        n, p = ideal.n, check_characteristic(p)
-        masks = degree_masks(ideal, dmax + 1)
-        return _table(n, dmax, _koszul_monomial(n, masks, dmax, p), p)
+        p = check_characteristic(p)
+        return _table(ideal.n, dmax, _koszul_monomial(ideal, dmax, p), p)
     if not isinstance(ideal, Ideal):
         raise InvalidInputError("expected MonomialIdeal or Ideal")
-    n, p = ideal.n, ideal.p
-    basis = ideal.groebner_basis()
-    init = groebner.initial_ideal(ideal)
-    masks = degree_masks(init, dmax + 1)
-    std = []
-    stdpos = []
-    for d in range(dmax + 2):
-        monos = degree_monomials(n, d)
-        keep = [monos[k] for k in range(len(monos)) if not masks[d] >> k & 1]
-        std.append(keep)
-        stdpos.append({m: t for t, m in enumerate(keep)})
-    dims = [len(s) for s in std]
-
-    cache = {}
-
-    def action(d, b, k):
-        key = (d, b, k)
-        if key not in cache:
-            target = monomials.mul(std[d][b], monomials.variable(n, k))
-            if target in stdpos[d + 1]:
-                cache[key] = [(stdpos[d + 1][target], 1)]
-            else:
-                nf = groebner.normal_form(Poly.from_monomial(target, p), basis)
-                cache[key] = [(stdpos[d + 1][e], c) for e, c in nf.terms.items()]
-        return cache[key]
-
-    return _table(n, dmax, _koszul_from_action(n, dims, action, dmax, p), p)
+    return _table(ideal.n, dmax, _koszul_strands(ideal, dmax), ideal.p)
 
 
 def taylor_betti_oracle(ideal: MonomialIdeal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:
@@ -218,6 +217,26 @@ def taylor_betti_oracle(ideal: MonomialIdeal, dmax: int, p: int = DEFAULT_CHAR) 
 # simplicial complexes and local cohomology
 # ---------------------------------------------------------------------------
 
+def _reduced_homology(faces, p):
+    """{k: dim H~_k} over F_p, nonzero dims only, of the complex whose faces
+    (sorted vertex tuples, the empty face included) are given."""
+    levels = {}
+    for f in faces:
+        levels.setdefault(len(f), []).append(f)
+    ranks = {}
+    for size, src in levels.items():
+        if size:
+            pos = {f: r for r, f in enumerate(levels[size - 1])}
+            m = np.zeros((len(pos), len(src)), dtype=np.int64)
+            for c, f in enumerate(src):
+                for slot in range(size):
+                    m[pos[f[:slot] + f[slot + 1:]], c] = -1 if slot & 1 else 1
+            ranks[size] = rank_mod(m, p)
+    dims = {size - 1: len(level) - ranks.get(size, 0) - ranks.get(size + 1, 0)
+            for size, level in levels.items()}
+    return {k: h for k, h in dims.items() if h}
+
+
 class SimplicialComplex:
     """Finite simplicial complex given by its facets (maximal faces)."""
 
@@ -256,36 +275,11 @@ class SimplicialComplex:
             self._faces = out
         return self._faces
 
-    def faces_of_dim(self, d: int):
-        return sorted((f for f in self.faces() if len(f) == d + 1),
-                      key=lambda f: sorted(f))
-
 
 def simplicial_reduced_homology(complex_: SimplicialComplex, i: int, p: int = DEFAULT_CHAR) -> int:
     """dim of the i-th reduced homology over F_p (boundary-matrix ranks)."""
-    p = check_characteristic(p)
-    if complex_.is_void:
-        return 0
-
-    def boundary_rank(d):
-        # rank of the boundary map C_d -> C_{d-1}
-        src = complex_.faces_of_dim(d)
-        dst = complex_.faces_of_dim(d - 1)
-        if not src or not dst:
-            return 0
-        pos = {f: k for k, f in enumerate(dst)}
-        m = np.zeros((len(dst), len(src)), dtype=np.int64)
-        for c, f in enumerate(src):
-            verts = sorted(f)
-            for slot in range(len(verts)):
-                sub = frozenset(verts[:slot] + verts[slot + 1:])
-                m[pos[sub], c] += -1 if slot & 1 else 1
-        return rank_mod(m, p)
-
-    dim_ci = len(complex_.faces_of_dim(i))
-    if dim_ci == 0:
-        return 0
-    return dim_ci - boundary_rank(i) - boundary_rank(i + 1)
+    faces = [tuple(sorted(f)) for f in complex_.faces()]
+    return _reduced_homology(faces, check_characteristic(p)).get(i, 0)
 
 
 @dataclass(frozen=True)
@@ -329,7 +323,7 @@ class LocalCohTable:
 
 
 def _degree_complex(gens, region, box_values, group):
-    """Faces F of the degree complex: no generator fits below the bound.
+    """Faces F (sorted tuples) of the degree complex: no generator fits below the bound.
 
     region lists the non-negative coordinates (their values in box_values);
     group is the set of strictly negative coordinates.  A subset F of
@@ -345,7 +339,7 @@ def _degree_complex(gens, region, box_values, group):
                 for g in gens
             )
             if not covered:
-                faces.append(frozenset(fidx))
+                faces.append(fidx)
     return faces
 
 
@@ -380,15 +374,8 @@ def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
         region = [i for i in range(n) if not gbits >> i & 1]
         ranges = [range(exp_bound[i]) for i in region]
         for box in itertools.product(*ranges):
-            faces = _degree_complex(gens, region, box, group)
-            if not faces:
-                continue
-            cx = SimplicialComplex.from_faces(len(region), faces)
-            dims = {}
-            for k in range(-1, len(region)):
-                h = simplicial_reduced_homology(cx, k, p)
-                if h:
-                    dims[k + len(group) + 1] = h
+            homology = _reduced_homology(_degree_complex(gens, region, box, group), p)
+            dims = {k + len(group) + 1: h for k, h in homology.items()}
             if dims:
                 patterns.append((len(group), sum(box), dims))
 

@@ -43,6 +43,17 @@ def test_hilbert_monomial(capsys, files):
     assert data["v"] == 1
 
 
+def test_hilbert_order_is_deprecated_and_ignored(capsys, files):
+    argv = ["hilbert", "--ideal", files["mono"], "--dmax", "6"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--order", "lex"]) == 0
+    flagged = capsys.readouterr()
+    assert flagged.out == plain.out
+    assert plain.err == ""
+    assert flagged.err == "lexdist: --order is deprecated and ignored\n"
+
+
 def test_hilbert_polynomial_input(capsys, files):
     code, data = run(capsys, "hilbert", "--ideal", files["poly"], "--dmax", "4")
     assert code == 0

@@ -1,5 +1,8 @@
 """homology module: Betti tables, Taylor oracle, local cohomology."""
 
+import itertools
+import random
+
 from lexdist.distraction import distract_ideal, random_distraction
 from lexdist.groebner import DEFAULT_CHAR, Ideal, parse_poly
 from lexdist.homology import (
@@ -53,6 +56,36 @@ def test_betti_invariance_under_distraction(rng):
         left = koszul_betti(ideal, 5, P).as_dict()
         right = koszul_betti(distract_ideal(d, ideal), 5, P).as_dict()
         assert left == right
+
+
+def test_monomial_kernel_matches_dense_strands():
+    # the upper-Koszul kernel against the strand route on the same ideal
+    gen = random.Random(2024)
+    for _ in range(150):
+        n, dmax, p = gen.randint(1, 5), gen.randint(0, 7), gen.choice([2, 32003, 4294967311])
+        gens = [tuple(gen.randrange(3) for _ in range(n)) for _ in range(gen.randint(1, 4))]
+        ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
+        dense = koszul_betti(Ideal.from_monomial_ideal(ideal, p), dmax).as_dict()
+        assert koszul_betti(ideal, dmax, p).as_dict() == dense, (ideal.gens, dmax, p)
+    edges = [MonomialIdeal(3, [(0, 0, 0)]), MonomialIdeal(3), MonomialIdeal(0), MonomialIdeal(0, [()])]
+    for ideal in edges:
+        for dmax in (-1, 0, 3):
+            dense = koszul_betti(Ideal.from_monomial_ideal(ideal, P), dmax).as_dict()
+            assert koszul_betti(ideal, dmax, P).as_dict() == dense, (ideal.gens, dmax)
+    assert koszul_betti(MonomialIdeal(3, [(1, 0, 0)]), -1).as_dict() == {}
+
+
+def test_betti_numbers_depend_on_characteristic():
+    # Stanley-Reisner ideal of the 6-vertex RP^2: H~_1 = Z/2 shows only mod 2
+    facets = {frozenset(int(v) - 1 for v in f) for f in
+              ("124", "126", "135", "136", "145", "234", "235", "256", "346", "456")}
+    gens = [tuple(int(k in t) for k in range(6)) for t in itertools.combinations(range(6), 3)
+            if frozenset(t) not in facets]
+    ideal = MonomialIdeal(6, gens)
+    odd = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+    for p, expected in ((2, {**odd, (3, 6): 1, (4, 6): 1}), (3, odd), (32003, odd)):
+        assert koszul_betti(ideal, 6, p).as_dict() == expected
+        assert taylor_betti_oracle(ideal, 6, p).as_dict() == expected
 
 
 # --- Taylor oracle ---------------------------------------------------------------
