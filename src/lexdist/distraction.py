@@ -8,10 +8,8 @@ field: the same matrix may be singular in another characteristic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from ._modmat import rank_mod
 from .errors import InternalContradictionError, InvalidInputError
 from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
 from .monomials import MonomialIdeal, variable
@@ -89,24 +87,92 @@ class DistractionMatrix:
             raise InvalidInputError(f"bad distraction JSON: {exc}") from exc
 
 
+def _extend_echelon(basis, entry, p):
+    """Add entry to a reduced row-echelon basis, or None if it is dependent.
+
+    basis is a list of (pivot column, row) with monic pivots and zeros in
+    every other row's pivot column; the result keeps that form.
+    """
+    v = list(entry)
+    for c, row in basis:
+        f = v[c]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    c = next((k for k, a in enumerate(v) if a), None)
+    if c is None:
+        return None
+    inv = pow(v[c], -1, p)
+    v = [a * inv % p for a in v]
+    out = []
+    for c2, row in basis:
+        f = row[c]
+        if f:
+            row = [(a - f * b) % p for a, b in zip(row, v)]
+        out.append((c2, row))
+    out.append((c, v))
+    return out
+
+
+def _normal_vector(basis, n, p):
+    """A nonzero vector orthogonal to the n-1 rows of a reduced echelon basis."""
+    pivots = {c for c, _ in basis}
+    free = next(k for k in range(n) if k not in pivots)
+    v = [0] * n
+    v[free] = 1
+    for c, row in basis:
+        v[c] = -row[free] % p
+    return v
+
+
 def validate_distraction(d: DistractionMatrix):
     """Check that every selection of one entry per row spans the linear forms.
 
     By column stabilization only selections of distinct per-row entries need
-    checking.  Returns (True, None) or (False, witness) where witness lists
-    the offending (row, column) pairs.
+    checking.  The selections are searched depth-first over the rows in
+    itertools.product order, exactly mod p.  Each prefix is kept in reduced
+    row-echelon form and extended by one elimination, so it is shared by all
+    its completions; a prefix that is already dependent fails with every
+    completion.  At the last row the n-1 chosen forms have a normal vector,
+    and an entry completes them to a basis exactly when its dot product with
+    that vector is nonzero.  With c distinct entries per row this costs one
+    elimination per prefix of fewer than n rows, about c^(n-1) of them, plus
+    at most c^n dot products.
+
+    Returns (True, None) or (False, witness) where witness lists the
+    (row, column) pairs of the first failing selection in product order; a
+    dependent prefix is completed with the first entry of each later row.
     """
+    n, p = d.n, d.p
     per_row = []
     for row in d.rows:
         seen = {}
         for j, entry in enumerate(row):
             seen.setdefault(entry, j)
         per_row.append(list(seen.items()))
-    for combo in itertools.product(*per_row):
-        matrix = [entry for entry, _ in combo]
-        if rank_mod(matrix, d.p) < d.n:
-            return False, [(i, j) for i, (_, j) in enumerate(combo)]
-    return True, None
+    if not n:
+        return True, None
+    chosen = []
+
+    def search(basis, i):
+        if i == n - 1:
+            normal = _normal_vector(basis, n, p)
+            for entry, j in per_row[i]:
+                if not sum(a * b for a, b in zip(entry, normal)) % p:
+                    return chosen + [(i, j)]
+            return None
+        for entry, j in per_row[i]:
+            chosen.append((i, j))
+            extended = _extend_echelon(basis, entry, p)
+            if extended is None:
+                return chosen + [(k, per_row[k][0][1]) for k in range(i + 1, n)]
+            witness = search(extended, i + 1)
+            if witness:
+                return witness
+            chosen.pop()
+        return None
+
+    witness = search([], 0)
+    return (False, witness) if witness else (True, None)
 
 
 def apply_distraction(d: DistractionMatrix, m) -> Poly:

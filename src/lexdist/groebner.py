@@ -226,7 +226,7 @@ class Poly:
 
 def normal_form(f: Poly, basis, order: MonomialOrder = DEGREVLEX) -> Poly:
     """Fully reduced remainder of f modulo the list basis."""
-    leads = [(g.leading(order)[0], g.leading(order)[1], g) for g in basis if not g.is_zero]
+    leads = [(*g.leading(order), g) for g in basis if not g.is_zero]
     p = f.p
     work = dict(f.terms)
     rem = {}
@@ -293,13 +293,12 @@ def _buchberger(gens, order: MonomialOrder):
         G.append(f.monic(order))
     if not G:
         return ()
+    leads = [g.leading(order)[0] for g in G]
     pairs = []
     done = set()
 
     def push(i, j):
-        li = G[i].leading(order)[0]
-        lj = G[j].leading(order)[0]
-        l = monomials.lcm(li, lj)
+        l = monomials.lcm(leads[i], leads[j])
         heapq.heappush(pairs, (sum(l), l, i, j))
 
     for j in range(len(G)):
@@ -308,13 +307,11 @@ def _buchberger(gens, order: MonomialOrder):
     while pairs:
         _, l, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        li = G[i].leading(order)[0]
-        lj = G[j].leading(order)[0]
-        if all(a == b + c for a, b, c in zip(l, li, lj)):
+        if all(a == b + c for a, b, c in zip(l, leads[i], leads[j])):
             continue  # coprime leads
         if any(
             k not in (i, j)
-            and divides(G[k].leading(order)[0], l)
+            and divides(leads[k], l)
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
             for k in range(len(G))
@@ -323,6 +320,7 @@ def _buchberger(gens, order: MonomialOrder):
         r = normal_form(_s_poly(G[i], G[j], order), G, order)
         if not r.is_zero:
             G.append(r.monic(order))
+            leads.append(G[-1].leading(order)[0])
             for i2 in range(len(G) - 1):
                 push(i2, len(G) - 1)
     return _reduce_basis(G, order)

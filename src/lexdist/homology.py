@@ -149,15 +149,17 @@ def koszul_betti(ideal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:
     """beta_{ij}(A/I) for j <= dmax.
 
     Monomial ideals split by multidegree into upper Koszul complexes;
-    general homogeneous ideals (over their own field) use dense Koszul
-    strands acting through normal forms against a degrevlex basis.
+    general homogeneous ideals use dense Koszul strands acting through
+    normal forms against a degrevlex basis, and p must be their own field.
     """
+    p = check_characteristic(p)
     if isinstance(ideal, MonomialIdeal):
-        p = check_characteristic(p)
         return _table(ideal.n, dmax, _koszul_monomial(ideal, dmax, p), p)
     if not isinstance(ideal, Ideal):
         raise InvalidInputError("expected MonomialIdeal or Ideal")
-    return _table(ideal.n, dmax, _koszul_strands(ideal, dmax), ideal.p)
+    if p != ideal.p:
+        raise InvalidInputError(f"ideal is over characteristic {ideal.p}, not {p}")
+    return _table(ideal.n, dmax, _koszul_strands(ideal, dmax), p)
 
 
 def taylor_betti_oracle(ideal: MonomialIdeal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:

@@ -71,6 +71,24 @@ def brute_rank_mod(rows, p):
     return rank
 
 
+def brute_validate_distraction(rows, p):
+    """(ok, witness) of the span condition by ranking every selection.
+
+    Selections take one distinct entry per row, each at its first column,
+    in itertools.product order; the witness is the first singular one.
+    """
+    per_row = []
+    for row in rows:
+        first = {}
+        for j, entry in enumerate(row):
+            first.setdefault(tuple(entry), j)
+        per_row.append(list(first.items()))
+    for combo in itertools.product(*per_row):
+        if brute_rank_mod([entry for entry, _ in combo], p) < len(rows):
+            return False, [(i, j) for i, (_, j) in enumerate(combo)]
+    return True, None
+
+
 @pytest.fixture
 def rng():
     import random

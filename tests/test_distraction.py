@@ -1,7 +1,13 @@
 """distraction module: validation, application, bar induction, polarization."""
 
+import collections
+import random
+import re
+
 import pytest
 
+from conftest import brute_validate_distraction
+from lexdist import _modmat, distraction
 from lexdist.distraction import (
     DistractionMatrix,
     apply_change,
@@ -12,7 +18,7 @@ from lexdist.distraction import (
     random_distraction,
     validate_distraction,
 )
-from lexdist.errors import InvalidInputError
+from lexdist.errors import InternalContradictionError, InvalidInputError
 from lexdist.groebner import (
     DEFAULT_CHAR,
     apply_linear_change,
@@ -54,6 +60,56 @@ def test_validity_is_characteristic_dependent():
     ok2, _ = validate_distraction(DistractionMatrix(rows, 2))
     ok3, _ = validate_distraction(DistractionMatrix(rows, 3))
     assert not ok2 and ok3
+
+
+ORACLE_PRIMES = (2, 3, 5, 32003, 4294967311, 2 ** 64 + 13)
+
+
+def _oracle_rows(gen, n, p):
+    """Rows of 1-4 entries (1-3 at n = 5) with repeated and stabilized entries.
+
+    Half of the matrices draw coefficients from {0, 1, 2, -1}, so many of
+    their selections are singular; the rest draw them uniformly mod p.
+    """
+    small = gen.random() < 0.5
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(gen.randint(1, 3 if n == 5 else 4)):
+            if row and gen.random() < 0.3:
+                row.append(gen.choice(row))
+                continue
+            entry = (0,) * n
+            while not any(entry):
+                entry = tuple(gen.choice((0, 0, 1, 2, p - 1)) % p if small else gen.randrange(p)
+                              for _ in range(n))
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def test_validate_matches_brute_force_oracle(monkeypatch):
+    def no_rank(*args, **kwargs):
+        raise AssertionError("validate_distraction called rank_mod")
+
+    monkeypatch.setattr(_modmat, "rank_mod", no_rank)
+    monkeypatch.setattr(distraction, "rank_mod", no_rank, raising=False)
+    gen = random.Random(5150)
+    verdicts = collections.Counter()
+    for _ in range(600):
+        n, p = gen.randint(0, 5), gen.choice(ORACLE_PRIMES)
+        d = DistractionMatrix(_oracle_rows(gen, n, p), p)
+        got = validate_distraction(d)
+        assert got == brute_validate_distraction(d.rows, p), (d, got)
+        verdicts[got[0]] += 1
+    assert min(verdicts.values()) >= 150, verdicts
+
+
+def test_single_variable_rows_are_valid():
+    for p in (2, 3, P):
+        for row in ([(1,)], [(1,), (p - 1,)], [(p - 1,), (1,), (p - 1,), (p - 1,)]):
+            assert validate_distraction(DistractionMatrix([row], p)) == (True, None)
+    assert validate_distraction(DistractionMatrix([], P)) == (True, None)
 
 
 def test_apply_distraction_examples():
@@ -102,6 +158,16 @@ def test_induce_bar_derived_example():
 def test_induce_bar_requires_constant_last_row():
     rows = [[(0, 1)], [(1, 0)]]  # last row is x1, not x2
     with pytest.raises(InvalidInputError):
+        induce_bar(DistractionMatrix(rows, P))
+
+
+def test_induce_bar_reports_the_first_singular_selection():
+    # bar rows x1 / x2, 2*x1 / x3, x1 + x3: the prefix (x1, 2*x1) is
+    # dependent, so its witness takes the first entry of the last bar row
+    rows = [[(1, 0, 0, 1)], [(0, 1, 0, 0), (2, 0, 0, 1)],
+            [(0, 0, 1, 1), (1, 0, 1, 0)], [(0, 0, 0, 1)]]
+    message = "induced matrix is not a distraction; witness selection [(0, 0), (1, 1), (2, 0)]"
+    with pytest.raises(InternalContradictionError, match=re.escape(message)):
         induce_bar(DistractionMatrix(rows, P))
 
 

@@ -3,7 +3,10 @@
 import itertools
 import random
 
+import pytest
+
 from lexdist.distraction import distract_ideal, random_distraction
+from lexdist.errors import InvalidInputError
 from lexdist.groebner import DEFAULT_CHAR, Ideal, parse_poly
 from lexdist.homology import (
     SimplicialComplex,
@@ -47,6 +50,22 @@ def test_general_ideal_betti_via_normal_forms():
     assert table.as_dict() == {(0, 0): 1, (1, 2): 1}
 
 
+def test_general_ideal_rejects_non_prime_characteristic():
+    ideal = Ideal(2, [parse_poly("x1^2 + x1*x2", 2, P)], P)
+    with pytest.raises(InvalidInputError, match="not prime"):
+        koszul_betti(ideal, 4, p=4)
+
+
+def test_general_ideal_rejects_other_characteristic():
+    ideal = Ideal(2, [parse_poly("x1^2 + x1*x2", 2, P)], P)
+    with pytest.raises(InvalidInputError, match="characteristic 32003"):
+        koszul_betti(ideal, 4, p=7)
+    over_7 = Ideal(2, [parse_poly("x1^2 + x1*x2", 2, 7)], 7)
+    with pytest.raises(InvalidInputError):
+        koszul_betti(over_7, 4)
+    assert koszul_betti(over_7, 4, 7).as_dict() == {(0, 0): 1, (1, 2): 1}
+
+
 def test_betti_invariance_under_distraction(rng):
     for _ in range(5):
         n = rng.choice([2, 3])
@@ -65,12 +84,12 @@ def test_monomial_kernel_matches_dense_strands():
         n, dmax, p = gen.randint(1, 5), gen.randint(0, 7), gen.choice([2, 32003, 4294967311])
         gens = [tuple(gen.randrange(3) for _ in range(n)) for _ in range(gen.randint(1, 4))]
         ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
-        dense = koszul_betti(Ideal.from_monomial_ideal(ideal, p), dmax).as_dict()
+        dense = koszul_betti(Ideal.from_monomial_ideal(ideal, p), dmax, p).as_dict()
         assert koszul_betti(ideal, dmax, p).as_dict() == dense, (ideal.gens, dmax, p)
     edges = [MonomialIdeal(3, [(0, 0, 0)]), MonomialIdeal(3), MonomialIdeal(0), MonomialIdeal(0, [()])]
     for ideal in edges:
         for dmax in (-1, 0, 3):
-            dense = koszul_betti(Ideal.from_monomial_ideal(ideal, P), dmax).as_dict()
+            dense = koszul_betti(Ideal.from_monomial_ideal(ideal, P), dmax, P).as_dict()
             assert koszul_betti(ideal, dmax, P).as_dict() == dense, (ideal.gens, dmax)
     assert koszul_betti(MonomialIdeal(3, [(1, 0, 0)]), -1).as_dict() == {}
 
