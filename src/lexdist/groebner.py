@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from bisect import insort
 from functools import lru_cache, reduce
 
 from . import monomials
@@ -76,7 +77,7 @@ def check_characteristic(p: int) -> int:
 class Poly:
     """A sparse polynomial: exponent tuple -> nonzero coefficient in F_p."""
 
-    __slots__ = ("n", "p", "terms")
+    __slots__ = ("n", "p", "terms", "_lead")
 
     def __init__(self, n, p, terms=None):
         self.n = n
@@ -87,6 +88,7 @@ class Poly:
             if c:
                 clean[tuple(exps)] = c
         self.terms = clean
+        self._lead = None  # (order, exponents, coefficient) of the last leading() call
 
     @classmethod
     def zero(cls, n, p):
@@ -127,8 +129,12 @@ class Poly:
         return {d: Poly(self.n, self.p, t) for d, t in sorted(comps.items())}
 
     def leading(self, order: MonomialOrder):
-        exps = max(self.terms, key=order.key)
-        return exps, self.terms[exps]
+        """(exponents, coefficient) of the largest term; kept for the last
+        order asked, since the terms of a Poly never change."""
+        if self._lead is None or self._lead[0] is not order:
+            exps = max(self.terms, key=order.key)
+            self._lead = (order, exps, self.terms[exps])
+        return self._lead[1:]
 
     def monic(self, order: MonomialOrder):
         _, c = self.leading(order)
@@ -225,15 +231,20 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 def normal_form(f: Poly, basis, order: MonomialOrder = DEGREVLEX) -> Poly:
-    """Fully reduced remainder of f modulo the list basis."""
+    """Fully reduced remainder of f modulo the list basis.
+
+    Pending terms sit in an ascending list of (order key, exponents), so
+    each term is keyed once and the largest is the last entry.  Reducing a
+    term only adds terms below it, so no processed term comes back.
+    """
     leads = [(*g.leading(order), g) for g in basis if not g.is_zero]
     p = f.p
     work = dict(f.terms)
+    pending = sorted((order.key(e), e) for e in work)
     rem = {}
-    while work:
-        exps = max(work, key=order.key)
-        c = work.pop(exps)
-        c %= p
+    while pending:
+        exps = pending.pop()[1]
+        c = work.pop(exps) % p
         if not c:
             continue
         for lexps, lc, g in leads:
@@ -244,6 +255,8 @@ def normal_form(f: Poly, basis, order: MonomialOrder = DEGREVLEX) -> Poly:
                     key = monomials.mul(e2, shift)
                     if key == exps:
                         continue
+                    if key not in work:
+                        insort(pending, (order.key(key), key))
                     work[key] = (work.get(key, 0) - fac * c2) % p
                 break
         else:

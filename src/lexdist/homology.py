@@ -2,15 +2,19 @@
 
 For monomial ideals both are reduced simplicial homology of one small
 complex per multidegree, from one kernel: upper Koszul complexes give the
-Betti numbers, degree complexes the local cohomology.  General homogeneous
-ideals use exact ranks on dense Koszul strands of the quotient; a
-Taylor-complex route is an independent oracle on monomial inputs.
+Betti numbers, degree complexes the local cohomology.  The kernel is
+memoised by a canonical key of the complex (vertex bitmasks, see _faces_of)
+together with the characteristic, so an exhaustive check pays once per
+distinct complex, not once per ideal.  General homogeneous ideals use
+exact ranks on dense Koszul strands of the quotient; a Taylor-complex
+route is an independent oracle on monomial inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,14 +73,13 @@ def _koszul_monomial(ideal, dmax, p):
         grown = {monomials.lcm(c, g) for c in lattice} | {g}
         lattice |= {b for b in grown if sum(b) <= dmax}
     raw = {(0, 0): 1}
+    n = ideal.n
     for b in lattice:
-        faces = set()
-        for g in gens:
-            if monomials.divides(g, b):
-                facet = [k for k in range(len(b)) if g[k] < b[k]]
-                for size in range(len(facet) + 1):
-                    faces.update(itertools.combinations(facet, size))
-        for k, h in _reduced_homology(faces, p).items():
+        facets = frozenset(
+            sum(1 << k for k in range(n) if g[k] < b[k])
+            for g in gens if monomials.divides(g, b)
+        )
+        for k, h in _homology(("facets", facets), p):
             raw[k + 2, sum(b)] = raw.get((k + 2, sum(b)), 0) + h
     return raw
 
@@ -166,8 +169,10 @@ def taylor_betti_oracle(ideal: MonomialIdeal, dmax: int, p: int = DEFAULT_CHAR) 
     """Independent Betti oracle: homology of the Taylor complex tensored with K.
 
     Differential entries are +-1 exactly where dropping a generator keeps
-    the lcm; exponential in the number of generators, intended for small
-    inputs.
+    the lcm.  The complex has a basis element for every subset of the r
+    minimal generators, so time and memory double with each generator:
+    16 generators already take seconds and a few hundred MB.  Intended
+    for small inputs.
     """
     p = check_characteristic(p)
     gens = ideal.gens
@@ -239,6 +244,37 @@ def _reduced_homology(faces, p):
     return {k: h for k, h in dims.items() if h}
 
 
+def _faces_of(key):
+    """Faces (sorted vertex tuples) of the complex a memo key describes.
+
+    ("facets", masks): every subset of some vertex bitmask in masks.
+    ("avoid", r, masks): every subset of range(r) containing no mask in masks.
+    """
+    if key[0] == "facets":
+        faces = set()
+        for facet in key[1]:
+            sub = facet
+            while True:
+                faces.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & facet
+    else:
+        _, r, masks = key
+        faces = {f for f in range(1 << r) if not any(v & f == v for v in masks)}
+    return [tuple(k for k in range(f.bit_length()) if f >> k & 1) for f in faces]
+
+
+@lru_cache(maxsize=1 << 12)  # distinct complexes; the exhaustive checkers see a few dozen
+def _homology(key, p):
+    """Reduced homology of the complex a key describes (see _faces_of), memoised.
+
+    Returns sorted (k, dim H~_k) pairs, nonzero dims only; a tuple, since
+    every caller with the same key shares it.
+    """
+    return tuple(sorted(_reduced_homology(_faces_of(key), p).items()))
+
+
 class SimplicialComplex:
     """Finite simplicial complex given by its facets (maximal faces)."""
 
@@ -280,8 +316,8 @@ class SimplicialComplex:
 
 def simplicial_reduced_homology(complex_: SimplicialComplex, i: int, p: int = DEFAULT_CHAR) -> int:
     """dim of the i-th reduced homology over F_p (boundary-matrix ranks)."""
-    faces = [tuple(sorted(f)) for f in complex_.faces()]
-    return _reduced_homology(faces, check_characteristic(p)).get(i, 0)
+    facets = frozenset(sum(1 << v for v in f) for f in complex_.facets)
+    return dict(_homology(("facets", facets), check_characteristic(p))).get(i, 0)
 
 
 @dataclass(frozen=True)
@@ -324,25 +360,17 @@ class LocalCohTable:
         }
 
 
-def _degree_complex(gens, region, box_values, group):
-    """Faces F (sorted tuples) of the degree complex: no generator fits below the bound.
+def _degree_key(gens, region, box_values):
+    """Memo key of the degree complex of one pattern: ("avoid", |region|, masks).
 
     region lists the non-negative coordinates (their values in box_values);
-    group is the set of strictly negative coordinates.  A subset F of
-    region is a face iff no generator g satisfies g_i <= b_i for all i in
-    region \\ F (coordinates in F or group count as unbounded).
+    the strictly negative ones count as unbounded.  A subset F of region is
+    a face iff no generator g has g_i <= b_i for all i in region \\ F, that
+    is iff F contains none of the masks {t : g_{region[t]} > b_t}.
     """
-    faces = []
-    for k in range(len(region) + 1):
-        for fidx in itertools.combinations(range(len(region)), k):
-            chosen = set(fidx)
-            covered = any(
-                all(g[region[t]] <= box_values[t] for t in range(len(region)) if t not in chosen)
-                for g in gens
-            )
-            if not covered:
-                faces.append(fidx)
-    return faces
+    return ("avoid", len(region), frozenset(
+        sum(1 << t for t, i in enumerate(region) if g[i] > box_values[t]) for g in gens
+    ))
 
 
 def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
@@ -376,8 +404,8 @@ def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
         region = [i for i in range(n) if not gbits >> i & 1]
         ranges = [range(exp_bound[i]) for i in region]
         for box in itertools.product(*ranges):
-            homology = _reduced_homology(_degree_complex(gens, region, box, group), p)
-            dims = {k + len(group) + 1: h for k, h in homology.items()}
+            homology = _homology(_degree_key(gens, region, box), p)
+            dims = {k + len(group) + 1: h for k, h in homology}
             if dims:
                 patterns.append((len(group), sum(box), dims))
 

@@ -3,7 +3,9 @@
 Monomials are exponent tuples of fixed length n.  Degree-d monomials are
 always enumerated in descending lexicographic order (x1 > x2 > ... > xn),
 so lex segments are prefixes of the canonical enumeration; most graded
-computations run on bitmasks over that enumeration.
+computations run on bitmasks over that enumeration.  Hilbert functions are
+read off the Hilbert-series numerator, whose recursion memoises the colon
+sub-ideals it meets by their minimal generators (never the ideal asked for).
 """
 
 from __future__ import annotations
@@ -342,19 +344,31 @@ def hilbert_numerator(ideal: MonomialIdeal):
     do.  A generator coprime to all others splits off as a factor
     (1 - t^deg g); the rest are added one at a time by
     N(J + (m)) = N(J) - t^deg m * N(J : m) (Bayer-Stillman 1992, Bigatti
-    1997), which recurses on colon ideals with fewer generators.
+    1997), which recurses on colon ideals with fewer generators.  Those
+    colon ideals go through the memo _numerator, keyed by their minimal
+    generators; the ideal itself is never cached, so the memo holds only
+    the few colon ideals that many ideals share.
     """
-    gens = ideal.gens
+    return _pivot_numerator(ideal.gens)
+
+
+@lru_cache(maxsize=1 << 12)  # colon sub-ideals; the exhaustive checkers see under a hundred
+def _numerator(gens):
+    """hilbert_numerator of the colon sub-ideal with these minimal generators."""
+    return _pivot_numerator(gens)
+
+
+def _pivot_numerator(gens):
     coprime, tangled = [], []
     for g in gens:
         alone = all(not any(a and b for a, b in zip(g, h)) for h in gens if h is not g)
         (coprime if alone else tangled).append(g)
     num = [1]
     for j, m in enumerate(tangled):
-        quotient = MonomialIdeal(
-            ideal.n, [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in tangled[:j]]
+        quotient = _minimal_generators(
+            [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in tangled[:j]], len(m)
         )
-        num = _minus_shifted(num, hilbert_numerator(quotient), sum(m))
+        num = _minus_shifted(num, _numerator(quotient), sum(m))
     for g in coprime:
         num = _minus_shifted(num, num, sum(g))
     while num and not num[-1]:

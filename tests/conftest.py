@@ -89,6 +89,62 @@ def brute_validate_distraction(rows, p):
     return True, None
 
 
+def brute_reduced_homology(faces, p):
+    """{k: dim H~_k} over F_p, nonzero dims only, of the complex with these
+    faces (sorted vertex tuples, the empty face included)."""
+    by_size = {}
+    for f in faces:
+        by_size.setdefault(len(f), []).append(tuple(f))
+    ranks = {}
+    for size, src in by_size.items():
+        if size:
+            dst = {f: r for r, f in enumerate(by_size.get(size - 1, []))}
+            rows = [[0] * len(src) for _ in dst]
+            for c, f in enumerate(src):
+                for slot in range(size):
+                    rows[dst[f[:slot] + f[slot + 1:]]][c] = (-1) ** slot
+            ranks[size] = brute_rank_mod(rows, p)
+    dims = {size - 1: len(level) - ranks.get(size, 0) - ranks.get(size + 1, 0)
+            for size, level in by_size.items()}
+    return {k: h for k, h in dims.items() if h}
+
+
+def brute_local_coh(gens, n, window, p):
+    """{(i, j): dim H^i_m(A/I)_j} for j in window, nonzero entries only.
+
+    Takayama's formula, pattern by pattern: the negative coordinates G of a
+    multidegree and the values b of the others below the largest exponents
+    give the degree complex on the other coordinates, whose faces F are
+    found by testing every subset.  Each of its homology dimensions counts
+    once per multidegree of total degree j with that pattern.
+    """
+    bound = [max((g[i] for g in gens), default=0) for i in range(n)]
+    jmin, jmax = window
+    entries = {}
+    for group_size in range(n + 1):
+        for group in itertools.combinations(range(n), group_size):
+            region = [i for i in range(n) if i not in group]
+            for box in itertools.product(*(range(bound[i]) for i in region)):
+                faces = []
+                for size in range(len(region) + 1):
+                    for face in itertools.combinations(range(len(region)), size):
+                        if not any(all(g[region[t]] <= box[t]
+                                       for t in range(len(region)) if t not in face)
+                                   for g in gens):
+                            faces.append(face)
+                for k, h in brute_reduced_homology(faces, p).items():
+                    i = k + group_size + 1
+                    for j in range(jmin, jmax + 1):
+                        t = j - sum(box)
+                        if group_size == 0:
+                            count = int(t == 0)
+                        else:
+                            count = comb(-t - 1, group_size - 1) if t <= -group_size else 0
+                        if count:
+                            entries[i, j] = entries.get((i, j), 0) + h * count
+    return entries
+
+
 @pytest.fixture
 def rng():
     import random

@@ -180,13 +180,17 @@ def test_byte_identical_output(capsys, files, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# sha256 of the `verify KIND ARGS --out` bytes, with the expected exit code.
+# sha256 of the `verify ARGS --out` bytes, with the expected exit code.
 # The three exhaustive kinds run over the non-Shakin base (x2*x3) at dmax 3:
 # 490 cases each.  Their ClosureError failures are recorded per ideal, so a
 # cache keyed too coarsely would drop or reorder entries and change the
-# digest.  The sampled kinds pin their seeded cases and failure payloads.
-# {raw} and {d} stand for the files holding RAW_BASE and DISTRACTION.
+# digest.  betti-extremal and coh-extremal also run at dmax 4 over the
+# Shakin ring (x1^2) with pure powers (2, 3), 706 passing cases each, where
+# the homology and Hilbert-numerator memos are hit most.  The sampled kinds
+# pin their seeded cases and failure payloads.  {raw}, {ring} and {d} stand
+# for the files holding RAW_BASE, SHAKIN_RING and DISTRACTION.
 RAW_BASE = {"n": 3, "gens": [[0, 1, 1]]}
+SHAKIN_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": [2, 3]}
 DISTRACTION = {"n": 3, "char": 32003, "rows": [
     [{"c": [1, 0, 0]}, {"c": [1, 5, 0]}, {"c": [1, 0, 7]}],
     [{"c": [0, 1, 0]}, {"c": [3, 1, 0]}, {"c": [0, 1, 2]}],
@@ -194,25 +198,31 @@ DISTRACTION = {"n": 3, "char": 32003, "rows": [
 ]}
 GOLDEN_REPORTS = {
     "macaulay-lex": (
-        "--dmax 3 --shakin {raw}", 1,
+        "macaulay-lex --dmax 3 --shakin {raw}", 1,
         "ba46c214759aacf1fe495e56866b8f21adda6a2b38696e21261b75748fc5e0cc"),
     "betti-extremal": (
-        "--dmax 3 --shakin {raw}", 1,
+        "betti-extremal --dmax 3 --shakin {raw}", 1,
         "821ebd78396ce311b654a5215c1a3ec3a1af88e82042e2c52f23fe698af46ad8"),
+    "betti-extremal-shakin-dmax4": (
+        "betti-extremal --dmax 4 --shakin {ring}", 0,
+        "08020ee09abd2b4066ee91f4b518c18b5efc9b6b863f78271fd948caaa2044a5"),
     "coh-extremal": (
-        "--dmax 3 --shakin {raw}", 1,
+        "coh-extremal --dmax 3 --shakin {raw}", 1,
         "608170bd0105bd277efc7c1fa7fcf8fb5e795f0ca2455fa4cc228a20dd4a166a"),
+    "coh-extremal-shakin-dmax4": (
+        "coh-extremal --dmax 4 --shakin {ring}", 0,
+        "5c314b93ae54523c47c6d28c5db34fd16b0e5e024727347f6c8f71f1c0dd8789"),
     "distraction-hf": (
-        "--dmax 4 --shakin {raw} --distraction {d} --samples 30 --seed 5", 1,
+        "distraction-hf --dmax 4 --shakin {raw} --distraction {d} --samples 30 --seed 5", 1,
         "c791b7c47aa46989983fd9dcc94ce31d06d1961f19821fb86e4a8b8b335f134b"),
     "epsilon-d-extremal": (
-        "--dmax 4 --shakin {raw} --distraction {d} --samples 12 --seed 5", 1,
+        "epsilon-d-extremal --dmax 4 --shakin {raw} --distraction {d} --samples 12 --seed 5", 1,
         "8643e910909cd54f1195f0bea95da4b0098669ebfc5564910048c784ffdf3ce2"),
     "betti-invariance": (
-        "--n 3 --dmax 5 --samples 10 --seed 5", 0,
+        "betti-invariance --n 3 --dmax 5 --samples 10 --seed 5", 0,
         "3e701805bd215e7222a425b9e16805b5d6264709562c84a0472a4f5a44af5de1"),
     "codistra-h0": (
-        "--n 3 --dmax 6 --samples 20 --seed 5", 0,
+        "codistra-h0 --n 3 --dmax 6 --samples 20 --seed 5", 0,
         "f426b0d9ddd493b85097916d8045b4c7544e2ea94d24a0226dcf45c5eafc748e"),
 }
 
@@ -220,11 +230,13 @@ GOLDEN_REPORTS = {
 @pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
 def test_verify_report_bytes_pinned(tmp_path, kind):
     args, expected_code, digest = GOLDEN_REPORTS[kind]
-    paths = {"raw": tmp_path / "raw.json", "d": tmp_path / "d.json"}
+    paths = {"raw": tmp_path / "raw.json", "ring": tmp_path / "ring.json",
+             "d": tmp_path / "d.json"}
     paths["raw"].write_text(json.dumps(RAW_BASE))
+    paths["ring"].write_text(json.dumps(SHAKIN_RING))
     paths["d"].write_text(json.dumps(DISTRACTION))
     out = tmp_path / "report.json"
-    argv = ["verify", kind, *(a.format(**paths) for a in args.split()), "--out", str(out)]
+    argv = ["verify", *(a.format(**paths) for a in args.split()), "--out", str(out)]
     assert main(argv) == expected_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

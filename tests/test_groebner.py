@@ -107,6 +107,20 @@ def test_normal_form_examples():
     assert r.terms == poly("x2^3").terms
 
 
+def test_leading_term_follows_each_order():
+    # a Poly keeps its leading term between calls; asking under another
+    # order in between must not hand back the other order's term
+    f = poly("x1*x3^2 + 2*x2^3", 3)
+    for order, lead in ((DRL, ((0, 3, 0), 2)), (LEX, ((1, 0, 2), 1)), (DRL, ((0, 3, 0), 2))):
+        assert f.leading(order) == lead
+    gens = [poly("x1^2 - x2*x3", 3), poly("x1*x2 + x3^2", 3)]
+    shared = Ideal(3, gens, P)
+    for order in (LEX, DRL, LEX):
+        fresh = Ideal(3, [poly("x1^2 - x2*x3", 3), poly("x1*x2 + x3^2", 3)], P)
+        assert [g.terms for g in shared.groebner_basis(order)] == \
+            [g.terms for g in fresh.groebner_basis(order)]
+
+
 def test_buchberger_monomial_and_principal():
     i1 = Ideal(2, [poly("x1*x2"), poly("x1^2*x2")], P)
     assert [format_poly(g, LEX) for g in buchberger(i1, LEX)] == ["x1*x2"]

@@ -16,9 +16,33 @@ from lexdist.homology import (
     taylor_betti_oracle,
 )
 from lexdist.monomials import MonomialIdeal, hilbert_function, series_transform
-from lexdist import groebner
+from lexdist import groebner, homology
+
+from conftest import brute_local_coh
 
 P = DEFAULT_CHAR
+
+
+def seeded_monomial_ideals():
+    """(ideal, p): n = 1-4, every other ideal with a pure power of each variable."""
+    gen = random.Random(61)
+    for trial in range(80):
+        n, p = gen.randint(1, 4), gen.choice([2, 3, 32003, 4294967311])
+        gens = [tuple(gen.randrange(4) for _ in range(n)) for _ in range(gen.randint(1, 6))]
+        gens = [g for g in gens if sum(g)]
+        if trial % 2:
+            gens += [tuple(gen.randint(2, 4) * (k == i) for k in range(n)) for i in range(n)]
+        yield MonomialIdeal(n, gens), p
+
+
+def rp2_stanley_reisner_ideal():
+    """Stanley-Reisner ideal of the 6-vertex RP^2: H~_1 = Z/2 shows only mod 2."""
+    facets = {frozenset(int(v) - 1 for v in f) for f in
+              ("124", "126", "135", "136", "145", "234", "235", "256", "346", "456")}
+    return MonomialIdeal(6, [
+        tuple(int(k in t) for k in range(6)) for t in itertools.combinations(range(6), 3)
+        if frozenset(t) not in facets
+    ])
 
 
 # --- Koszul Betti numbers -------------------------------------------------------
@@ -95,16 +119,37 @@ def test_monomial_kernel_matches_dense_strands():
 
 
 def test_betti_numbers_depend_on_characteristic():
-    # Stanley-Reisner ideal of the 6-vertex RP^2: H~_1 = Z/2 shows only mod 2
-    facets = {frozenset(int(v) - 1 for v in f) for f in
-              ("124", "126", "135", "136", "145", "234", "235", "256", "346", "456")}
-    gens = [tuple(int(k in t) for k in range(6)) for t in itertools.combinations(range(6), 3)
-            if frozenset(t) not in facets]
-    ideal = MonomialIdeal(6, gens)
+    ideal = rp2_stanley_reisner_ideal()
     odd = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
     for p, expected in ((2, {**odd, (3, 6): 1, (4, 6): 1}), (3, odd), (32003, odd)):
         assert koszul_betti(ideal, 6, p).as_dict() == expected
         assert taylor_betti_oracle(ideal, 6, p).as_dict() == expected
+
+
+def test_homology_memo_is_keyed_by_characteristic():
+    # the memo lives for the whole process: a key without p would hand the
+    # p = 2 answers back at p = 3
+    ideal = rp2_stanley_reisner_ideal()
+    homology._homology.cache_clear()
+    window = (-2, 2)
+    tables = {}
+    for p in (2, 3, 2):
+        betti = koszul_betti(ideal, 6, p).as_dict()
+        assert betti == taylor_betti_oracle(ideal, 6, p).as_dict()
+        coh = local_coh_monomial(ideal, window=window, p=p).as_dict()
+        assert coh == brute_local_coh(ideal.gens, 6, window, p)
+        tables.setdefault(p, (betti, coh))
+        assert tables[p] == (betti, coh)
+    # H^i_m(A/I)_0 = dim H~_{i-1}(RP^2): the two primes must differ there
+    assert tables[2][1][2, 0] == tables[2][1][3, 0] == 1
+    assert (2, 0) not in tables[3][1] and (3, 0) not in tables[3][1]
+    assert tables[2][0] != tables[3][0]
+
+
+def test_koszul_kernel_matches_taylor_oracle():
+    for ideal, p in seeded_monomial_ideals():
+        assert koszul_betti(ideal, 8, p).as_dict() == \
+            taylor_betti_oracle(ideal, 8, p).as_dict(), (ideal.gens, p)
 
 
 # --- Taylor oracle ---------------------------------------------------------------
@@ -210,6 +255,14 @@ def test_local_coh_h0_consistency(rng):
         table = local_coh_monomial(ideal, window=(0, dmax))
         h0 = groebner.h0_hilbert_function(ideal, dmax)
         assert table.row(0) == h0
+
+
+def test_local_coh_matches_per_subset_route():
+    for ideal, p in seeded_monomial_ideals():
+        window = (-4, 6)
+        table = local_coh_monomial(ideal, window=window, p=p)
+        assert table.as_dict() == brute_local_coh(ideal.gens, ideal.n, window, p), \
+            (ideal.gens, p)
 
 
 def test_local_coh_respects_irange():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lexdist import homology, monomials
 from lexdist.distraction import DistractionMatrix, random_distraction
 from lexdist.errors import BudgetExceededError
 from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general
@@ -127,6 +128,17 @@ def test_extremal_with_base_generator_above_dmax(check):
     report = check(shakin(2, powers=(3, 4)), 3)
     assert report.cases_checked == 28
     assert report.failures == []
+
+
+def test_memos_stay_bounded_by_distinct_inputs():
+    # the homology memo holds complexes and the numerator memo colon
+    # sub-ideals; neither may grow with the number of enumerated ideals
+    homology._homology.cache_clear()
+    monomials._numerator.cache_clear()
+    report = verify_betti_extremal(shakin(3, pieces=[(1, [(2,)])]), 4, budget=10 ** 7, j_max=5)
+    assert report.passed and report.cases_checked == 3266
+    assert homology._homology.cache_info().currsize < 500
+    assert monomials._numerator.cache_info().currsize < 500
 
 
 def test_coh_extremal_small():
