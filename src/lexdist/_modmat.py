@@ -1,84 +1,67 @@
-"""Dense exact linear algebra over a prime field, on numpy arrays.
+"""Exact linear algebra over a prime field, on Python ints.
 
-Row updates keep every intermediate product below p**2.  That fits in
-int64 for p < 2**31, so smaller primes use int64 arrays; from 2**31 on the
-arrays hold exact Python ints (dtype=object).
+Python ints never overflow, so every prime p and every integer entry is
+exact.  rank_mod works on sparse rows, so its time and memory follow the
+number of nonzero entries rather than the matrix shape.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-INT64_PRIME_LIMIT = 2 ** 31
+def rank_mod(rows: list, p: int) -> int:
+    """Rank over F_p of a matrix given as a list of rows.
 
-
-def field_dtype(p: int):
-    """Array dtype for arithmetic mod p: int64 below INT64_PRIME_LIMIT, else object."""
-    return np.int64 if p < INT64_PRIME_LIMIT else object
-
-
-def _reduced(matrix, p: int):
-    """matrix mod p, in field_dtype(p)."""
-    return np.array(matrix, dtype=field_dtype(p)) % p
-
-
-def rank_mod(matrix, p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination.
-
-    Entries are reduced mod p; below 2**31 they must fit in int64.  Exact
-    for every prime p: int64 arithmetic below 2**31, Python ints from there on.
+    A row is a sparse {column: entry} dict or a dense sequence of entries.
+    Entries may be any integers; they are reduced mod p here.  Rows are
+    taken sparsest first, which keeps the pivot rows sparse.  Each is reduced
+    against the pivot rows, always at its smallest nonzero column, and
+    becomes a new pivot row, keyed by that column, if anything is left.
     """
-    a = _reduced(matrix, p)
-    if a.size == 0:
-        return 0
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                pivot = r
+    vectors = []
+    for row in rows:
+        v = {}
+        for k, x in (row.items() if isinstance(row, dict) else enumerate(row)):
+            x %= p
+            if x:
+                v[k] = x
+        vectors.append(v)
+    vectors.sort(key=len)
+    pivots = {}
+    for v in vectors:
+        while v:
+            c = min(v)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(v[c], -1, p)
+                pivots[c] = {k: x * inv % p for k, x in v.items()}
                 break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        col = a[rank + 1:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz] - np.outer(col[nz], a[rank])) % p
-        rank += 1
-    return rank
+            f = v[c]
+            for k, x in prow.items():
+                y = (v.get(k, 0) - f * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+    return len(pivots)
 
 
 def invert_mod(matrix, p: int):
-    """Inverse of a square matrix over F_p, or None if singular.
+    """Inverse of a square matrix over F_p as a list of lists, or None if singular.
 
-    Same arithmetic rule as rank_mod: an int64 array below 2**31, an array of
-    Python ints (dtype=object) from there on.
+    Gauss-Jordan elimination on the matrix augmented by the identity.
     """
-    a = _reduced(matrix, p)
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=a.dtype)], axis=1)
-    row = 0
+    n = len(matrix)
+    aug = [[x % p for x in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(matrix)]
     for c in range(n):
-        pivot = None
-        for r in range(row, n):
-            if aug[r, c]:
-                pivot = r
-                break
+        pivot = next((r for r in range(c, n) if aug[r][c]), None)
         if pivot is None:
             return None
-        if pivot != row:
-            aug[[row, pivot]] = aug[[pivot, row]]
-        inv = pow(int(aug[row, c]), p - 2, p)
-        aug[row] = aug[row] * inv % p
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        prow = aug[c] = [x * inv % p for x in aug[c]]
         for r in range(n):
-            if r != row and aug[r, c]:
-                aug[r] = (aug[r] - aug[r, c] * aug[row]) % p
-        row += 1
-    return aug[:, n:]
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], prow)]
+    return [row[n:] for row in aug]

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 
 from . import monomials
 from ._modmat import invert_mod
-from .errors import InvalidInputError
+from .errors import InternalContradictionError, InvalidInputError
 from .monomials import (
     DegRevLexOrder,
     MonomialIdeal,
@@ -528,7 +528,7 @@ class LinearChange:
         self.n = len(rows)
         if any(len(r) != self.n for r in rows):
             raise InvalidInputError("matrix must be square")
-        if invert_mod([list(r) for r in rows], self.p) is None:
+        if invert_mod(rows, self.p) is None:
             raise InvalidInputError("matrix is singular over the working field")
         self.matrix = rows
 
@@ -569,9 +569,10 @@ def change_fixing_form(coeffs, p=DEFAULT_CHAR) -> LinearChange:
     cols.append(v)
     w = [[cols[j][r] for j in range(n)] for r in range(n)]
     a = invert_mod(w, p)  # a @ v = e_n
-    assert a is not None
+    if a is None:  # det w = +-v[t], nonzero by the choice of t
+        raise InternalContradictionError(f"basis completing {coeffs} is singular mod {p}")
     # want M^T v = e_n, i.e. M = a^T
-    return LinearChange([[int(a[j][i]) for j in range(n)] for i in range(n)], p)
+    return LinearChange([[a[j][i] for j in range(n)] for i in range(n)], p)
 
 
 # ---------------------------------------------------------------------------

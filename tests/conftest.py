@@ -5,6 +5,9 @@ from math import comb
 
 import pytest
 
+LARGE_P = 4294967311  # prime above 2**32
+HUGE_P = 18446744073709551629  # prime above 2**64
+
 
 def all_monomials(n, d):
     """Every degree-d exponent vector, by direct enumeration."""

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -246,3 +249,13 @@ def test_pretty_rendering(capsys, files):
     out = capsys.readouterr().out
     assert code == 0
     assert "values:" in out
+
+
+def test_cli_imports_without_numpy():
+    # lexdist's arithmetic is pure Python; numpy is not a dependency
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lexdist.cli, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexdist._modmat import invert_mod, rank_mod
-from lexdist.errors import InvalidInputError
+from lexdist.errors import InternalContradictionError, InvalidInputError
 from lexdist.groebner import (
     DEFAULT_CHAR,
     Ideal,
@@ -35,13 +35,11 @@ from lexdist.monomials import (
     MonomialIdeal,
     WeightOrder,
 )
-from lexdist import monomials
+from lexdist import groebner, monomials
 
-from conftest import brute_rank_mod
+from conftest import HUGE_P, LARGE_P, brute_rank_mod
 
 P = DEFAULT_CHAR
-LARGE_P = 4294967311  # prime above 2**32
-HUGE_P = 18446744073709551629  # prime above 2**64
 LEX = LexOrder()
 DRL = DegRevLexOrder()
 
@@ -268,6 +266,19 @@ def test_change_fixing_form(rng):
         assert g.apply_to_form(coeffs) == (0, 0, 1)
 
 
+def test_change_fixing_form_raises_a_typed_error_on_a_singular_basis(monkeypatch):
+    # the completed basis is never singular; if it were, the answer must be
+    # a typed error that survives python -O, not an assert
+    monkeypatch.setattr(groebner, "invert_mod", lambda matrix, p: None)
+    with pytest.raises(InternalContradictionError):
+        change_fixing_form((1, 2, 3), P)
+
+
+def test_zero_variables_change_of_coordinates():
+    assert invert_mod([], P) == []
+    assert LinearChange.identity(0, P).matrix == ()
+
+
 # --- the prime field -----------------------------------------------------------
 
 def _trial_division(p):
@@ -305,6 +316,21 @@ def test_rank_mod_exact_above_int64_range():
             m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
                  for row in left]
             assert rank_mod(m, p) == brute_rank_mod(m, p)
+    # any integer entries, sparse or dense rows, tiny to huge primes
+    entries = (0, 1, -1, 2, -3, 2 ** 64, -2 ** 64 - 5, 2 ** 70, 3 ** 50)
+    gen = random.Random(32003)
+    for p in (2, 3, 32003, LARGE_P, HUGE_P):
+        for _ in range(60):
+            rows, cols = gen.randint(0, 7), gen.randint(1, 7)
+            dense = [[0] * cols for _ in range(rows)]
+            for _ in range(gen.randint(0, rows * cols)):
+                value = gen.choice(entries + (p, -p, 5 * p, gen.randrange(-p, p)))
+                dense[gen.randrange(rows)][gen.randrange(cols)] = value
+            sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
+            expected = brute_rank_mod(dense, p)
+            assert rank_mod(dense, p) == rank_mod(sparse, p) == expected, (dense, p)
+        assert rank_mod([], p) == rank_mod([{}, {}], p) == rank_mod([[p, 0], [0, -p]], p) == 0
+    assert rank_mod([[2 ** 70, 1]], 32003) == 1
 
 
 def test_invert_mod_exact_above_int64_range(rng):

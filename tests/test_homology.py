@@ -18,7 +18,7 @@ from lexdist.homology import (
 from lexdist.monomials import MonomialIdeal, hilbert_function, series_transform
 from lexdist import groebner, homology
 
-from conftest import brute_local_coh
+from conftest import HUGE_P, LARGE_P, brute_local_coh
 
 P = DEFAULT_CHAR
 
@@ -101,20 +101,20 @@ def test_betti_invariance_under_distraction(rng):
         assert left == right
 
 
-def test_monomial_kernel_matches_dense_strands():
+def test_monomial_kernel_matches_strands():
     # the upper-Koszul kernel against the strand route on the same ideal
     gen = random.Random(2024)
     for _ in range(150):
-        n, dmax, p = gen.randint(1, 5), gen.randint(0, 7), gen.choice([2, 32003, 4294967311])
+        n, dmax, p = gen.randint(1, 5), gen.randint(0, 7), gen.choice([2, 32003, LARGE_P, HUGE_P])
         gens = [tuple(gen.randrange(3) for _ in range(n)) for _ in range(gen.randint(1, 4))]
         ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
-        dense = koszul_betti(Ideal.from_monomial_ideal(ideal, p), dmax, p).as_dict()
-        assert koszul_betti(ideal, dmax, p).as_dict() == dense, (ideal.gens, dmax, p)
+        strands = koszul_betti(Ideal.from_monomial_ideal(ideal, p), dmax, p).as_dict()
+        assert koszul_betti(ideal, dmax, p).as_dict() == strands, (ideal.gens, dmax, p)
     edges = [MonomialIdeal(3, [(0, 0, 0)]), MonomialIdeal(3), MonomialIdeal(0), MonomialIdeal(0, [()])]
     for ideal in edges:
         for dmax in (-1, 0, 3):
-            dense = koszul_betti(Ideal.from_monomial_ideal(ideal, P), dmax, P).as_dict()
-            assert koszul_betti(ideal, dmax, P).as_dict() == dense, (ideal.gens, dmax)
+            strands = koszul_betti(Ideal.from_monomial_ideal(ideal, P), dmax, P).as_dict()
+            assert koszul_betti(ideal, dmax, P).as_dict() == strands, (ideal.gens, dmax)
     assert koszul_betti(MonomialIdeal(3, [(1, 0, 0)]), -1).as_dict() == {}
 
 
@@ -124,6 +124,9 @@ def test_betti_numbers_depend_on_characteristic():
     for p, expected in ((2, {**odd, (3, 6): 1, (4, 6): 1}), (3, odd), (32003, odd)):
         assert koszul_betti(ideal, 6, p).as_dict() == expected
         assert taylor_betti_oracle(ideal, 6, p).as_dict() == expected
+        if p in (2, 3):  # the strand route, where -1 = 1 at p = 2
+            general = Ideal.from_monomial_ideal(ideal, p)
+            assert koszul_betti(general, 6, p).as_dict() == expected
 
 
 def test_homology_memo_is_keyed_by_characteristic():
