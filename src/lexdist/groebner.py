@@ -493,7 +493,13 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
 
 def saturate_maximal(ideal: Ideal) -> Ideal:
-    """(I : m^infinity) as the intersection of the per-variable saturations."""
+    """(I : m^infinity) as the intersection of the per-variable saturations.
+
+    With no variables m = (0), every element is m-torsion and the
+    saturation is the unit ideal.
+    """
+    if ideal.n == 0:
+        return Ideal(0, [Poly.from_monomial((), ideal.p)], ideal.p)
     parts = [saturate_variable(ideal, i) for i in range(ideal.n)]
     return reduce(intersect, parts)
 

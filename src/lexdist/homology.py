@@ -5,7 +5,10 @@ complex per multidegree, from one kernel: upper Koszul complexes give the
 Betti numbers, degree complexes the local cohomology.  The kernel is
 memoised by a canonical key of the complex (vertex bitmasks, see _faces_of)
 together with the characteristic, so an exhaustive check pays once per
-distinct complex, not once per ideal.  General homogeneous ideals use
+distinct complex, not once per ideal.  The keys are read off bitsets over
+the generators, one table per coordinate built once per ideal (see
+_split), so a key costs a few bit operations per coordinate instead of
+a comparison per generator and coordinate.  General homogeneous ideals use
 exact ranks on sparse Koszul strands of the quotient; a Taylor-complex
 route is an independent oracle on monomial inputs.  Every boundary map
 and strand is built as sparse columns for _modmat.rank_mod, so memory
@@ -59,28 +62,67 @@ def _table(n, dmax, raw, p):
 # Koszul homology
 # ---------------------------------------------------------------------------
 
+def _bitset_table(gens, k, size):
+    """[the bitset of generators g with g_k < v, for v in range(size)]."""
+    at = [0] * size
+    for t, g in enumerate(gens):
+        if g[k] + 1 < size:
+            at[g[k] + 1] |= 1 << t
+    for v in range(1, size):
+        at[v] |= at[v - 1]
+    return at
+
+
+def _split(parts, t, row):
+    """Split each part by the bitset row; the generators inside row gain bit t.
+
+    parts maps a mask to the nonempty bitset of generators that have it.
+    Starting from {0: all generators} and splitting by rows[0], rows[1], ...
+    leaves as masks exactly the distinct sets {t : g in rows[t]}: the
+    nonempty ANDs over t of rows[t] (t in the set) or its complement (t
+    outside).  Empty parts are dropped, so each split costs at most the
+    number of generators in bit operations.
+    """
+    out = {}
+    bit = 1 << t
+    for mask, part in parts.items():
+        if part & row:
+            out[mask | bit] = part & row
+        if part & ~row:
+            out[mask] = part & ~row
+    return out
+
+
 def _koszul_monomial(ideal, dmax, p):
     """beta_{i,b}(A/I) = dim H~_{i-2}(K^b(I)) for b in the LCM lattice, |b| <= dmax.
 
     The upper Koszul complex K^b(I) has one facet {k : g_k < b_k} per
-    generator g dividing x^b (Miller-Sturmfels, Thm 1.34).
+    generator g dividing x^b (Miller-Sturmfels, Thm 1.34).  Both are read
+    off bitsets over the generators, built once per ideal: below[k][v]
+    holds the generators with g_k < v, so the divisors of x^b are the AND
+    of below[k][b_k + 1] over k, and the facets are what _split leaves of
+    the divisors by the rows below[k][b_k].
     """
     gens = ideal.gens
     if dmax < 0 or (gens and not sum(gens[0])):
         return {}
     lattice = set()
     for g in gens:  # an lcm's degree only grows, so pruning at dmax loses nothing
-        grown = {monomials.lcm(c, g) for c in lattice} | {g}
+        grown = {tuple(map(max, c, g)) for c in lattice} | {g}
         lattice |= {b for b in grown if sum(b) <= dmax}
+    below = [_bitset_table(gens, k, max((g[k] for g in gens), default=0) + 2)
+             for k in range(ideal.n)]
     raw = {(0, 0): 1}
-    n = ideal.n
     for b in lattice:
-        facets = frozenset(
-            sum(1 << k for k in range(n) if g[k] < b[k])
-            for g in gens if monomials.divides(g, b)
-        )
-        for k, h in _homology(("facets", facets), p):
-            raw[k + 2, sum(b)] = raw.get((k + 2, sum(b)), 0) + h
+        divisors = (1 << len(gens)) - 1
+        for row, v in zip(below, b):
+            divisors &= row[v + 1]
+        facets = {0: divisors}
+        for k, (row, v) in enumerate(zip(below, b)):
+            facets = _split(facets, k, row[v])
+        j = sum(b)
+        for k, h in _homology(("facets", frozenset(facets)), p):
+            raw[k + 2, j] = raw.get((k + 2, j), 0) + h
     return raw
 
 
@@ -363,27 +405,21 @@ class LocalCohTable:
         }
 
 
-def _degree_key(gens, region, box_values):
-    """Memo key of the degree complex of one pattern: ("avoid", |region|, masks).
-
-    region lists the non-negative coordinates (their values in box_values);
-    the strictly negative ones count as unbounded.  A subset F of region is
-    a face iff no generator g has g_i <= b_i for all i in region \\ F, that
-    is iff F contains none of the masks {t : g_{region[t]} > b_t}.
-    """
-    return ("avoid", len(region), frozenset(
-        sum(1 << t for t, i in enumerate(region) if g[i] > box_values[t]) for g in gens
-    ))
-
-
 def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
                        p: int = DEFAULT_CHAR) -> LocalCohTable:
     """Hilbert functions of H^i_m(A/I) for a monomial ideal I.
 
-    Works through reduced homology of degree complexes: a multidegree
-    contributes through the pattern of its negative coordinates and its
-    bounded non-negative coordinates, so each total degree in the window is
-    a finite weighted sum of pattern homology dimensions.
+    Works through reduced homology of degree complexes (Takayama 2005): a
+    multidegree contributes through the set G of its negative coordinates
+    and the values b of the others (the region), each below its largest
+    generator exponent.  A subset F of the region is a face iff it
+    contains none of the masks {i : g_i > b_i} of the generators g, and
+    the complex is memoised by that set of masks.  With above[i][v] the
+    bitset of generators with g_i > v, the masks are what _split leaves of
+    all generators by the rows above[i][b_i]; the boxes are built one
+    region coordinate at a time, so boxes with a common prefix share its
+    splits.  The homology dimensions are summed by (|G|, sum of b) first,
+    and each total degree in the window is a finite weighted sum of those.
     """
     p = check_characteristic(p)
     n = ideal.n
@@ -392,30 +428,38 @@ def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
     else:
         i_range = tuple(i_range)
     gens = ideal.gens
-    exp_bound = [max((g[i] for g in gens), default=0) for i in range(n)]
     if window is None:
         spread = sum(sum(g) for g in gens)
         window = (-spread, spread)
     jmin, jmax = window
     if jmin > jmax:
         raise InvalidInputError("empty degree window")
+    everyone = (1 << len(gens)) - 1
+    # above[i][v]: the generators with g_i > v, for v below the largest g_i
+    above = []
+    for i in range(n):
+        top = max((g[i] for g in gens), default=0)
+        above.append([everyone & ~at for at in _bitset_table(gens, i, top + 1)[1:]])
 
-    # pattern -> homology dims; pattern = (negative-coordinate set, box values)
-    patterns = []
+    sums = {}  # (|G|, box sum) -> {i: summed homology dims}
     for gbits in range(1 << n):
-        group = [i for i in range(n) if gbits >> i & 1]
+        glen = gbits.bit_count()
         region = [i for i in range(n) if not gbits >> i & 1]
-        ranges = [range(exp_bound[i]) for i in region]
-        for box in itertools.product(*ranges):
-            homology = _homology(_degree_key(gens, region, box), p)
-            dims = {k + len(group) + 1: h for k, h in homology}
-            if dims:
-                patterns.append((len(group), sum(box), dims))
+        boxes = [(0, {0: everyone} if everyone else {})]
+        for t, i in enumerate(region):
+            boxes = [(total + v, _split(parts, t, row))
+                     for total, parts in boxes for v, row in enumerate(above[i])]
+        for total, parts in boxes:
+            homology = _homology(("avoid", len(region), frozenset(parts)), p)
+            if homology:
+                dims = sums.setdefault((glen, total), {})
+                for k, h in homology:
+                    dims[k + glen + 1] = dims.get(k + glen + 1, 0) + h
 
     entries = {}
     unbounded = set()
     support_above = None
-    for glen, bsum, dims in patterns:
+    for (glen, bsum), dims in sums.items():
         top = bsum if glen == 0 else bsum - glen
         support_above = top if support_above is None else max(support_above, top)
         for i, h in dims.items():

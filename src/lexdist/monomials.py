@@ -3,14 +3,18 @@
 Monomials are exponent tuples of fixed length n.  Degree-d monomials are
 always enumerated in descending lexicographic order (x1 > x2 > ... > xn),
 so lex segments are prefixes of the canonical enumeration; most graded
-computations run on bitmasks over that enumeration.  Hilbert functions are
-read off the Hilbert-series numerator, whose recursion memoises the colon
-sub-ideals it meets by their minimal generators (never the ideal asked for).
+computations run on bitmasks over that enumeration.  Ideals rebuilt from
+such graded bitmasks (masks_to_ideal) are canonical by construction and
+skip minimalisation.  Hilbert functions are read off the Hilbert-series
+numerator, whose recursion memoises the colon sub-ideals it meets by their
+minimal generators (never the ideal asked for); those colon generators are
+valid by construction and go straight to the antichain routine.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import lru_cache, reduce
 
@@ -31,7 +35,7 @@ def degree(m) -> int:
 
 def divides(a, b) -> bool:
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mul(a, b):
@@ -39,7 +43,7 @@ def mul(a, b):
 
 
 def lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def unit(n):
@@ -171,15 +175,26 @@ class WeightOrder(MonomialOrder):
 # monomial ideals
 # ---------------------------------------------------------------------------
 
-def _minimal_generators(gens, n):
-    gens = sorted(set(map(tuple, gens)), key=lambda m: (sum(m), m))
+def _antichain(gens):
+    """The divisibility-minimal members of valid exponent tuples, in canonical
+    order.  Sorting by degree first means a generator can only be divided by
+    one already kept."""
     out = []
+    for _, m in sorted({(sum(m), m) for m in gens}):
+        for g in out:
+            if all(map(operator.le, g, m)):
+                break
+        else:
+            out.append(m)
+    return tuple(out)
+
+
+def _minimal_generators(gens, n):
+    gens = list(map(tuple, gens))
     for m in gens:
         if len(m) != n or any(e < 0 for e in m):
             raise InvalidInputError(f"bad exponent vector {m} for n={n}")
-        if not any(divides(g, m) for g in out):
-            out.append(m)
-    return tuple(out)
+    return _antichain(gens)
 
 
 class MonomialIdeal:
@@ -198,6 +213,16 @@ class MonomialIdeal:
             raise InvalidInputError("variable count must be nonnegative")
         self.gens = _minimal_generators(gens, self.n)
         self._hash = hash((self.n, self.gens))
+
+    @classmethod
+    def _trusted(cls, n, gens):
+        """The ideal whose minimal generators, in canonical order, are gens;
+        nothing is checked."""
+        ideal = object.__new__(cls)
+        ideal.n = n
+        ideal.gens = gens
+        ideal._hash = hash((n, gens))
+        return ideal
 
     @property
     def is_zero(self) -> bool:
@@ -280,9 +305,13 @@ def saturate_variable(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
 
 
 def saturate_maximal(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Saturation with respect to the maximal ideal: intersect the per-variable ones."""
+    """Saturation with respect to the maximal ideal: intersect the per-variable ones.
+
+    With no variables m = (0), every element is m-torsion and the
+    saturation is the unit ideal.
+    """
     if ideal.n == 0:
-        return ideal
+        return MonomialIdeal(0, [()])
     parts = [saturate_variable(ideal, i) for i in range(ideal.n)]
     return reduce(intersect, parts)
 
@@ -306,14 +335,22 @@ def degree_masks(ideal: MonomialIdeal, dmax: int):
 
 
 def masks_to_ideal(n: int, masks) -> MonomialIdeal:
-    """Rebuild the ideal generated by the graded pieces given as bitmasks."""
+    """Rebuild the ideal generated by the graded pieces given as bitmasks.
+
+    The shadow of the ideal's degree-(d-1) piece (prev) holds every degree-d
+    monomial that a lower-degree generator divides, so the rest of the
+    degree-d mask are minimal generators.  Reversing the descending-lex
+    enumeration lists them in canonical order, so the ideal is built
+    without minimalising again.  The pieces need not be closed under
+    multiplication: prev also takes in the shadow.
+    """
     gens = []
     prev = 0
     for d, mask in enumerate(masks):
-        new = mask & ~(shadow_mask(n, d - 1, prev) if d > 0 else 0)
-        gens.extend(mask_to_monomials(n, d, new))
-        prev = mask
-    return MonomialIdeal(n, gens)
+        below = shadow_mask(n, d - 1, prev) if d > 0 else 0
+        gens.extend(reversed(mask_to_monomials(n, d, mask & ~below)))
+        prev = mask | below
+    return MonomialIdeal._trusted(n, tuple(gens))
 
 
 def standard_monomials(ideal: MonomialIdeal, d: int):
@@ -359,15 +396,15 @@ def _numerator(gens):
 
 
 def _pivot_numerator(gens):
+    users = [len(column) - column.count(0) for column in zip(*gens)]
     coprime, tangled = [], []
     for g in gens:
-        alone = all(not any(a and b for a, b in zip(g, h)) for h in gens if h is not g)
+        alone = all(u == 1 for u, e in zip(users, g) if e)
         (coprime if alone else tangled).append(g)
     num = [1]
     for j, m in enumerate(tangled):
-        quotient = _minimal_generators(
-            [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in tangled[:j]], len(m)
-        )
+        quotient = _antichain([tuple([a - b if a > b else 0 for a, b in zip(g, m)])
+                               for g in tangled[:j]])
         num = _minus_shifted(num, _numerator(quotient), sum(m))
     for g in coprime:
         num = _minus_shifted(num, num, sum(g))

@@ -113,17 +113,21 @@ def brute_reduced_homology(faces, p):
 
 
 def brute_local_coh(gens, n, window, p):
-    """{(i, j): dim H^i_m(A/I)_j} for j in window, nonzero entries only.
+    """The to_json() of local_coh_monomial over this window, i_range 0..n.
 
     Takayama's formula, pattern by pattern: the negative coordinates G of a
     multidegree and the values b of the others below the largest exponents
     give the degree complex on the other coordinates, whose faces F are
     found by testing every subset.  Each of its homology dimensions counts
-    once per multidegree of total degree j with that pattern.
+    once per multidegree of total degree j with that pattern, and such
+    multidegrees reach up to degree sum(b) - |G|, or down without end when
+    G is nonempty.
     """
     bound = [max((g[i] for g in gens), default=0) for i in range(n)]
     jmin, jmax = window
     entries = {}
+    tops = []
+    unbounded = set()
     for group_size in range(n + 1):
         for group in itertools.combinations(range(n), group_size):
             region = [i for i in range(n) if i not in group]
@@ -137,6 +141,9 @@ def brute_local_coh(gens, n, window, p):
                             faces.append(face)
                 for k, h in brute_reduced_homology(faces, p).items():
                     i = k + group_size + 1
+                    tops.append(sum(box) - group_size)
+                    if group_size:
+                        unbounded.add(i)
                     for j in range(jmin, jmax + 1):
                         t = j - sum(box)
                         if group_size == 0:
@@ -145,7 +152,16 @@ def brute_local_coh(gens, n, window, p):
                             count = comb(-t - 1, group_size - 1) if t <= -group_size else 0
                         if count:
                             entries[i, j] = entries.get((i, j), 0) + h * count
-    return entries
+    support_above = max(tops, default=jmin - 1)
+    return {
+        "i_range": list(range(n + 1)),
+        "window": list(window),
+        "char": p,
+        "unbounded_below": sorted(unbounded),
+        "support_above": support_above,
+        "window_truncated": bool(unbounded) or support_above > jmax,
+        "entries": {f"{i},{j}": v for (i, j), v in sorted(entries.items())},
+    }
 
 
 @pytest.fixture

@@ -189,11 +189,13 @@ def test_byte_identical_output(capsys, files, tmp_path):
 # cache keyed too coarsely would drop or reorder entries and change the
 # digest.  betti-extremal and coh-extremal also run at dmax 4 over the
 # Shakin ring (x1^2) with pure powers (2, 3), 706 passing cases each, where
-# the homology and Hilbert-numerator memos are hit most.  The sampled kinds
-# pin their seeded cases and failure payloads.  {raw}, {ring} and {d} stand
-# for the files holding RAW_BASE, SHAKIN_RING and DISTRACTION.
+# the homology and Hilbert-numerator memos are hit most; coh-extremal also
+# over plain (x1^2), 3266 passing cases.  The sampled kinds pin their seeded
+# cases and failure payloads.  {raw}, {ring}, {x1sq} and {d} stand for the
+# files holding RAW_BASE, SHAKIN_RING, X1SQ_RING and DISTRACTION.
 RAW_BASE = {"n": 3, "gens": [[0, 1, 1]]}
 SHAKIN_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": [2, 3]}
+X1SQ_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": []}
 DISTRACTION = {"n": 3, "char": 32003, "rows": [
     [{"c": [1, 0, 0]}, {"c": [1, 5, 0]}, {"c": [1, 0, 7]}],
     [{"c": [0, 1, 0]}, {"c": [3, 1, 0]}, {"c": [0, 1, 2]}],
@@ -215,6 +217,9 @@ GOLDEN_REPORTS = {
     "coh-extremal-shakin-dmax4": (
         "coh-extremal --dmax 4 --shakin {ring}", 0,
         "5c314b93ae54523c47c6d28c5db34fd16b0e5e024727347f6c8f71f1c0dd8789"),
+    "coh-extremal-x1sq-dmax4": (
+        "coh-extremal --dmax 4 --shakin {x1sq}", 0,
+        "7850422907a698526d1b00bb9fb259027e46030ea07ac7917dba7f7e57bf7199"),
     "distraction-hf": (
         "distraction-hf --dmax 4 --shakin {raw} --distraction {d} --samples 30 --seed 5", 1,
         "c791b7c47aa46989983fd9dcc94ce31d06d1961f19821fb86e4a8b8b335f134b"),
@@ -234,9 +239,10 @@ GOLDEN_REPORTS = {
 def test_verify_report_bytes_pinned(tmp_path, kind):
     args, expected_code, digest = GOLDEN_REPORTS[kind]
     paths = {"raw": tmp_path / "raw.json", "ring": tmp_path / "ring.json",
-             "d": tmp_path / "d.json"}
+             "x1sq": tmp_path / "x1sq.json", "d": tmp_path / "d.json"}
     paths["raw"].write_text(json.dumps(RAW_BASE))
     paths["ring"].write_text(json.dumps(SHAKIN_RING))
+    paths["x1sq"].write_text(json.dumps(X1SQ_RING))
     paths["d"].write_text(json.dumps(DISTRACTION))
     out = tmp_path / "report.json"
     argv = ["verify", *(a.format(**paths) for a in args.split()), "--out", str(out)]

@@ -24,7 +24,12 @@ P = DEFAULT_CHAR
 
 
 def seeded_monomial_ideals():
-    """(ideal, p): n = 1-4, every other ideal with a pure power of each variable."""
+    """(ideal, p): n = 1-4, every other ideal with a pure power of each variable.
+
+    Then the edges of the per-coordinate bitset tables: the zero and unit
+    ideals, n = 5, and pure powers x_i^9 above both the Betti cutoff 8 and
+    the local-cohomology window (-4, 6).
+    """
     gen = random.Random(61)
     for trial in range(80):
         n, p = gen.randint(1, 4), gen.choice([2, 3, 32003, 4294967311])
@@ -33,6 +38,15 @@ def seeded_monomial_ideals():
         if trial % 2:
             gens += [tuple(gen.randint(2, 4) * (k == i) for k in range(n)) for i in range(n)]
         yield MonomialIdeal(n, gens), p
+    for n in (0, 2, 5):
+        yield MonomialIdeal(n), 2
+        yield MonomialIdeal(n, [(0,) * n]), P
+    for pure in (0, 3):
+        gens = [tuple(gen.randrange(2) for _ in range(5)) for _ in range(4)]
+        gens += [tuple(pure * (k == i) for k in range(5)) for i in range(5) if pure]
+        yield MonomialIdeal(5, [g for g in gens if sum(g)]), 3
+    yield MonomialIdeal(2, [(9, 0), (1, 1), (0, 9)]), P
+    yield MonomialIdeal(3, [(9, 0, 0), (0, 9, 0), (0, 0, 9), (1, 1, 0), (0, 2, 1)]), 2
 
 
 def rp2_stanley_reisner_ideal():
@@ -139,8 +153,9 @@ def test_homology_memo_is_keyed_by_characteristic():
     for p in (2, 3, 2):
         betti = koszul_betti(ideal, 6, p).as_dict()
         assert betti == taylor_betti_oracle(ideal, 6, p).as_dict()
-        coh = local_coh_monomial(ideal, window=window, p=p).as_dict()
-        assert coh == brute_local_coh(ideal.gens, 6, window, p)
+        table = local_coh_monomial(ideal, window=window, p=p)
+        assert table.to_json() == brute_local_coh(ideal.gens, 6, window, p)
+        coh = table.as_dict()
         tables.setdefault(p, (betti, coh))
         assert tables[p] == (betti, coh)
     # H^i_m(A/I)_0 = dim H~_{i-1}(RP^2): the two primes must differ there
@@ -260,11 +275,21 @@ def test_local_coh_h0_consistency(rng):
         assert table.row(0) == h0
 
 
+def test_h0_with_no_variables():
+    # with m = (0) the saturation is the unit ideal, so H^0 is all of A/I
+    for gens, row in (((), (1, 0, 0, 0)), (((),), (0, 0, 0, 0))):
+        ideal = MonomialIdeal(0, gens)
+        assert local_coh_monomial(ideal, window=(0, 3)).row(0) == row
+        assert groebner.h0_hilbert_function(ideal, 3) == row
+        general = Ideal.from_monomial_ideal(ideal, P)
+        assert groebner.h0_hilbert_function(general, 3) == row
+
+
 def test_local_coh_matches_per_subset_route():
     for ideal, p in seeded_monomial_ideals():
         window = (-4, 6)
         table = local_coh_monomial(ideal, window=window, p=p)
-        assert table.as_dict() == brute_local_coh(ideal.gens, ideal.n, window, p), \
+        assert table.to_json() == brute_local_coh(ideal.gens, ideal.n, window, p), \
             (ideal.gens, p)
 
 

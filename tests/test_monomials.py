@@ -12,6 +12,7 @@ from lexdist.monomials import (
     MonomialIdeal,
     binom,
     colon,
+    degree_masks,
     degree_monomials,
     format_monomial,
     hilbert_function,
@@ -19,17 +20,27 @@ from lexdist.monomials import (
     hilbert_upto,
     intersect,
     is_xn_stable,
+    mask_to_monomials,
+    masks_to_ideal,
     minimalize,
     parse_monomial,
     saturate_maximal,
     series_transform,
     slice_last_variable,
     standard_monomials,
+    _antichain,
     _hilbert_by_masks,
+    _minimal_generators,
+)
+from lexdist.verify import (
+    enumerate_monomial_ideals_modulo,
+    random_monomial_ideal,
+    random_superideal_chain,
 )
 
 from conftest import (
     all_monomials,
+    brute_divides,
     brute_hilbert,
     brute_in_ideal,
     brute_standard_monomials,
@@ -292,3 +303,43 @@ def test_degree_monomials_descending_lex():
     assert monos[0] == (2, 0, 0)
     assert monos[-1] == (0, 0, 2)
     assert list(monos) == sorted(monos, reverse=True)
+
+
+def _same_as_public(ideal):
+    public = MonomialIdeal(ideal.n, ideal.gens)
+    assert ideal.gens == public.gens
+    assert ideal == public and public == ideal
+    assert hash(ideal) == hash(public)
+
+
+def test_masks_to_ideal_matches_public_constructor():
+    # masks_to_ideal skips minimalising, so its ideals must be canonical
+    cases = list(enumerate_monomial_ideals_modulo(MonomialIdeal(3, [(2, 0, 0)]), 3))
+    assert len(cases) == 400
+    for ideal in cases:
+        _same_as_public(ideal)
+    rng = random.Random(73)
+    for trial in range(90):
+        n, dmax = rng.randint(1, 4), rng.randint(0, 5)
+        base = random_monomial_ideal(rng, n, max_degree=3, max_gens=3)
+        if trial % 3 == 0:  # the base's own pieces: the degrees above it add nothing
+            masks = degree_masks(base, dmax)
+        elif trial % 3 == 1:
+            masks = random_superideal_chain(rng, base, dmax)
+        else:  # arbitrary pieces, not closed under multiplication
+            masks = [rng.getrandbits(len(degree_monomials(n, d))) for d in range(dmax + 1)]
+        ideal = masks_to_ideal(n, masks)
+        _same_as_public(ideal)
+        pieces = [m for d, mask in enumerate(masks) for m in mask_to_monomials(n, d, mask)]
+        assert ideal == MonomialIdeal(n, pieces)
+
+
+def test_antichain_matches_brute_force_minimal_generators():
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        gens = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+        brute = sorted({m for m in gens
+                        if not any(g != m and brute_divides(g, m) for g in gens)},
+                       key=lambda m: (sum(m), m))
+        assert _antichain(gens) == _minimal_generators(gens, n) == tuple(brute)
