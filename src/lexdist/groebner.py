@@ -5,14 +5,23 @@ vectors), Hilbert functions of homogeneous quotients, ideal quotients /
 saturation, degree-0 local cohomology and linear coordinate changes.
 All public ideals are homogeneous by contract; internal elimination steps
 are allowed to pass through non-homogeneous data.
+
+Degree-0 local cohomology of a general ideal comes from one saturation by
+a linear form (a variable, else a seeded generic form), read off a
+degrevlex initial ideal (Bayer-Stillman 1987) and certified by comparing
+Hilbert polynomials; saturate_maximal, the intersection of the
+per-variable saturations, is the fallback when no tried form certifies,
+and the tests' oracle.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 import re
 from bisect import insort
 from functools import lru_cache, reduce
+from itertools import accumulate, zip_longest
 
 from . import monomials
 from ._modmat import invert_mod
@@ -495,8 +504,11 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 def saturate_maximal(ideal: Ideal) -> Ideal:
     """(I : m^infinity) as the intersection of the per-variable saturations.
 
-    With no variables m = (0), every element is m-torsion and the
-    saturation is the unit ideal.
+    n saturations and n-1 eliminations in n+1 variables: h0_hilbert_function
+    takes this route only when no linear form it tries certifies, and the
+    tests use it as the oracle for that shortcut.  With no variables
+    m = (0), every element is m-torsion and the saturation is the unit
+    ideal.
     """
     if ideal.n == 0:
         return Ideal(0, [Poly.from_monomial((), ideal.p)], ideal.p)
@@ -508,15 +520,80 @@ def h0_hilbert_function(ideal, dmax: int):
     """Hilbert function of H^0_m(A/I): quotient HF minus saturated quotient HF.
 
     Accepts a monomial ideal (combinatorial saturation) or a general
-    homogeneous Ideal.
+    homogeneous Ideal.  For the latter, _h0_series saturates by one linear
+    form and certifies the result; only if no form it tries certifies does
+    saturate_maximal run.
     """
     if isinstance(ideal, MonomialIdeal):
-        before = monomials.hilbert_function(ideal, dmax)
-        after = monomials.hilbert_function(monomials.saturate_maximal(ideal), dmax)
+        hf, saturate = monomials.hilbert_function, monomials.saturate_maximal
     else:
-        before = hilbert_function(ideal, dmax)
-        after = hilbert_function(saturate_maximal(ideal), dmax)
-    return tuple(x - y for x, y in zip(before, after))
+        if dmax < 0:
+            raise InvalidInputError("dmax must be nonnegative")
+        series = _h0_series(ideal) if ideal.n else None
+        if series is not None:
+            return tuple(series[:dmax + 1]) + (0,) * (dmax + 1 - len(series))
+        hf, saturate = hilbert_function, saturate_maximal
+    return tuple(x - y for x, y in zip(hf(ideal, dmax), hf(saturate(ideal), dmax)))
+
+
+# seeded forms l = x_n - c_1 x_1 - ... - c_{n-1} x_{n-1} tried after the variables
+_H0_RANDOM_FORMS = 3
+_H0_SEED = 20201
+
+
+def _h0_series(ideal: Ideal):
+    """Coefficients of the Hilbert series of H^0_m(A/I), a polynomial, or None.
+
+    For a linear form l and a change g taking l to x_n, the initial ideal
+    of g(I : l^infinity) is C = in(gI) : x_n^infinity, in(gI) with the x_n
+    exponent stripped (degrevlex, Bayer-Stillman 1987).  Always
+    I <= I^sat <= I : l^infinity, and the quotient of the last two has no
+    m-torsion, so it is zero iff A/I and A/C have the same Hilbert
+    polynomial: iff (1-t)^n divides N_I - N_C, N the Hilbert numerators.
+    The quotient is then the H^0 series.
+
+    l runs over x_n, on the ideal's own cached basis, then the other
+    variables by relabelling, which keeps gI as sparse as I (these are the
+    saturations saturate_maximal would take), then seeded dense forms,
+    which over a large field almost surely avoid every associated prime
+    but m.  None means every form tried lies in such a prime, which over a
+    small field can be all of them.
+    """
+    n, p = ideal.n, ideal.p
+    lead = initial_ideal(ideal)
+    target = monomials.hilbert_numerator(lead)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    changes = []
+    for k in range(n - 2, -1, -1):
+        rows = identity[:]
+        rows[k], rows[-1] = rows[-1], rows[k]
+        changes.append(rows)
+    rng = random.Random(_H0_SEED)
+    heads = dict.fromkeys(tuple(rng.randrange(p) for _ in range(n - 1))
+                          for _ in range(_H0_RANDOM_FORMS))
+    changes += [identity[:-1] + [[*head, 1]] for head in heads if any(head)]
+    for rows in [None, *changes]:
+        if rows is not None:
+            lead = initial_ideal(apply_linear_change(LinearChange(rows, p), ideal))
+        stripped = MonomialIdeal(n, [g[:-1] + (0,) for g in lead.gens])
+        diff = [a - b for a, b in
+                zip_longest(target, monomials.hilbert_numerator(stripped), fillvalue=0)]
+        series = _divide_by_one_minus_t(diff, n)
+        if series is not None:
+            return series
+    return None
+
+
+def _divide_by_one_minus_t(coeffs, k):
+    """Coefficients of c(t) / (1-t)^k, or None if (1-t)^k does not divide c(t).
+
+    Dividing by 1-t takes partial sums; the last one is c(1), which must be 0.
+    """
+    for _ in range(k):
+        coeffs = list(accumulate(coeffs))
+        if coeffs and coeffs.pop():
+            return None
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

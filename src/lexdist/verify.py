@@ -241,6 +241,13 @@ def _attempt(fn, *args):
         }
 
 
+def _require_valid(d: DistractionMatrix):
+    """Raise InvalidInputError, with the witness, unless d is a distraction."""
+    ok, witness = validate_distraction(d)
+    if not ok:
+        raise InvalidInputError(f"invalid distraction, witness {witness}")
+
+
 def _exceeding(left: dict, right: dict, keys=("i", "j")):
     """Entries of left exceeding right (absent means 0), as payload rows.
 
@@ -446,9 +453,7 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
     t0 = time.perf_counter()
     base = base_ideal(a)
     n = base.n
-    ok, witness = validate_distraction(d)
-    if not ok:
-        raise InvalidInputError(f"invalid distraction, witness {witness}")
+    _require_valid(d)
     report = VerificationReport(
         theorem="distraction-hf-poset",
         params={"n": n, "dmax": dmax, "samples": sample_count, "seed": seed,
@@ -563,6 +568,7 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
     t0 = time.perf_counter()
     base = base_ideal(a)
     n = base.n
+    _require_valid(d)
     report = VerificationReport(
         theorem="epsilon-d-extremal",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
@@ -584,17 +590,16 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
         witness = groebner.initial_ideal(j)
         if witness.gens not in target_cache:
             embedded, err = _attempt(stable_lex_embedding, base, witness)
-            if err is not None:
-                report.failures.append({"hilbert_function": list(h), **err})
-                target_cache[witness.gens] = None
-                continue
-            target_cache[witness.gens] = {
+            target = None if err is not None else {
                 "betti": koszul_betti(embedded, dmax, p).as_dict() if betti_mode else None,
                 "h0_vs_embedded": h0(embedded),
                 "h0_vs_distracted_embedded": h0(distract_ideal(d, embedded)),
             }
-        target = target_cache[witness.gens]
-        if target is None:
+            target_cache[witness.gens] = target, err
+        target, err = target_cache[witness.gens]
+        if err is not None:
+            # every sample with this initial ideal is non-admissible
+            report.failures.append({"hilbert_function": list(h), **err})
             continue
         viols = {}
         if betti_mode:

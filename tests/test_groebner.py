@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexdist._modmat import invert_mod, rank_mod
+from lexdist.distraction import distract_ideal, random_distraction
 from lexdist.errors import InternalContradictionError, InvalidInputError
 from lexdist.groebner import (
     DEFAULT_CHAR,
@@ -36,6 +37,7 @@ from lexdist.monomials import (
     WeightOrder,
 )
 from lexdist import groebner, monomials
+from lexdist.verify import random_monomial_ideal
 
 from conftest import HUGE_P, LARGE_P, brute_rank_mod
 
@@ -229,6 +231,87 @@ def test_h0_examples():
     assert h0_hilbert_function(saturated, 4) == (0, 0, 0, 0, 0)
     artinian = MonomialIdeal(2, [(2, 0), (0, 2)])
     assert h0_hilbert_function(artinian, 4) == monomials.hilbert_function(artinian, 4)
+    for bad in (ideal, artinian):
+        with pytest.raises(InvalidInputError):
+            h0_hilbert_function(bad, -1)
+
+
+def _h0_by_saturate_maximal(ideal, dmax):
+    before = hilbert_function(ideal, dmax)
+    after = hilbert_function(saturate_maximal(ideal), dmax)
+    return tuple(x - y for x, y in zip(before, after))
+
+
+def _random_form(gen, n, p):
+    """A form of degree 1-3 with one to three terms."""
+    monos = monomials.degree_monomials(n, gen.randint(1, 3))
+    return Poly(n, p, {m: gen.randrange(1, p)
+                       for m in gen.sample(monos, gen.randint(1, min(3, len(monos))))})
+
+
+def test_h0_matches_saturate_maximal_oracle():
+    # distracted ideals, the same fattened by random forms, and random forms
+    # alone, whose initial ideals often have more H^0 than the ideal
+    gen = random.Random(20201)
+    nonzero = 0
+    for n in (1, 2, 3, 4):
+        for p in (2, 3, P, LARGE_P):
+            for k in range(9 if n < 4 else 3):
+                d = random_distraction(gen, n, p, columns=4)
+                gens = list(distract_ideal(d, random_monomial_ideal(gen, n, max_degree=3)).gens)
+                if k % 3:
+                    forms = [_random_form(gen, n, p) for _ in range(gen.randint(1, 3))]
+                    gens = forms if k % 3 == 2 else gens + forms
+                ideal = Ideal(n, gens, p)
+                expected = _h0_by_saturate_maximal(ideal, 7)
+                assert h0_hilbert_function(ideal, 7) == expected, (ideal, expected)
+                nonzero += any(expected)
+    assert nonzero >= 20
+
+
+def test_h0_certificate_rejects_a_form_in_an_associated_prime(monkeypatch):
+    # I = (x3) cap (x1, x2) is saturated, but I : x3^inf = (x1, x2), and
+    # x1 and x2 lie in the other associated prime
+    ideal = Ideal(3, [poly(f, 3) for f in ("x1*x3", "x2*x3", "x1*x3^3 + x2*x3^3")], P)
+    fallback = []
+    monkeypatch.setattr(groebner, "saturate_maximal",
+                        lambda i: fallback.append(i) or saturate_maximal(i))
+    assert h0_hilbert_function(ideal, 6) == (0,) * 7
+    assert fallback == []  # a seeded form certified
+    monkeypatch.setattr(groebner, "_H0_RANDOM_FORMS", 0)
+    assert groebner._h0_series(ideal) is None  # no variable certifies
+
+
+def test_h0_of_a_complete_intersection_whose_initial_ideal_has_h0():
+    # A/I is Cohen-Macaulay of dimension 1 (the point [1:0:0] four times),
+    # so H^0 = 0, though in(I) has H^0 and x3 vanishes at the point
+    ideal = Ideal(3, [poly("x2^2", 3, 3), poly("x1*x2 + x2*x3 + x3^2", 3, 3)], 3)
+    assert h0_hilbert_function(initial_ideal(ideal), 6) == (0, 1, 1, 0, 0, 0, 0)
+    assert h0_hilbert_function(ideal, 6) == _h0_by_saturate_maximal(ideal, 6) == (0,) * 7
+
+
+def test_h0_falls_back_when_every_form_lies_in_an_associated_prime(monkeypatch):
+    # I = f m: the only nonzero linear forms over F_2, x1, x2 and x1 + x2,
+    # all divide f, so each lies in an associated prime and none certifies
+    f = poly("x1^2*x2 + x1*x2^2", 2, 2)
+    ideal = Ideal(2, [f * poly("x1", 2, 2), f * poly("x2", 2, 2)], 2)
+    fallback = []
+    monkeypatch.setattr(groebner, "saturate_maximal",
+                        lambda i: fallback.append(i) or saturate_maximal(i))
+    assert h0_hilbert_function(ideal, 6) == (0, 0, 0, 1, 0, 0, 0)
+    assert len(fallback) == 1
+
+
+def test_h0_runs_no_buchberger_beyond_the_cached_basis(monkeypatch):
+    # I = (x1 + x2) m: x3 lies in no associated prime but m, so x_n itself
+    # certifies and the only basis used is the ideal's own
+    ideal = Ideal(3, [poly(f"x1*{v} + x2*{v}", 3) for v in ("x1", "x2", "x3")], P)
+    ideal.groebner_basis()
+    calls = []
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *a: calls.append(a) or real(*a))
+    assert h0_hilbert_function(ideal, 4) == (0, 1, 0, 0, 0)
+    assert calls == []
 
 
 def test_saturation_idempotent_general():

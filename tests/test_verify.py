@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from lexdist import homology, monomials
+from lexdist import homology, monomials, verify
 from lexdist.distraction import DistractionMatrix, random_distraction
-from lexdist.errors import BudgetExceededError
-from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general
+from lexdist.errors import BudgetExceededError, InvalidInputError
+from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general, initial_ideal
 from lexdist.monomials import MonomialIdeal, hilbert_function
-from lexdist.shakin import lex_embed, make_piecewise_lex, make_shakin
+from lexdist.shakin import lex_embed, make_piecewise_lex, make_shakin, stable_lex_embedding
 from lexdist.verify import (
     enumerate_monomial_ideals_modulo,
     epsilon_d,
@@ -231,6 +231,29 @@ def test_epsilon_d_extremal_run():
     report = verify_epsilon_d_extremal(a, d, 4, samples=6, seed=23)
     assert report.passed
     assert report.cases_checked > 0
+
+
+def test_epsilon_d_extremal_rejects_an_invalid_distraction():
+    bad = DistractionMatrix([[(1, 0), (1, 0), (2, 0)], [(1, 0), (0, 1)]], P)
+    with pytest.raises(InvalidInputError, match=r"invalid distraction, witness"):
+        verify_epsilon_d_extremal(shakin(2, pieces=[(1, [(2,)])]), bad, 3, samples=5)
+
+
+def test_epsilon_d_extremal_files_every_non_admissible_sample():
+    base = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1)])
+    d = DistractionMatrix.identity(3, P)
+    report = verify_epsilon_d_extremal(base, d, 3, samples=150, seed=0)
+    replay = verify.VerificationReport(theorem="replay", params={})
+    witnesses = []
+    for j, _chain, _h in verify._sampled_cases(replay, base, d, 150, 0, 3, P):
+        witness = initial_ideal(j)
+        _, err = verify._attempt(stable_lex_embedding, base, witness)
+        if err is not None:
+            witnesses.append(witness)
+    errors = [f for f in report.failures if "error" in f]
+    assert len(errors) == len(witnesses) == 10
+    assert len(set(witnesses)) < len(witnesses)  # some witness repeats
+    assert all(set(f) == {"hilbert_function", "error", "degree", "message"} for f in errors)
 
 
 def test_epsilon_d_extremal_rejects_betti_with_powers():
