@@ -44,24 +44,3 @@ def rank_mod(rows: list, p: int) -> int:
                     del v[k]
     return len(pivots)
 
-
-def invert_mod(matrix, p: int):
-    """Inverse of a square matrix over F_p as a list of lists, or None if singular.
-
-    Gauss-Jordan elimination on the matrix augmented by the identity.
-    """
-    n = len(matrix)
-    aug = [[x % p for x in row] + [int(i == j) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c]), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = pow(aug[c][c], -1, p)
-        prow = aug[c] = [x * inv % p for x in aug[c]]
-        for r in range(n):
-            f = aug[r][c]
-            if r != c and f:
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], prow)]
-    return [row[n:] for row in aug]

@@ -24,8 +24,8 @@ from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 
 from . import monomials
-from ._modmat import invert_mod
-from .errors import InternalContradictionError, InvalidInputError
+from ._modmat import rank_mod
+from .errors import InvalidInputError
 from .monomials import (
     DegRevLexOrder,
     MonomialIdeal,
@@ -123,9 +123,6 @@ class Poly:
     @property
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
@@ -357,7 +354,7 @@ class Ideal:
 
     __slots__ = ("n", "p", "gens", "_gb")
 
-    def __init__(self, n, gens, p=DEFAULT_CHAR, *, _allow_inhomogeneous=False):
+    def __init__(self, n, gens, p=DEFAULT_CHAR):
         self.n = int(n)
         self.p = check_characteristic(p)
         clean = []
@@ -368,7 +365,7 @@ class Ideal:
                 raise InvalidInputError("generator in wrong ring")
             if g.is_zero:
                 continue
-            if not _allow_inhomogeneous and not g.is_homogeneous():
+            if not g.is_homogeneous():
                 raise InvalidInputError(f"generator {g!r} is not homogeneous")
             clean.append(g)
         self.gens = tuple(clean)
@@ -611,7 +608,7 @@ class LinearChange:
         self.n = len(rows)
         if any(len(r) != self.n for r in rows):
             raise InvalidInputError("matrix must be square")
-        if invert_mod(rows, self.p) is None:
+        if rank_mod(rows, self.p) < self.n:
             raise InvalidInputError("matrix is singular over the working field")
         self.matrix = rows
 
@@ -641,21 +638,21 @@ def apply_linear_change(change: LinearChange, ideal: Ideal) -> Ideal:
 
 
 def change_fixing_form(coeffs, p=DEFAULT_CHAR) -> LinearChange:
-    """Some invertible change g with g(form) = x_n, for a nonzero linear form."""
+    """Some invertible change g with g(form) = x_n, for a nonzero linear form v.
+
+    With v_t the last nonzero coefficient, g fixes x_j for j < t, sends x_j
+    to x_{j-1} for j > t and x_t to (x_n - v_1 x_1 - ... - v_{t-1} x_{t-1}) / v_t,
+    so that sum_j v_j g(x_j) = x_n.
+    """
     n = len(coeffs)
     v = [c % p for c in coeffs]
     if not any(v):
         raise InvalidInputError("zero form cannot be moved to x_n")
     t = max(i for i, c in enumerate(v) if c)
-    # basis w_1..w_n with w_n = v, remaining unit vectors
-    cols = [[1 if r == j else 0 for r in range(n)] for j in range(n) if j != t]
-    cols.append(v)
-    w = [[cols[j][r] for j in range(n)] for r in range(n)]
-    a = invert_mod(w, p)  # a @ v = e_n
-    if a is None:  # det w = +-v[t], nonzero by the choice of t
-        raise InternalContradictionError(f"basis completing {coeffs} is singular mod {p}")
-    # want M^T v = e_n, i.e. M = a^T
-    return LinearChange([[a[j][i] for j in range(n)] for i in range(n)], p)
+    inv = pow(v[t], -1, p)
+    rows = [[int(k == (j if j < t else j - 1)) for k in range(n)] for j in range(n)]
+    rows[t] = [-c * inv % p for c in v[:t]] + [0] * (n - 1 - t) + [inv]
+    return LinearChange(rows, p)
 
 
 # ---------------------------------------------------------------------------

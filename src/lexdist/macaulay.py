@@ -1,15 +1,15 @@
-"""Macaulay binomial representations, growth bounds and lex-segment ideals."""
+"""Macaulay binomial representations, growth bounds and lex-segment ideals.
+
+The lex ideal of an O-sequence is the lex-embedding over the zero ideal
+(Macaulay's theorem is the case a = 0 of the Shakin lex-embedding), so it
+is built by shakin.lex_embed.
+"""
 
 from __future__ import annotations
 
-from .errors import InvalidInputError, NoLexIdealError
-from .monomials import (
-    MonomialIdeal,
-    binom,
-    degree_monomials,
-    masks_to_ideal,
-    shadow_mask,
-)
+from .errors import InternalContradictionError, InvalidInputError, NoLexIdealError
+from .monomials import MonomialIdeal, binom, degree_monomials
+from .shakin import lex_embed
 
 
 def macaulay_rep(a: int, d: int):
@@ -29,7 +29,8 @@ def macaulay_rep(a: int, d: int):
         rep.append((t, i))
         rem -= binom(t, i)
         i -= 1
-    assert rem == 0
+    if rem:
+        raise InternalContradictionError(f"greedy expansion of {a} in degree {d} left {rem}")
     return rep
 
 
@@ -77,21 +78,12 @@ def lex_ideal_for_hf(n: int, values) -> MonomialIdeal:
 
     values is read as the Hilbert function of A/L up to dmax = len(values)-1;
     generators of degree <= dmax are produced and agreement is guaranteed up
-    to dmax (beyond that the ideal continues by its own growth).
+    to dmax (beyond that the ideal continues by its own growth).  This is
+    the lex-embedding of values over the zero ideal; by Macaulay's theorem
+    it exists for every O-sequence.
     """
     values = tuple(values)
     bad = first_o_sequence_violation(values, n)
     if bad is not None:
         raise NoLexIdealError(bad)
-    masks = []
-    prev = 0
-    for d, h in enumerate(values):
-        total = binom(d + n - 1, n - 1)
-        size = total - h
-        mask = (1 << size) - 1
-        # Macaulay growth makes the shadow of the previous prefix a sub-prefix
-        grown = shadow_mask(n, d - 1, prev) if d > 0 else 0
-        assert grown & ~mask == 0, "lex construction lost ideal closure"
-        masks.append(mask)
-        prev = mask
-    return masks_to_ideal(n, masks)
+    return lex_embed(MonomialIdeal(n), values)

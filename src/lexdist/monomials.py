@@ -29,10 +29,6 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def degree(m) -> int:
-    return sum(m)
-
-
 def divides(a, b) -> bool:
     """True iff x^a divides x^b."""
     return all(map(operator.le, a, b))
@@ -44,10 +40,6 @@ def mul(a, b):
 
 def lcm(a, b):
     return tuple(map(max, a, b))
-
-
-def unit(n):
-    return (0,) * n
 
 
 def variable(n, i):
@@ -271,10 +263,6 @@ class MonomialIdeal:
 def minimalize(gens, n) -> MonomialIdeal:
     """The divisibility antichain generating the same ideal."""
     return MonomialIdeal(n, gens)
-
-
-def contains(ideal: MonomialIdeal, m) -> bool:
-    return ideal.contains(m)
 
 
 def colon(ideal: MonomialIdeal, m) -> MonomialIdeal:

@@ -13,6 +13,7 @@ from itertools import zip_longest
 
 from .errors import (
     ClosureError,
+    InternalContradictionError,
     InvalidFamilyError,
     InvalidInputError,
     NotAdmissibleError,
@@ -20,8 +21,8 @@ from .errors import (
 )
 from .monomials import (
     MonomialIdeal,
-    binom,
     degree_masks,
+    degree_monomials,
     hilbert_function,
     hilbert_numerator,
     hilbert_upto,
@@ -31,11 +32,8 @@ from .monomials import (
 )
 
 
-def is_lex_segment(ideal: MonomialIdeal, n: int | None = None) -> bool:
+def is_lex_segment(ideal: MonomialIdeal) -> bool:
     """True iff every graded piece of the ideal is a descending-lex prefix."""
-    n = ideal.n if n is None else n
-    if n != ideal.n:
-        raise InvalidInputError("ambient mismatch")
     dtop = ideal.max_degree() + 1
     for d, mask in enumerate(degree_masks(ideal, dtop)):
         if mask != (1 << mask.bit_count()) - 1:
@@ -154,7 +152,7 @@ def embedded_masks(base: MonomialIdeal, values, dmax: int):
     amasks = degree_masks(base, dmax)
     masks = []
     for d in range(dmax + 1):
-        total = binom(d + n - 1, n - 1)
+        total = len(degree_monomials(n, d))
         target = total - values[d]
         mask = amasks[d]
         have = mask.bit_count()
@@ -260,13 +258,15 @@ def glue_ideals(a, family, dmax: int) -> MonomialIdeal:
     for d, _ideal in fam:
         h = hfs[d][d]
         glued[d] = embedded_masks(base, hfs[d][: d + 1], d)[d]
-        assert binom(d + n - 1, n - 1) - glued[d].bit_count() == h
+        if len(degree_monomials(n, d)) - glued[d].bit_count() != h:
+            raise InternalContradictionError(
+                f"embedded degree-{d} piece misses its Hilbert value {h}")
     # propagate and check closure; inside the family this is the gluing lemma
     for d in range(dmax):
         grown = shadow_mask(n, d, glued[d])
         if d + 1 in hfs:
             if grown & ~glued[d + 1]:
-                raise AssertionError(
+                raise InternalContradictionError(
                     f"gluing failed closure into degree {d + 1}; this contradicts "
                     "degreewise uniqueness of embedded pieces"
                 )

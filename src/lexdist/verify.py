@@ -1,6 +1,9 @@
 """Verification harness: enumerators, samplers and per-statement checkers.
 
-Each checker replays deterministically from its recorded parameters and
+The exhaustive checkers share one enumerator, _superideals, which builds
+every ideal over a base degree by degree together with its Hilbert
+function, so neither is recomputed from the graded pieces.  Each checker
+replays deterministically from its recorded parameters and
 seed, counts the cases it examined and collects self-contained
 counterexample payloads.  A report passes iff it has no failures;
 observations that the underlying statement does not claim (for instance
@@ -11,7 +14,6 @@ classified as findings instead.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from . import groebner, monomials
@@ -52,14 +54,13 @@ class VerificationReport:
     failures: list = field(default_factory=list)
     findings: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    runtime_s: float = 0.0
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self, include_runtime: bool = False) -> dict:
-        data = {
+    def to_json(self) -> dict:
+        return {
             "theorem": self.theorem,
             "params": self.params,
             "cases_checked": self.cases_checked,
@@ -68,9 +69,6 @@ class VerificationReport:
             "notes": self.notes,
             "passed": self.passed,
         }
-        if include_runtime:
-            data["runtime_s"] = round(self.runtime_s, 3)
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +85,40 @@ def _count_upper_bound(n, base_masks, dmax) -> int:
     return est
 
 
-def _chain_stream(n, base_masks, dmax, budget=None):
-    """All graded chains of monomial sets containing the base, as bitmasks.
+def _superideals(base: MonomialIdeal, dmax: int, budget=None):
+    """(ideal, Hilbert function up to dmax) for every ideal generated by the
+    base and monomials of degree <= dmax.
 
-    A chain (M_0, ..., M_dmax) with M_{d+1} containing both the shadow of
-    M_d and the base piece corresponds to exactly one monomial ideal
-    generated by the base ideal and monomials of degree <= dmax (see
-    _chain_ideal).  Chains stream in lexicographic order of the per-degree
-    added-bit masks.
+    At degree d a graded piece is the shadow of the piece below, the base
+    piece and any subset of the other degree-d monomials.  Its monomials
+    outside that shadow are the ideal's degree-d minimal generators;
+    appended in ascending lex order they keep the generators canonical.
+    The degree-d Hilbert value is appended with them, so ideals that share
+    their lower pieces share that work.  Base generators above dmax lie in
+    no piece and are added to every ideal at the end.  Ideals stream in
+    lexicographic order of the per-degree subsets.  Raises
+    BudgetExceededError (with an upper-bound count estimate) when more than
+    budget ideals would be produced.
     """
-    totals = [len(degree_monomials(n, d)) for d in range(dmax + 1)]
+    n = base.n
+    base_masks = monomials.degree_masks(base, dmax)
+    above = tuple(g for g in base.gens if sum(g) > dmax)
     estimate = _count_upper_bound(n, base_masks, dmax)
-    if budget is not None and estimate > budget:
-        counter = [0]
-    else:
-        counter = None
+    counter = [0] if budget is not None and estimate > budget else None
 
-    def rec(d, prev, chain):
+    def rec(d, prev, gens, hf):
         if d > dmax:
             if counter is not None:
                 counter[0] += 1
                 if counter[0] > budget:
                     raise BudgetExceededError(budget, estimate)
-            yield chain
+            ideal = MonomialIdeal(n, gens + above) if above else MonomialIdeal._trusted(n, gens)
+            yield ideal, hf
             return
-        forced = (shadow_mask(n, d - 1, prev) if d else 0) | base_masks[d]
-        free = [k for k in range(totals[d]) if not forced >> k & 1]
+        monos = degree_monomials(n, d)
+        below = shadow_mask(n, d - 1, prev) if d else 0
+        forced = below | base_masks[d]
+        free = [k for k in range(len(monos)) if not forced >> k & 1]
         for sub in range(1 << len(free)):
             mask = forced
             s = sub
@@ -122,45 +128,36 @@ def _chain_stream(n, base_masks, dmax, budget=None):
                     mask |= 1 << free[t]
                 s >>= 1
                 t += 1
-            yield from rec(d + 1, mask, chain + (mask,))
+            fresh = []
+            new = mask & ~below
+            while new:
+                k = new.bit_length() - 1
+                fresh.append(monos[k])
+                new ^= 1 << k
+            yield from rec(d + 1, mask, gens + tuple(fresh),
+                           hf + (len(monos) - mask.bit_count(),))
 
-    yield from rec(0, 0, ())
-
-
-def _chain_ideal(base: MonomialIdeal, chain) -> MonomialIdeal:
-    """The ideal generated by the chain's graded pieces and the base.
-
-    A chain stops at dmax, so base generators of higher degree lie in none
-    of its pieces; they are added here.
-    """
-    ideal = monomials.masks_to_ideal(base.n, list(chain))
-    above = tuple(g for g in base.gens if sum(g) >= len(chain))
-    return MonomialIdeal(base.n, ideal.gens + above) if above else ideal
+    yield from rec(0, 0, (), ())
 
 
 def enumerate_monomial_ideals_modulo(a, dmax: int, budget: int | None = DEFAULT_BUDGET):
     """All monomial ideals generated by a and monomials of degree <= dmax.
 
     Base generators above dmax are generators of every emitted ideal, so
-    each one contains a.  Emits each ideal exactly once, in the canonical
-    chain order of _chain_stream.  Raises BudgetExceededError (with an
-    upper-bound count estimate) when more than budget ideals would be
-    produced.
+    each one contains a.  Emits each ideal exactly once, in the order of
+    _superideals, and raises BudgetExceededError as it does.
     """
-    base = base_ideal(a)
-    base_masks = monomials.degree_masks(base, dmax)
-    for chain in _chain_stream(base.n, base_masks, dmax, budget):
-        yield _chain_ideal(base, chain)
+    for ideal, _hf in _superideals(base_ideal(a), dmax, budget):
+        yield ideal
 
 
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
 
-def random_monomial_ideal(rng, n, max_degree=4, max_gens=6,
-                          containing: MonomialIdeal | None = None) -> MonomialIdeal:
-    """Seeded random monomial ideal (minimalized), optionally over a base."""
-    gens = list(containing.gens) if containing is not None else []
+def random_monomial_ideal(rng, n, max_degree=4, max_gens=6) -> MonomialIdeal:
+    """Seeded random monomial ideal (minimalized)."""
+    gens = []
     for _ in range(rng.randint(1, max_gens)):
         d = rng.randint(1, max_degree)
         exps = [0] * n
@@ -199,17 +196,28 @@ def random_homogeneous_poly(rng, n, degree, p=DEFAULT_CHAR) -> Poly:
     return Poly(n, p, terms)
 
 
+def _chain_ideal(base: MonomialIdeal, chain) -> MonomialIdeal:
+    """The ideal generated by the chain's graded pieces and the base.
+
+    A chain stops at dmax, so base generators of higher degree lie in none
+    of its pieces; they are added here.
+    """
+    ideal = monomials.masks_to_ideal(base.n, list(chain))
+    above = tuple(g for g in base.gens if sum(g) >= len(chain))
+    return MonomialIdeal(base.n, ideal.gens + above) if above else ideal
+
+
 def _sample_ideal_over(rng, base: MonomialIdeal, d: DistractionMatrix,
                        dmax: int, p: int):
     """A homogeneous ideal containing the distracted base, plus its source.
 
-    Returns (J, monomial chain or None): either the distraction of a random
-    monomial ideal over the base, or the distracted base plus up to two
-    random homogeneous elements.
+    Returns (J, monomial source ideal or None): either the distraction of a
+    random monomial ideal over the base, or the distracted base plus up to
+    two random homogeneous elements.
     """
     if rng.random() < 0.5:
-        chain = random_superideal_chain(rng, base, dmax)
-        return distract_ideal(d, _chain_ideal(base, chain)), chain
+        source = _chain_ideal(base, random_superideal_chain(rng, base, dmax))
+        return distract_ideal(d, source), source
     extras = [
         random_homogeneous_poly(rng, base.n, rng.randint(1, dmax), p)
         for _ in range(rng.randint(1, 2))
@@ -221,13 +229,6 @@ def _sample_ideal_over(rng, base: MonomialIdeal, d: DistractionMatrix,
 # ---------------------------------------------------------------------------
 # helpers shared by the checkers
 # ---------------------------------------------------------------------------
-
-def _hf_of_chain(n, chain):
-    return tuple(
-        len(degree_monomials(n, d)) - mask.bit_count()
-        for d, mask in enumerate(chain)
-    )
-
 
 def _attempt(fn, *args):
     """(fn(*args), None), or (None, error payload) if fn is not admissible."""
@@ -272,11 +273,9 @@ def _embedded_cases(report, base, dmax, budget, invariant):
     starting cutoff, so a failing ideal is filed on report.failures, uncached,
     and not yielded.
     """
-    n = base.n
     cache = {}
-    for chain in _chain_stream(n, monomials.degree_masks(base, dmax), dmax, budget):
+    for ideal, h in _superideals(base, dmax, budget):
         report.cases_checked += 1
-        ideal = _chain_ideal(base, chain)
         key = monomials.hilbert_numerator(ideal)
         if key not in cache:
             embedded, err = _attempt(stable_lex_embedding, base, ideal)
@@ -284,7 +283,7 @@ def _embedded_cases(report, base, dmax, budget, invariant):
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue
             cache[key] = embedded, invariant(embedded)
-        yield (ideal, _hf_of_chain(n, chain), *cache[key])
+        yield (ideal, h, *cache[key])
 
 
 def _distraction_pairs(report, n, samples, seed, p, max_degree):
@@ -298,15 +297,15 @@ def _distraction_pairs(report, n, samples, seed, p, max_degree):
 
 
 def _sampled_cases(report, base, d, samples, seed, dmax, p):
-    """Seeded (J, monomial chain or None, HF(J)) over the distracted base.
+    """Seeded (J, monomial source ideal or None, HF(J)) over the distracted base.
 
     Each sample is counted on report; see _sample_ideal_over for J.
     """
     rng = random.Random(seed)
     for _ in range(samples):
-        j, chain = _sample_ideal_over(rng, base, d, dmax, p)
+        j, source = _sample_ideal_over(rng, base, d, dmax, p)
         report.cases_checked += 1
-        yield j, chain, groebner.hilbert_function(j, dmax)
+        yield j, source, groebner.hilbert_function(j, dmax)
 
 
 def _shakin_params(a):
@@ -327,7 +326,6 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
     Macaulay-lex property; for an arbitrary base (escape hatch) failures
     are legitimate counterexamples and are recorded.
     """
-    t0 = time.perf_counter()
     base = base_ideal(a)
     n = base.n
     report = VerificationReport(
@@ -336,29 +334,26 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
     )
     if not isinstance(a, ShakinIdeal):
         report.notes.append("base ideal not supplied as Shakin data; escape hatch")
-    base_masks = monomials.degree_masks(base, dmax)
     cache = {}
-    for chain in _chain_stream(n, base_masks, dmax, budget):
+    for ideal, h in _superideals(base, dmax, budget):
         report.cases_checked += 1
-        h = _hf_of_chain(n, chain)
         verdict = cache.get(h)
         if verdict is None:
             masks, err = _attempt(embedded_masks, base, h, dmax)
             if err is not None:
                 verdict = err
-            elif _hf_of_chain(n, masks) != h:
-                verdict = {"error": "hf-mismatch", "embedded_hf": _hf_of_chain(n, masks)}
             else:
-                verdict = {}
+                got = tuple(len(degree_monomials(n, d)) - mask.bit_count()
+                            for d, mask in enumerate(masks))
+                verdict = {} if got == h else {"error": "hf-mismatch", "embedded_hf": got}
             cache[h] = verdict
         if verdict:
             report.failures.append({
-                "ideal": _chain_ideal(base, chain).to_json(),
+                "ideal": ideal.to_json(),
                 "hilbert_function": list(h),
                 **verdict,
             })
     report.notes.append(f"distinct Hilbert functions: {len(cache)}")
-    report.runtime_s = time.perf_counter() - t0
     return report
 
 
@@ -372,7 +367,6 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     statement is an open expectation, so violations are classified as
     findings rather than failures.
     """
-    t0 = time.perf_counter()
     base = base_ideal(a)
     n = base.n
     j_max = dmax + 1 if j_max is None else j_max
@@ -402,7 +396,6 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
                 "violations": bad,
             }
             (report.findings if as_finding else report.failures).append(payload)
-    report.runtime_s = time.perf_counter() - t0
     return report
 
 
@@ -414,7 +407,6 @@ def verify_coh_extremal(a, dmax: int, window=None,
     Both sides are monomial, so all cohomological degrees are compared on
     the window.
     """
-    t0 = time.perf_counter()
     base = base_ideal(a)
     n = base.n
     if window is None:
@@ -436,7 +428,6 @@ def verify_coh_extremal(a, dmax: int, window=None,
                 "hilbert_function": list(h),
                 "violations": bad,
             })
-    report.runtime_s = time.perf_counter() - t0
     return report
 
 
@@ -450,7 +441,6 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
     Hilbert functions to be admissible over the base; the reverse inclusion
     is witnessed constructively by distracting embedded ideals.
     """
-    t0 = time.perf_counter()
     base = base_ideal(a)
     n = base.n
     _require_valid(d)
@@ -459,8 +449,8 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
         params={"n": n, "dmax": dmax, "samples": sample_count, "seed": seed,
                 "char": p, "distraction": d.to_json(), **_shakin_params(a)},
     )
-    for j, chain, h in _sampled_cases(report, base, d, sample_count, seed, dmax, p):
-        masks, err = _attempt(embedded_masks, base, h, dmax)
+    for j, source, h in _sampled_cases(report, base, d, sample_count, seed, dmax, p):
+        embedded, err = _attempt(lex_embed, base, h, dmax)
         if err is not None:
             report.failures.append({
                 "ideal": j.to_json(),
@@ -468,9 +458,8 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
                 **err,
             })
             continue
-        if chain is not None:
+        if source is not None:
             # reverse inclusion: the embedded ideal distracts to the same HF
-            embedded = monomials.masks_to_ideal(n, masks)
             back = groebner.hilbert_function(distract_ideal(d, embedded), dmax)
             report.cases_checked += 1
             if back != h:
@@ -480,7 +469,6 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
                     "distracted_hf": list(back),
                     "error": "reverse-inclusion",
                 })
-    report.runtime_s = time.perf_counter() - t0
     return report
 
 
@@ -508,7 +496,6 @@ def verify_betti_distraction_invariance(n: int, samples: int = 50, dmax: int = 5
                                         p: int = DEFAULT_CHAR,
                                         max_degree: int = 4) -> VerificationReport:
     """Graded Betti numbers of a monomial ideal match those of any distraction."""
-    t0 = time.perf_counter()
     report = VerificationReport(
         theorem="betti-distraction-invariance",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
@@ -524,7 +511,6 @@ def verify_betti_distraction_invariance(n: int, samples: int = 50, dmax: int = 5
                 "betti_monomial": left.to_json(),
                 "betti_distracted": right.to_json(),
             })
-    report.runtime_s = time.perf_counter() - t0
     return report
 
 
@@ -532,7 +518,6 @@ def verify_codistra_h0(n: int, samples: int = 100, dmax: int = 6,
                        seed: int = DEFAULT_SEED, p: int = DEFAULT_CHAR,
                        max_degree: int = 4) -> VerificationReport:
     """H^0 Hilbert functions never drop under distraction (degree 0 slice)."""
-    t0 = time.perf_counter()
     report = VerificationReport(
         theorem="codistra-h0",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
@@ -550,7 +535,6 @@ def verify_codistra_h0(n: int, samples: int = 100, dmax: int = 6,
                 "h0_distracted": list(right),
                 "violations": bad,
             })
-    report.runtime_s = time.perf_counter() - t0
     return report
 
 
@@ -565,7 +549,6 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
     hypothesis), and degree-0 local cohomology is bounded against both the
     lex-embedded target and its distraction.
     """
-    t0 = time.perf_counter()
     base = base_ideal(a)
     n = base.n
     _require_valid(d)
@@ -586,7 +569,7 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
         return dict(enumerate(groebner.h0_hilbert_function(ideal, dmax)))
 
     target_cache = {}
-    for j, _chain, h in _sampled_cases(report, base, d, samples, seed, dmax, p):
+    for j, _source, h in _sampled_cases(report, base, d, samples, seed, dmax, p):
         witness = groebner.initial_ideal(j)
         if witness.gens not in target_cache:
             embedded, err = _attempt(stable_lex_embedding, base, witness)
@@ -612,5 +595,4 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
         if viols:
             report.failures.append(
                 {"ideal": j.to_json(), "hilbert_function": list(h), **viols})
-    report.runtime_s = time.perf_counter() - t0
     return report

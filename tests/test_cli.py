@@ -94,6 +94,17 @@ def test_lexify(capsys):
     assert data["ideal"]["gens"] == [[2, 0], [0, 3], [1, 2]]
 
 
+def test_lexify_and_embed_with_no_variables(capsys, files):
+    code, data = run(capsys, "lexify", "--n", "0", "--hf", "[1]")
+    assert code == 0 and data["ideal"] == {"gens": [], "n": 0}
+    code, data = run(capsys, "lexify", "--n", "0", "--hf", "[0]")
+    assert code == 0 and data["ideal"] == {"gens": [[]], "n": 0}
+    path = files["tmp"] / "k.json"
+    path.write_text(json.dumps({"n": 0, "gens": []}))
+    code, data = run(capsys, "embed", "--shakin", str(path), "--hf", "[1,0]")
+    assert code == 0 and data["ideal"] == {"gens": [], "n": 0}
+
+
 def test_lexify_rejects_non_o_sequence(capsys):
     code, data = run(capsys, "lexify", "--n", "2", "--hf", "[1,3]")
     assert code == 1

@@ -7,9 +7,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexdist._modmat import invert_mod, rank_mod
+from lexdist._modmat import rank_mod
 from lexdist.distraction import distract_ideal, random_distraction
-from lexdist.errors import InternalContradictionError, InvalidInputError
+from lexdist.errors import InvalidInputError
 from lexdist.groebner import (
     DEFAULT_CHAR,
     Ideal,
@@ -338,6 +338,10 @@ def test_apply_linear_change_examples():
 def test_singular_change_rejected():
     with pytest.raises(InvalidInputError):
         LinearChange([[1, 1], [2, 2]], P)
+    for p in (LARGE_P, HUGE_P):
+        with pytest.raises(InvalidInputError):
+            LinearChange([[1, 2, 3], [p + 2, 4, 6], [0, 0, 1]], p)
+        assert LinearChange([[1, 2], [3, 4]], p).matrix == ((1, 2), (3, 4))
 
 
 def test_change_fixing_form(rng):
@@ -349,16 +353,23 @@ def test_change_fixing_form(rng):
         assert g.apply_to_form(coeffs) == (0, 0, 1)
 
 
-def test_change_fixing_form_raises_a_typed_error_on_a_singular_basis(monkeypatch):
-    # the completed basis is never singular; if it were, the answer must be
-    # a typed error that survives python -O, not an assert
-    monkeypatch.setattr(groebner, "invert_mod", lambda matrix, p: None)
-    with pytest.raises(InternalContradictionError):
-        change_fixing_form((1, 2, 3), P)
+def test_change_fixing_form_is_invertible_at_every_prime():
+    # the matrix is written down, not solved for: check it is invertible and
+    # sends the form to x_n, with the rank taken apart from lexdist
+    gen = random.Random(1536)
+    for p in (2, 3, 5, 32003, LARGE_P, HUGE_P):
+        for n in range(1, 7):
+            for _ in range(12):
+                coeffs = [gen.choice((0, gen.randrange(p), gen.randrange(-p, 2 * p)))
+                          for _ in range(n)]
+                if not any(c % p for c in coeffs):
+                    continue
+                g = change_fixing_form(coeffs, p)
+                assert brute_rank_mod(g.matrix, p) == n, (coeffs, p)
+                assert g.apply_to_form(coeffs) == (0,) * (n - 1) + (1,)
 
 
 def test_zero_variables_change_of_coordinates():
-    assert invert_mod([], P) == []
     assert LinearChange.identity(0, P).matrix == ()
 
 
@@ -414,14 +425,3 @@ def test_rank_mod_exact_above_int64_range():
             assert rank_mod(dense, p) == rank_mod(sparse, p) == expected, (dense, p)
         assert rank_mod([], p) == rank_mod([{}, {}], p) == rank_mod([[p, 0], [0, -p]], p) == 0
     assert rank_mod([[2 ** 70, 1]], 32003) == 1
-
-
-def test_invert_mod_exact_above_int64_range(rng):
-    for _ in range(20):
-        m = [[rng.randrange(LARGE_P) for _ in range(4)] for _ in range(4)]
-        inv = invert_mod(m, LARGE_P)
-        if inv is None:
-            continue
-        prod = [[sum(int(a) * int(b) for a, b in zip(row, col)) % LARGE_P
-                 for col in zip(*inv)] for row in m]
-        assert prod == [[int(i == j) for j in range(4)] for i in range(4)]

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lexdist.errors import InvalidInputError, NoLexIdealError
+from lexdist import macaulay
+from lexdist.errors import InternalContradictionError, InvalidInputError, NoLexIdealError
 from lexdist.macaulay import (
     is_o_sequence,
     lex_ideal_for_hf,
@@ -35,6 +36,14 @@ def test_macaulay_rep_reconstructs(a, d):
     assert tops == sorted(tops, reverse=True) and len(set(tops)) == len(tops)
     idx = [i for _, i in rep]
     assert idx == sorted(idx, reverse=True)
+
+
+def test_macaulay_rep_raises_a_typed_error_on_a_remainder(monkeypatch):
+    # the greedy expansion always ends at 0; if it did not, the answer must
+    # be a typed error that survives python -O, not an assert
+    monkeypatch.setattr(macaulay, "binom", lambda a, b: 2 * binom(a, b))
+    with pytest.raises(InternalContradictionError):
+        macaulay_rep(1, 1)
 
 
 def test_macaulay_bound_examples():
@@ -82,6 +91,17 @@ def test_lex_ideal_derived_example():
     assert set(ideal.gens) == {(2, 0), (1, 2), (0, 3)}
     assert hilbert_function(ideal, 3) == (1, 2, 2, 0)
     assert is_lex_segment(ideal)
+
+
+def test_lex_ideal_with_no_variables():
+    # A = K has the one monomial 1, in degree 0
+    assert lex_ideal_for_hf(0, (1,)) == MonomialIdeal(0)
+    assert lex_ideal_for_hf(0, (1, 0, 0)) == MonomialIdeal(0)
+    assert lex_ideal_for_hf(0, (0,)) == MonomialIdeal(0, [()])
+    assert lex_ideal_for_hf(0, (0, 0)) == MonomialIdeal(0, [()])
+    with pytest.raises(NoLexIdealError) as err:
+        lex_ideal_for_hf(0, (1, 1))
+    assert err.value.degree == 1
 
 
 def test_lex_ideal_error_names_degree():

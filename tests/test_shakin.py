@@ -2,8 +2,10 @@
 
 import pytest
 
+from lexdist import shakin as shakin_module
 from lexdist.errors import (
     ClosureError,
+    InternalContradictionError,
     InvalidFamilyError,
     InvalidInputError,
     NotAdmissibleError,
@@ -203,6 +205,36 @@ def test_glue_rejects_disagreeing_family():
     with pytest.raises(InvalidFamilyError) as err:
         glue_ideals(a, [(2, one), (3, other)], 4)
     assert err.value.degree == 3
+
+
+def test_embedding_and_gluing_with_no_variables():
+    # A = K: one monomial in degree 0, none above
+    zero, unit = MonomialIdeal(0), MonomialIdeal(0, [()])
+    assert lex_embed(zero, (1, 0)) == zero
+    assert lex_embed(zero, (0, 0)) == unit
+    assert is_admissible_hf(zero, (1, 0, 0))
+    assert not is_admissible_hf(zero, (2,))
+    assert not is_admissible_hf(unit, (1,))
+    assert glue_ideals(zero, [(0, zero), (1, zero)], 1) == zero
+    assert glue_ideals(zero, [(0, unit)], 2) == unit
+
+
+def test_glue_raises_typed_errors_on_broken_pieces(monkeypatch):
+    # neither failure can happen with the real embedded_masks; if one did,
+    # the answer must be a typed error that survives python -O
+    base = MonomialIdeal(2)
+    x1 = MonomialIdeal(2, [(1, 0)])
+    monkeypatch.setattr(shakin_module, "embedded_masks",
+                        lambda base, values, dmax: [0] * (dmax + 1))
+    with pytest.raises(InternalContradictionError, match="Hilbert value"):
+        glue_ideals(base, [(1, x1)], 2)
+    # pieces of the right sizes, x2 in degree 1 and x1^2, x1*x2 in degree 2,
+    # whose product x2^2 is missing
+    pieces = {1: 0b10, 2: 0b011}
+    monkeypatch.setattr(shakin_module, "embedded_masks",
+                        lambda base, values, dmax: [0] * dmax + [pieces[dmax]])
+    with pytest.raises(InternalContradictionError, match="closure"):
+        glue_ideals(base, [(1, x1), (2, x1)], 2)
 
 
 def test_glue_rejects_gapped_family():

@@ -1,5 +1,6 @@
 """verify module: enumeration, reports, and the theorem checkers."""
 
+import hashlib
 import json
 import random
 
@@ -61,6 +62,48 @@ def test_enumerate_no_duplicates_and_contains_base():
             seen.add(ideal.gens)
             assert all(ideal.contains(g) for g in base.gens)
         assert len(seen) == 14
+
+
+@pytest.mark.parametrize("base, dmax", [
+    (MonomialIdeal(2, [(2, 0)]), 4),
+    (MonomialIdeal(3, [(2, 0, 0)]), 3),
+    (MonomialIdeal(2, [(2, 0), (0, 3)]), 4),
+    (MonomialIdeal(2, [(2, 0), (0, 5)]), 3),  # x2^5 lies above dmax
+    (MonomialIdeal(2), 3),
+    (MonomialIdeal(2, [(0, 0)]), 3),
+    (MonomialIdeal(0), 2),
+])
+def test_superideals_carry_their_generators_and_hilbert_function(base, dmax):
+    count = 0
+    for ideal, hf in verify._superideals(base, dmax):
+        count += 1
+        assert ideal == MonomialIdeal(base.n, ideal.gens)
+        assert hf == hilbert_function(ideal, dmax)
+        assert base <= ideal
+    assert count == len(set(enumerate_monomial_ideals_modulo(base, dmax)))
+
+
+def test_enumeration_order_is_pinned():
+    order = [[list(g) for g in ideal.gens]
+             for ideal in enumerate_monomial_ideals_modulo(MonomialIdeal(3, [(3, 0, 0)]), 4,
+                                                           budget=None)]
+    assert len(order) == 26946
+    digest = hashlib.sha256(json.dumps(order).encode()).hexdigest()
+    assert digest == "45467085419ef6dc75690298621718ac6cfa594c6aab1ee2308afa33c39ffaf5"
+
+
+def test_sampled_sources_distract_to_the_sampled_ideal():
+    base = MonomialIdeal(2, [(2, 0)])
+    d = random_distraction(random.Random(3), 2, P, columns=5)
+    rng = random.Random(8)
+    sources = 0
+    for _ in range(12):
+        j, source = verify._sample_ideal_over(rng, base, d, 4, P)
+        if source is not None:
+            sources += 1
+            assert base <= source
+            assert hf_general(j, 4) == hilbert_function(source, 4)
+    assert 0 < sources < 12
 
 
 def test_enumerate_budget_error():
@@ -245,7 +288,7 @@ def test_epsilon_d_extremal_files_every_non_admissible_sample():
     report = verify_epsilon_d_extremal(base, d, 3, samples=150, seed=0)
     replay = verify.VerificationReport(theorem="replay", params={})
     witnesses = []
-    for j, _chain, _h in verify._sampled_cases(replay, base, d, 150, 0, 3, P):
+    for j, _source, _h in verify._sampled_cases(replay, base, d, 150, 0, 3, P):
         witness = initial_ideal(j)
         _, err = verify._attempt(stable_lex_embedding, base, witness)
         if err is not None:
