@@ -347,8 +347,64 @@ def polarize(ideal: MonomialIdeal, distraction: DistractionMatrix | None = None)
 # samplers
 # ---------------------------------------------------------------------------
 
+def _has_unit_cycle(d: DistractionMatrix) -> bool:
+    """Whether a matrix of entries a*x_i + b*x_k (a != 0, k != i) is singular
+    on some row selection.
+
+    In a selection, row i is a_i e_i + b_i e_k(i), so the only permutations
+    with nonzero products move the rows of a union of cycles of i -> k(i)
+    along those cycles.  The determinant is therefore
+    prod_{i off cycles} a_i * prod_{cycles C} (prod_C a_i - prod_C (-b_i)),
+    and it vanishes iff some cycle has weight product 1, where the entry
+    weighs -b/a.  Every simple cycle of the graph with one edge i -> k per
+    distinct entry with b != 0 (parallel edges allowed) is the cycle of
+    some selection, and the other rows do not change its factor.
+
+    Each cycle is found from its smallest vertex s.  The search grows paths
+    from s over larger vertices one edge at a time, carrying for each (end
+    vertex, vertex set) the set of products mod p its paths reach, and
+    closes a cycle when an edge back to s has the inverse weight of one of
+    those products.  Validity then costs at most one set of products per
+    vertex subset and end vertex, instead of one elimination per prefix of a
+    row selection.
+    """
+    n, p = d.n, d.p
+    edges = []
+    for i, row in enumerate(d.rows):
+        out = set()
+        for entry in row:
+            k = next((k for k, c in enumerate(entry) if c and k != i), None)
+            if k is not None:
+                w = -entry[k] * pow(entry[i], -1, p) % p
+                out.add((k, w, pow(w, -1, p)))
+        edges.append(sorted(out))
+    for s in range(n):
+        layer = {(s, 1 << s): {1}}
+        while layer:
+            grown = {}
+            for (v, seen), products in layer.items():
+                for k, w, inverse in edges[v]:
+                    if k == s:
+                        if inverse in products:
+                            return True
+                    elif k > s and not seen >> k & 1:
+                        grown.setdefault((k, seen | 1 << k), set()).update(
+                            q * w % p for q in products)
+            layer = grown
+    return False
+
+
 def random_distraction(rng, n, p=DEFAULT_CHAR, columns=6) -> DistractionMatrix:
-    """A generic sparse distraction: entries a*x_i + b*x_k, resampled until valid."""
+    """A generic sparse distraction: entries a*x_i + b*x_k, resampled until valid.
+
+    Each entry of row i has a nonzero x_i coefficient a and one other
+    variable x_k, with any coefficient b, so validity is decided exactly by
+    the cycle test of _has_unit_cycle, not by the selection search of
+    validate_distraction (which stays for matrices of any form).  Both give
+    the same verdict on these matrices, so the draws, and the matrix
+    returned for a seed, are the same as resampling until
+    validate_distraction accepts.
+    """
     while True:
         rows = []
         for i in range(n):
@@ -362,6 +418,5 @@ def random_distraction(rng, n, p=DEFAULT_CHAR, columns=6) -> DistractionMatrix:
                 row.append(tuple(coeffs))
             rows.append(row)
         candidate = DistractionMatrix(rows, p)
-        ok, _ = validate_distraction(candidate)
-        if ok:
+        if not _has_unit_cycle(candidate):
             return candidate

@@ -20,11 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import groebner, monomials
 from ._modmat import rank_mod
 from .errors import InvalidInputError
-from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
+from .groebner import DEFAULT_CHAR, Ideal, check_characteristic
 from .monomials import MonomialIdeal, binom, degree_masks, degree_monomials
 
 
@@ -126,38 +127,85 @@ def _koszul_monomial(ideal, dmax, p):
     return raw
 
 
+def _variable_images(ideal, top):
+    """The standard monomials of degrees 0..top and x_{k+1} acting on them.
+
+    Returns (std, images): std[d] lists the degree-d standard monomials of
+    the degrevlex basis in descending lex order, and images[d][b][k] is the
+    normal form of x_{k+1} * std[d][b] as (position in std[d + 1],
+    coefficient) pairs, for d < top.
+
+    The normal forms come from one table per degree, built in ascending
+    degrevlex order: a monomial m = u * LM(g) of the initial ideal gets
+    NF(m) = -sum_t c_t NF(u * t) over the tail of the monic basis element g.
+    Each u * t has the degree of m and is smaller, so its normal form is
+    already in the table; a degree's table is used only by that degree's
+    images and is dropped after them.  The factorization m = u * LM(g) is
+    carried up from m / x_j, one degree lower, so no basis element is
+    searched.
+    """
+    n, p = ideal.n, ideal.p
+    tails = {}
+    for g in ideal.groebner_basis():
+        lead, c = g.leading(groebner.DEGREVLEX)
+        scale = -pow(c, -1, p)
+        tails[lead] = [(t, v * scale % p) for t, v in g.terms.items() if t != lead]
+    masks = degree_masks(groebner.initial_ideal(ideal), top)
+    std, images = [], []
+    factors = {}  # each non-standard monomial m of the last degree -> (LM(g), u)
+    for d in range(top + 1):
+        monos = degree_monomials(n, d)
+        std.append([m for t, m in enumerate(monos) if not masks[d] >> t & 1])
+        stdpos = {m: t for t, m in enumerate(std[d])}
+        found = {}
+        for t, m in enumerate(monos):
+            if not masks[d] >> t & 1:
+                continue
+            if m in tails:
+                found[m] = (m, (0,) * n)
+                continue
+            for j in range(n):
+                if m[j]:
+                    below = factors.get(m[:j] + (m[j] - 1,) + m[j + 1:])
+                    if below:
+                        found[m] = (below[0], below[1][:j] + (below[1][j] + 1,) + below[1][j + 1:])
+                        break
+        factors = found
+        if not d:
+            continue
+        table = {}
+        if std[d - 1]:
+            for m in sorted(found, key=groebner.DEGREVLEX.key):
+                lead, u = found[m]
+                acc = {}
+                for t, c in tails[lead]:
+                    ut = tuple(map(add, u, t))
+                    at = stdpos.get(ut)
+                    if at is not None:
+                        acc[at] = acc.get(at, 0) + c
+                    else:
+                        for at, c2 in table[ut]:
+                            acc[at] = acc.get(at, 0) + c * c2
+                table[m] = [(at, c % p) for at, c in acc.items() if c % p]
+        images.append([
+            [[(stdpos[m], 1)] if m in stdpos else table[m]
+             for m in (s[:k] + (s[k] + 1,) + s[k + 1:] for k in range(n))]
+            for s in std[d - 1]
+        ])
+    return std, images
+
+
 def _koszul_strands(ideal, dmax):
     """beta_{i,j}(A/I) from the ranks of sparse Koszul strands.
 
-    x_k acts on the standard monomials of a degrevlex basis through normal
-    forms; each strand map is handed to rank_mod as one {row: entry} dict
-    per source basis element, holding only its nonzero entries.
+    x_k acts on the standard monomials of a degrevlex basis through the
+    normal-form table of _variable_images; each strand map is handed to
+    rank_mod as one {row: entry} dict per source basis element, holding
+    only its nonzero entries.
     """
     n, p = ideal.n, ideal.p
-    basis = ideal.groebner_basis()
-    masks = degree_masks(groebner.initial_ideal(ideal), dmax + 1)
-    std = []
-    stdpos = []
-    for d in range(dmax + 2):
-        monos = degree_monomials(n, d)
-        keep = [monos[k] for k in range(len(monos)) if not masks[d] >> k & 1]
-        std.append(keep)
-        stdpos.append({m: t for t, m in enumerate(keep)})
+    std, images = _variable_images(ideal, dmax)
     dims = [len(s) for s in std]
-
-    images = {}
-
-    def image(d, b, k):
-        # x_{k+1} * (b-th standard monomial of degree d) in the degree d+1 basis
-        key = (d, b, k)
-        if key not in images:
-            target = monomials.mul(std[d][b], monomials.variable(n, k))
-            if target in stdpos[d + 1]:
-                images[key] = [(stdpos[d + 1][target], 1)]
-            else:
-                nf = groebner.normal_form(Poly.from_monomial(target, p), basis)
-                images[key] = [(stdpos[d + 1][e], c) for e, c in nf.terms.items()]
-        return images[key]
 
     subsets = [list(itertools.combinations(range(n), i)) for i in range(n + 2)]
     pos = [dict((s, t) for t, s in enumerate(level)) for level in subsets]
@@ -176,8 +224,9 @@ def _koszul_strands(ideal, dmax):
                             for slot in range(i)]
                 for b in range(dims[dsrc]):
                     col = {}
+                    image = images[dsrc][b]
                     for (offset, sign), k in zip(boundary, s):
-                        for b2, c in image(dsrc, b, k):
+                        for b2, c in image[k]:
                             col[offset + b2] = col.get(offset + b2, 0) + sign * c
                     columns.append(col)
             ranks[i, j] = rank_mod(columns, p)

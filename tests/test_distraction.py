@@ -112,6 +112,123 @@ def test_single_variable_rows_are_valid():
     assert validate_distraction(DistractionMatrix([], P)) == (True, None)
 
 
+# --- the sampler's cycle test ------------------------------------------------------
+
+CYCLE_PRIMES = (2, 3, 5, 7, 32003)
+
+
+def _sampler_rows(gen, n, columns, p):
+    """Rows of entries a*x_i + b*x_k (a != 0, k != i), the sampler's form.
+
+    Half of the matrices take a from {1, 2, -1} and b from {0, 1, 2, -1},
+    so many of them have a cycle of weight product 1; the rest draw a and b
+    uniformly, as random_distraction does.
+    """
+    small = gen.random() < 0.5
+    rows = []
+    for i in range(n):
+        row = []
+        for _ in range(columns):
+            coeffs = [0] * n
+            coeffs[i] = (gen.choice((1, 2, -1)) % p or 1) if small else gen.randrange(1, p)
+            if n > 1:
+                k = gen.choice([j for j in range(n) if j != i])
+                coeffs[k] = gen.choice((0, 1, 2, -1)) % p if small else gen.randrange(p)
+            row.append(tuple(coeffs))
+        rows.append(row)
+    return rows
+
+
+def _cycle_verdict(d):
+    """The cycle test's verdict, checked against both selection searches."""
+    ok = not distraction._has_unit_cycle(d)
+    assert ok == validate_distraction(d)[0] == brute_validate_distraction(d.rows, d.p)[0], d
+    return ok
+
+
+def test_cycle_test_matches_selection_search_on_sampler_matrices():
+    gen = random.Random(6174)
+    verdicts = collections.Counter()
+    for _ in range(500):
+        n, columns, p = gen.randint(1, 5), gen.randint(1, 4), gen.choice(CYCLE_PRIMES)
+        verdicts[n, _cycle_verdict(DistractionMatrix(_sampler_rows(gen, n, columns, p), p))] += 1
+    assert verdicts[1, True] and not verdicts[1, False]
+    for n in range(2, 6):
+        assert min(verdicts[n, True], verdicts[n, False]) >= 15, verdicts
+
+
+def test_cycle_test_on_hand_built_matrices():
+    def form(n, i, a, k=None, b=0):
+        coeffs = [0] * n
+        coeffs[i] = a
+        if k is not None:
+            coeffs[k] = b
+        return tuple(coeffs)
+
+    # a cycle through all n vertices, x_i + b_i x_{i+1}: weight prod(-b_i)
+    for n in (2, 3, 4, 5):
+        for p in (3, 7, 32003):
+            sign = (-1) ** n
+            for last, ok in ((sign, False), (2 * sign, True)):  # prod(-b_i) = 1, 2
+                bs = [1] * (n - 1) + [last]
+                rows = [[form(n, i, 1, (i + 1) % n, b)] for i, b in enumerate(bs)]
+                assert _cycle_verdict(DistractionMatrix(rows, p)) is ok, (n, p, bs)
+    p = 7
+    # parallel edges 0 -> 1 of weights -1 and -2; 1 -> 0 weighs 3 = -1/2 mod 7,
+    # so only the second parallel edge closes a unit cycle
+    rows = [[form(2, 0, 1, 1, 1), form(2, 0, 1, 1, 2)], [form(2, 1, 1, 0, -3)]]
+    assert _cycle_verdict(DistractionMatrix(rows, p)) is False
+    rows[0][1] = form(2, 0, 1, 1, 3)
+    assert _cycle_verdict(DistractionMatrix(rows, p)) is True
+    # entries with b = 0 add no edge: row 0 (3*x1, x1) has none, so the
+    # edge 1 -> 0 of row 1 (x2 + x1) closes no cycle
+    rows = [[form(2, 0, 3), form(2, 0, 1, 1, 0)], [form(2, 1, 1, 0, 1)]]
+    assert _cycle_verdict(DistractionMatrix(rows, p)) is True
+    # the unit 3-cycle 0 -> 1 -> 2 -> 0 uses the second entry of row 1; its
+    # first entry only points back at 0, making the 2-cycle of weight 2
+    rows = [[form(3, 0, 1, 1, -1)],
+            [form(3, 1, 1, 0, -2), form(3, 1, 1, 2, -1)],
+            [form(3, 2, 1, 0, -1)]]
+    assert _cycle_verdict(DistractionMatrix(rows, p)) is False
+    rows[2] = [form(3, 2, 1, 0, -3)]
+    assert _cycle_verdict(DistractionMatrix(rows, p)) is True
+    # a cycle avoiding the smallest vertex: 1 -> 2 -> 3 -> 1 over a sink 0
+    rows = [[form(4, 0, 1)], [form(4, 1, 1, 2, -1)], [form(4, 2, 1, 3, -1)],
+            [form(4, 3, 2, 1, -2), form(4, 3, 1, 0, 5)]]
+    assert _cycle_verdict(DistractionMatrix(rows, p)) is False
+
+
+def _resample_until_searched_valid(rng, n, p, columns):
+    """random_distraction as a plain loop: redraw until validate_distraction accepts."""
+    while True:
+        rows = []
+        for i in range(n):
+            row = []
+            for _ in range(columns):
+                coeffs = [0] * n
+                coeffs[i] = rng.randrange(1, p)
+                if n > 1:
+                    k = rng.choice([j for j in range(n) if j != i])
+                    coeffs[k] = rng.randrange(0, p)
+                row.append(tuple(coeffs))
+            rows.append(row)
+        candidate = DistractionMatrix(rows, p)
+        if validate_distraction(candidate)[0]:
+            return candidate
+
+
+def test_sampler_draws_what_resampling_by_the_selection_search_draws():
+    for n in range(2, 7):
+        for p in (2, 3, 32003):
+            for columns in ((2, 3, 5) if n <= 4 else (2, 3)):
+                for seed in range(3):
+                    new, old = random.Random(seed), random.Random(seed)
+                    for _ in range(2):
+                        assert random_distraction(new, n, p, columns) == \
+                            _resample_until_searched_valid(old, n, p, columns)
+                    assert new.random() == old.random()
+
+
 def test_apply_distraction_examples():
     d = DistractionMatrix([[(1, 0), (1, 1)], [(0, 1)]], P)
     assert apply_distraction(d, (0, 0)).terms == {(0, 0): 1}

@@ -115,6 +115,42 @@ def test_betti_invariance_under_distraction(rng):
         assert left == right
 
 
+def test_normal_form_table_matches_normal_form():
+    # every standard monomial times every variable, against groebner.normal_form
+    gen = random.Random(808)
+    checked = reduced = 0
+    for n in (2, 3, 4, 5):
+        for p in (2, 3, P):
+            for _ in range(3):
+                gens = [tuple(gen.randrange(3) for _ in range(n)) for _ in range(gen.randint(3, 6))]
+                ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
+                dmax = 6 if n < 4 else 5
+                j = distract_ideal(random_distraction(gen, n, p, columns=4), ideal)
+                basis = j.groebner_basis()
+                std, images = homology._variable_images(j, dmax)
+                assert len(std) == dmax + 1 and len(images) == dmax
+                for d in range(dmax):
+                    for b, s in enumerate(std[d]):
+                        for k in range(n):
+                            target = s[:k] + (s[k] + 1,) + s[k + 1:]
+                            nf = groebner.normal_form(groebner.Poly.from_monomial(target, p), basis)
+                            assert {std[d + 1][t]: c for t, c in images[d][b][k]} == nf.terms
+                            checked += 1
+                            reduced += nf.terms != {target: 1}
+    assert checked > 5000 and reduced > 800, (checked, reduced)
+
+
+def test_strands_build_at_eight_variables():
+    # the normal-form table is built without recursion, so its depth does
+    # not grow with the number of monomials of a degree
+    gens = [(2, 0, 0, 0, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0),
+            (0, 0, 0, 0, 2, 1, 0, 0), (0, 0, 0, 0, 0, 0, 1, 2), (0, 1, 0, 0, 1, 0, 0, 1),
+            (0, 0, 2, 0, 0, 0, 1, 0)]
+    ideal = MonomialIdeal(8, gens)
+    d = random_distraction(random.Random(8), 8, 3, columns=4)
+    assert koszul_betti(distract_ideal(d, ideal), 6, 3) == koszul_betti(ideal, 6, 3)
+
+
 def test_monomial_kernel_matches_strands():
     # the upper-Koszul kernel against the strand route on the same ideal
     gen = random.Random(2024)
