@@ -13,7 +13,6 @@ from .monomials import (
     hilbert_function,
     series_transform,
     slice_last_variable,
-    is_xn_stable,
 )
 from .macaulay import (
     macaulay_rep,
@@ -38,7 +37,6 @@ from .distraction import DistractionMatrix, distract_ideal, polarize
 from .homology import (
     GradedBettiTable,
     LocalCohTable,
-    SimplicialComplex,
     koszul_betti,
     local_coh_monomial,
     taylor_betti_oracle,
@@ -53,7 +51,6 @@ __all__ = [
     "polarize",
     "GradedBettiTable",
     "LocalCohTable",
-    "SimplicialComplex",
     "koszul_betti",
     "local_coh_monomial",
     "taylor_betti_oracle",
@@ -65,7 +62,6 @@ __all__ = [
     "hilbert_function",
     "series_transform",
     "slice_last_variable",
-    "is_xn_stable",
     "macaulay_rep",
     "macaulay_bound",
     "is_o_sequence",

@@ -227,20 +227,6 @@ def induce_bar(d: DistractionMatrix) -> DistractionMatrix:
     return bar
 
 
-def apply_change(change, d: DistractionMatrix) -> DistractionMatrix:
-    """Entrywise image of a distraction under a linear change of coordinates.
-
-    Selections map to selections with the same span, so validity is
-    preserved.
-    """
-    if change.n != d.n:
-        raise InvalidInputError("change of coordinates in wrong ring")
-    return DistractionMatrix(
-        [[change.apply_to_form(entry) for entry in row] for row in d.rows],
-        d.p,
-    )
-
-
 # ---------------------------------------------------------------------------
 # polarization
 # ---------------------------------------------------------------------------

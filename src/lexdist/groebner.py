@@ -1,8 +1,9 @@
 """Sparse polynomial arithmetic over a prime field and Buchberger's algorithm.
 
-Covers reduced Groebner bases, initial ideals (monomial orders and weight
-vectors), Hilbert functions of homogeneous quotients, ideal quotients /
-saturation, degree-0 local cohomology and linear coordinate changes.
+Covers reduced Groebner bases, degrevlex initial ideals, Hilbert functions
+of homogeneous quotients, ideal quotients / saturation, degree-0 local
+cohomology and linear coordinate changes.  Buchberger itself takes any
+monomial order: intersect eliminates with a block order.
 All public ideals are homogeneous by contract; internal elimination steps
 are allowed to pass through non-homogeneous data.
 
@@ -30,7 +31,6 @@ from .monomials import (
     DegRevLexOrder,
     MonomialIdeal,
     MonomialOrder,
-    WeightOrder,
     divides,
 )
 
@@ -350,7 +350,7 @@ def _buchberger(gens, order: MonomialOrder):
 # ---------------------------------------------------------------------------
 
 class Ideal:
-    """Homogeneous ideal over F_p with cached reduced Groebner bases."""
+    """Homogeneous ideal over F_p with a cached reduced degrevlex basis."""
 
     __slots__ = ("n", "p", "gens", "_gb")
 
@@ -375,11 +375,12 @@ class Ideal:
     def from_monomial_ideal(cls, ideal: MonomialIdeal, p=DEFAULT_CHAR) -> "Ideal":
         return cls(ideal.n, [Poly.from_monomial(g, p) for g in ideal.gens], p)
 
-    def groebner_basis(self, order: MonomialOrder = DEGREVLEX):
-        key = order.cache_key()
-        if key not in self._gb:
-            self._gb[key] = _buchberger(self.gens, order)
-        return self._gb[key]
+    def groebner_basis(self):
+        # kept in a dict, so len(_gb) tells whether a call ran Buchberger
+        # (perfbench/spans.py reads it)
+        if not self._gb:
+            self._gb[DEGREVLEX] = _buchberger(self.gens, DEGREVLEX)
+        return self._gb[DEGREVLEX]
 
     def contains(self, f: Poly) -> bool:
         return normal_form(f, self.groebner_basis(), DEGREVLEX).is_zero
@@ -404,30 +405,11 @@ class Ideal:
             raise InvalidInputError(f"bad ideal JSON: {exc}") from exc
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX):
-    return ideal.groebner_basis(order)
-
-
-def initial_ideal(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> MonomialIdeal:
-    """Leading terms of the reduced basis, as a monomial ideal."""
+def initial_ideal(ideal: Ideal) -> MonomialIdeal:
+    """Degrevlex leading terms of the reduced basis, as a monomial ideal."""
     return MonomialIdeal(
-        ideal.n, [g.leading(order)[0] for g in ideal.groebner_basis(order)]
+        ideal.n, [g.leading(DEGREVLEX)[0] for g in ideal.groebner_basis()]
     )
-
-
-def initial_forms_ideal(ideal: Ideal, weights) -> Ideal:
-    """The ideal of weight-initial forms in_w(I); may be non-monomial."""
-    if len(weights) != ideal.n:
-        raise InvalidInputError("weight vector has wrong length")
-    order = WeightOrder(weights, DEGREVLEX)
-    forms = []
-    for g in ideal.groebner_basis(order):
-        top = max(sum(a * b for a, b in zip(weights, e)) for e in g.terms)
-        forms.append(Poly(ideal.n, ideal.p, {
-            e: c for e, c in g.terms.items()
-            if sum(a * b for a, b in zip(weights, e)) == top
-        }))
-    return Ideal(ideal.n, forms, ideal.p)
 
 
 def hilbert_function(ideal: Ideal, dmax: int):
@@ -457,7 +439,7 @@ def saturate_variable(ideal: Ideal, i: int) -> Ideal:
     swap = _permute_last(ideal, i)
     moved = Ideal(ideal.n, [swap(g) for g in ideal.gens], ideal.p)
     stripped = []
-    for g in moved.groebner_basis(DEGREVLEX):
+    for g in moved.groebner_basis():
         drop = min(e[-1] for e in g.terms)
         if drop:
             g = g.map_exponents(lambda e: e[:-1] + (e[-1] - drop,))
@@ -612,20 +594,6 @@ class LinearChange:
             raise InvalidInputError("matrix is singular over the working field")
         self.matrix = rows
 
-    @classmethod
-    def identity(cls, n, p=DEFAULT_CHAR):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
-
-    def apply_to_form(self, coeffs):
-        """Image of the linear form with the given coefficients."""
-        n, p = self.n, self.p
-        out = [0] * n
-        for j, c in enumerate(coeffs):
-            if c % p:
-                for k in range(n):
-                    out[k] = (out[k] + c * self.matrix[j][k]) % p
-        return tuple(out)
-
     def images(self):
         return [Poly.from_linear_form(row, self.p) for row in self.matrix]
 
@@ -635,24 +603,6 @@ def apply_linear_change(change: LinearChange, ideal: Ideal) -> Ideal:
         raise InvalidInputError("change of coordinates in wrong ring")
     images = change.images()
     return Ideal(ideal.n, [g.substitute(images) for g in ideal.gens], ideal.p)
-
-
-def change_fixing_form(coeffs, p=DEFAULT_CHAR) -> LinearChange:
-    """Some invertible change g with g(form) = x_n, for a nonzero linear form v.
-
-    With v_t the last nonzero coefficient, g fixes x_j for j < t, sends x_j
-    to x_{j-1} for j > t and x_t to (x_n - v_1 x_1 - ... - v_{t-1} x_{t-1}) / v_t,
-    so that sum_j v_j g(x_j) = x_n.
-    """
-    n = len(coeffs)
-    v = [c % p for c in coeffs]
-    if not any(v):
-        raise InvalidInputError("zero form cannot be moved to x_n")
-    t = max(i for i, c in enumerate(v) if c)
-    inv = pow(v[t], -1, p)
-    rows = [[int(k == (j if j < t else j - 1)) for k in range(n)] for j in range(n)]
-    rows[t] = [-c * inv % p for c in v[:t]] + [0] * (n - 1 - t) + [inv]
-    return LinearChange(rows, p)
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def taylor_betti_oracle(ideal: MonomialIdeal, dmax: int, p: int = DEFAULT_CHAR) 
 
 
 # ---------------------------------------------------------------------------
-# simplicial complexes and local cohomology
+# reduced homology and local cohomology
 # ---------------------------------------------------------------------------
 
 def _reduced_homology(faces, p):
@@ -367,51 +367,6 @@ def _homology(key, p):
     every caller with the same key shares it.
     """
     return tuple(sorted(_reduced_homology(_faces_of(key), p).items()))
-
-
-class SimplicialComplex:
-    """Finite simplicial complex given by its facets (maximal faces)."""
-
-    __slots__ = ("vertices", "facets", "_faces")
-
-    def __init__(self, vertices: int, facets):
-        self.vertices = int(vertices)
-        fs = {frozenset(f) for f in facets}
-        for f in fs:
-            if any(not 0 <= v < self.vertices for v in f):
-                raise InvalidInputError("facet vertex out of range")
-        self.facets = tuple(sorted(
-            (f for f in fs if not any(f < g for g in fs)),
-            key=lambda f: (len(f), sorted(f)),
-        ))
-        self._faces = None
-
-    @classmethod
-    def from_faces(cls, vertices: int, faces):
-        faces = set(map(frozenset, faces))
-        maximal = [f for f in faces if not any(f < g for g in faces)]
-        return cls(vertices, maximal)
-
-    @property
-    def is_void(self) -> bool:
-        """No faces at all, not even the empty face."""
-        return not self.facets
-
-    def faces(self):
-        if self._faces is None:
-            out = set()
-            for f in self.facets:
-                verts = sorted(f)
-                for k in range(len(verts) + 1):
-                    out.update(map(frozenset, itertools.combinations(verts, k)))
-            self._faces = out
-        return self._faces
-
-
-def simplicial_reduced_homology(complex_: SimplicialComplex, i: int, p: int = DEFAULT_CHAR) -> int:
-    """dim of the i-th reduced homology over F_p (boundary-matrix ranks)."""
-    facets = frozenset(sum(1 << v for v in f) for f in complex_.facets)
-    return dict(_homology(("facets", facets), check_characteristic(p))).get(i, 0)
 
 
 @dataclass(frozen=True)

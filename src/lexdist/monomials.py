@@ -124,13 +124,6 @@ class MonomialOrder:
     def key(self, exps):
         raise NotImplementedError
 
-    def cache_key(self):
-        return repr(self)
-
-    def compare(self, a, b) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
 
 class LexOrder(MonomialOrder):
     def key(self, exps):
@@ -146,21 +139,6 @@ class DegRevLexOrder(MonomialOrder):
 
     def __repr__(self):
         return "degrevlex"
-
-
-class WeightOrder(MonomialOrder):
-    """Weight vector order, ties broken by another (global) order."""
-
-    def __init__(self, weights, tiebreak=None):
-        self.weights = tuple(weights)
-        self.tiebreak = tiebreak or DegRevLexOrder()
-
-    def key(self, exps):
-        w = sum(a * b for a, b in zip(self.weights, exps))
-        return (w, self.tiebreak.key(exps))
-
-    def __repr__(self):
-        return f"weight{self.weights}+{self.tiebreak!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +427,7 @@ def series_transform(values, r: int):
 
 
 # ---------------------------------------------------------------------------
-# last-variable slices and stability
+# last-variable slices
 # ---------------------------------------------------------------------------
 
 def slice_last_variable(ideal: MonomialIdeal):
@@ -468,35 +446,6 @@ def slice_last_variable(ideal: MonomialIdeal):
         gens = [g[:-1] for g in ideal.gens if g[-1] <= d]
         slices.append(MonomialIdeal(n - 1, gens))
     return slices
-
-
-def is_xn_stable(ideal: MonomialIdeal, e=math.inf) -> bool:
-    """Whether the last-variable slice decomposition satisfies
-    J_[k+1] * m_(n-1 vars) included in J_[k] for all 0 < k+1 < e.
-
-    For finite e the ideal must contain x_n^e.
-    """
-    n = ideal.n
-    if n < 1:
-        raise InvalidInputError("need at least one variable")
-    if e != math.inf:
-        e = int(e)
-        if e < 1:
-            raise InvalidInputError("e must be positive")
-        pure = tuple([0] * (n - 1) + [e])
-        if not ideal.contains(pure):
-            raise InvalidInputError(f"x_n^{e} must lie in the ideal for finite e")
-    slices = slice_last_variable(ideal)
-    top = len(slices) - 1
-    last_k = top if e == math.inf else min(top, e - 2)
-    for k in range(last_k + 1):
-        upper = slices[min(k + 1, top)]
-        lower = slices[k]
-        for g in upper.gens:
-            for i in range(n - 1):
-                if not lower.contains(mul(g, variable(n - 1, i))):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .distraction import (
 from .errors import (
     BudgetExceededError,
     InvalidInputError,
-    InternalContradictionError,
     NotAdmissibleError,
 )
 from .groebner import DEFAULT_CHAR, Ideal, Poly
@@ -42,6 +41,9 @@ from .shakin import (
 
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_SEED = 20201
+# generator degree bound of the sampled monomial ideals; a distraction
+# drawn for them needs one more column than this
+SAMPLE_MAX_DEGREE = 4
 
 
 @dataclass
@@ -286,12 +288,20 @@ def _embedded_cases(report, base, dmax, budget, invariant):
         yield (ideal, h, *cache[key])
 
 
-def _distraction_pairs(report, n, samples, seed, p, max_degree):
+def _require_samples(samples):
+    if samples < 0:
+        raise InvalidInputError(f"sample count must be nonnegative, got {samples}")
+
+
+def _distraction_pairs(report, n, samples, seed, p):
     """Seeded (monomial ideal, distraction, distracted ideal), counted on report."""
+    if n < 1:
+        raise InvalidInputError(f"sampled ideals need at least one variable, got n={n}")
+    _require_samples(samples)
     rng = random.Random(seed)
     for _ in range(samples):
-        ideal = random_monomial_ideal(rng, n, max_degree=max_degree)
-        d = random_distraction(rng, n, p, columns=max_degree + 1)
+        ideal = random_monomial_ideal(rng, n, max_degree=SAMPLE_MAX_DEGREE)
+        d = random_distraction(rng, n, p, columns=SAMPLE_MAX_DEGREE + 1)
         report.cases_checked += 1
         yield ideal, d, distract_ideal(d, ideal)
 
@@ -301,6 +311,7 @@ def _sampled_cases(report, base, d, samples, seed, dmax, p):
 
     Each sample is counted on report; see _sample_ideal_over for J.
     """
+    _require_samples(samples)
     rng = random.Random(seed)
     for _ in range(samples):
         j, source = _sample_ideal_over(rng, base, d, dmax, p)
@@ -358,18 +369,18 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
 
 
 def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
-                          p: int = DEFAULT_CHAR, j_max: int | None = None) -> VerificationReport:
+                          p: int = DEFAULT_CHAR) -> VerificationReport:
     """Graded Betti numbers are maximized by the embedded ideal.
 
     Exhaustive over the superideals of enumerate_monomial_ideals_modulo;
-    tables compared for all homological degrees and j <= j_max (default
-    dmax + 1).  With pure powers present and small characteristic the
-    statement is an open expectation, so violations are classified as
-    findings rather than failures.
+    tables compared for all homological degrees and j <= dmax + 1.  With
+    pure powers present and small characteristic the statement is an open
+    expectation, so violations are classified as findings rather than
+    failures.
     """
     base = base_ideal(a)
     n = base.n
-    j_max = dmax + 1 if j_max is None else j_max
+    j_max = dmax + 1
     powers = isinstance(a, ShakinIdeal) and a.has_pure_powers
     report = VerificationReport(
         theorem="betti-extremal",
@@ -472,36 +483,16 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
     return report
 
 
-def epsilon_d(a, d: DistractionMatrix, values, dmax: int | None = None) -> Ideal:
-    """The distraction-induced embedding: distract the lex-embedded ideal.
-
-    Postcondition (checked): the quotient Hilbert function of the result
-    equals values up to dmax.
-    """
-    values = tuple(values)
-    if dmax is None:
-        dmax = len(values) - 1
-    embedded = lex_embed(a, values, dmax)
-    out = distract_ideal(d, embedded)
-    got = groebner.hilbert_function(out, dmax)
-    if got != values[:dmax + 1]:
-        raise InternalContradictionError(
-            f"distracted embedded ideal has HF {got}, expected {values[:dmax + 1]}"
-        )
-    return out
-
-
 def verify_betti_distraction_invariance(n: int, samples: int = 50, dmax: int = 5,
                                         seed: int = DEFAULT_SEED,
-                                        p: int = DEFAULT_CHAR,
-                                        max_degree: int = 4) -> VerificationReport:
+                                        p: int = DEFAULT_CHAR) -> VerificationReport:
     """Graded Betti numbers of a monomial ideal match those of any distraction."""
     report = VerificationReport(
         theorem="betti-distraction-invariance",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
-                "char": p, "max_degree": max_degree},
+                "char": p, "max_degree": SAMPLE_MAX_DEGREE},
     )
-    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p, max_degree):
+    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p):
         left = koszul_betti(ideal, dmax, p)
         right = koszul_betti(distracted, dmax, p)
         if left.as_dict() != right.as_dict():
@@ -515,15 +506,14 @@ def verify_betti_distraction_invariance(n: int, samples: int = 50, dmax: int = 5
 
 
 def verify_codistra_h0(n: int, samples: int = 100, dmax: int = 6,
-                       seed: int = DEFAULT_SEED, p: int = DEFAULT_CHAR,
-                       max_degree: int = 4) -> VerificationReport:
+                       seed: int = DEFAULT_SEED, p: int = DEFAULT_CHAR) -> VerificationReport:
     """H^0 Hilbert functions never drop under distraction (degree 0 slice)."""
     report = VerificationReport(
         theorem="codistra-h0",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
-                "char": p, "max_degree": max_degree},
+                "char": p, "max_degree": SAMPLE_MAX_DEGREE},
     )
-    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p, max_degree):
+    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p):
         left = groebner.h0_hilbert_function(ideal, dmax)
         right = groebner.h0_hilbert_function(distracted, dmax)
         bad = _exceeding(dict(enumerate(left)), dict(enumerate(right)), ("j",))
@@ -540,8 +530,7 @@ def verify_codistra_h0(n: int, samples: int = 100, dmax: int = 6,
 
 def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
                               samples: int = 50, seed: int = DEFAULT_SEED,
-                              p: int = DEFAULT_CHAR,
-                              include_betti: bool = True) -> VerificationReport:
+                              p: int = DEFAULT_CHAR) -> VerificationReport:
     """Extremality of the distraction-induced embedding on sampled ideals.
 
     For sampled ideals J containing the distracted base: Betti numbers are
@@ -555,12 +544,11 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
     report = VerificationReport(
         theorem="epsilon-d-extremal",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
-                "char": p, "include_betti": include_betti,
+                "char": p, "include_betti": True,
                 "distraction": d.to_json(), **_shakin_params(a)},
     )
-    betti_mode = include_betti
-    if betti_mode and isinstance(a, ShakinIdeal) and a.has_pure_powers:
-        betti_mode = False
+    betti_mode = not (isinstance(a, ShakinIdeal) and a.has_pure_powers)
+    if not betti_mode:
         report.notes.append(
             "betti mode rejected: pure powers present violate the P=0 hypothesis"
         )

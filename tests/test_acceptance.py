@@ -78,7 +78,7 @@ def test_02_shakin_macaulay_lex(label, powers, pieces):
 def test_03_betti_extremality():
     t0 = time.perf_counter()
     a = shakin(3, pieces=[(1, [(2,)])])
-    rep = verify_betti_extremal(a, 4, budget=10 ** 7, p=P, j_max=5)
+    rep = verify_betti_extremal(a, 4, budget=10 ** 7, p=P)
     report(3, "betti-extremality", t0, 300, rep.cases_checked,
            rep.passed and not rep.findings)
 
@@ -209,7 +209,7 @@ def test_11_positive_characteristic_experiment():
     mechanical_ok = True
     outcomes = []
     for p in (2, 3, 5):
-        rep = verify_betti_extremal(a, 4, budget=10 ** 7, p=p, j_max=5)
+        rep = verify_betti_extremal(a, 4, budget=10 ** 7, p=p)
         cases += rep.cases_checked
         mechanical_ok = mechanical_ok and not rep.failures
         outcomes.append(f"p={p}: findings={len(rep.findings)}")

@@ -180,6 +180,23 @@ def test_verify_sampled_kinds(capsys, files):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind", ["betti-invariance", "codistra-h0"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_sampled_kinds_reject_fewer_than_one_variable(capsys, kind, n):
+    code, data = run(capsys, "verify", kind, "--n", n, "--dmax", "3", "--samples", "2")
+    assert code == 2
+    assert data["error"] == "invalid-input"
+
+
+def test_verify_sampled_kinds_reject_a_negative_sample_count(capsys, files):
+    ring = ["--shakin", files["shakin_pl"], "--distraction", files["distraction"]]
+    for argv in (["betti-invariance"], ["codistra-h0"],
+                 ["distraction-hf", *ring], ["epsilon-d-extremal", *ring]):
+        code, data = run(capsys, "verify", *argv, "--dmax", "3", "--samples", "-3")
+        assert code == 2, argv
+        assert data["error"] == "invalid-input"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

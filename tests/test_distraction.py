@@ -10,7 +10,6 @@ from conftest import brute_validate_distraction
 from lexdist import _modmat, distraction
 from lexdist.distraction import (
     DistractionMatrix,
-    apply_change,
     apply_distraction,
     distract_ideal,
     induce_bar,
@@ -19,15 +18,7 @@ from lexdist.distraction import (
     validate_distraction,
 )
 from lexdist.errors import InternalContradictionError, InvalidInputError
-from lexdist.groebner import (
-    DEFAULT_CHAR,
-    apply_linear_change,
-    change_fixing_form,
-    format_poly,
-    hilbert_function as hf_general,
-    initial_forms_ideal,
-    normal_form,
-)
+from lexdist.groebner import DEFAULT_CHAR, format_poly, hilbert_function as hf_general
 from lexdist.monomials import MonomialIdeal, hilbert_function, series_transform
 
 P = DEFAULT_CHAR
@@ -301,36 +292,6 @@ def test_induced_bar_of_generic_matrices_is_valid(rng):
         bar = induce_bar(fixed)
         ok, _ = validate_distraction(bar)
         assert ok
-
-
-def test_weight_initial_forms_and_slice_decomposition(rng):
-    # Base ideal in the first n-1 variables; after the change fixing
-    # gD(x_n) = x_n, the weight (1,...,1,0) initial forms of the distracted
-    # ideal contain the induced bar-distraction of the base, and the
-    # quotient Hilbert function is preserved.
-    w = (1, 1, 0)
-    for _ in range(5):
-        bar_base = MonomialIdeal(
-            2, [tuple(rng.randrange(3) for _ in range(2)) for _ in range(2)]
-        )
-        base = MonomialIdeal(3, [g + (0,) for g in bar_base.gens])
-        if base.is_zero:
-            continue
-        d = random_distraction(rng, 3, P, columns=4)
-        g = change_fixing_form(d.entry(2, 0), P)
-        gd = apply_change(g, d)
-        assert gd.entry(2, 0) == (0, 0, 1)
-        j = apply_linear_change(g, distract_ideal(d, base))
-        forms = initial_forms_ideal(j, w)
-        assert hf_general(forms, 6) == hilbert_function(base, 6)
-        # bar side: evaluate the first n-1 rows at x_n = 0
-        fixed = DistractionMatrix(list(gd.rows[:-1]) + [[(0, 0, 1)]], P)
-        bar = induce_bar(fixed)
-        bar_gens = distract_ideal(bar, bar_base).gens
-        basis = forms.groebner_basis()
-        for gen in bar_gens:
-            lifted = gen.map_exponents(lambda e: e + (0,))
-            assert normal_form(lifted, basis).is_zero
 
 
 # --- polarization ----------------------------------------------------------------

@@ -1,7 +1,6 @@
 """monomials module: ideals, Hilbert functions, slices, series transforms."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from lexdist.monomials import (
     hilbert_numerator,
     hilbert_upto,
     intersect,
-    is_xn_stable,
     mask_to_monomials,
     masks_to_ideal,
     minimalize,
@@ -258,23 +256,6 @@ def test_slice_reassembly(ideal):
         for m in all_monomials(3, d):
             piece = slices[min(m[-1], len(slices) - 1)]
             assert ideal.contains(m) == piece.contains(m[:-1])
-
-
-def test_xn_stable_examples():
-    assert is_xn_stable(MonomialIdeal(2), math.inf)
-    # slices of (x^2, xy) are (x^2), (x), (x), ...; x*(x) lies in (x^2)
-    assert is_xn_stable(MonomialIdeal(2, [(2, 0), (1, 1)]), math.inf)
-    square = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-    assert is_xn_stable(square, math.inf)
-    # slices of (x^3, xy) are (x^3), (x), ... and x*(x) escapes (x^3)
-    assert not is_xn_stable(MonomialIdeal(2, [(3, 0), (1, 1)]), math.inf)
-
-
-def test_xn_stable_finite_e():
-    square = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-    assert is_xn_stable(square, 2)
-    with pytest.raises(InvalidInputError):
-        is_xn_stable(MonomialIdeal(2, [(2, 0)]), 2)
 
 
 # --- text and JSON -----------------------------------------------------------

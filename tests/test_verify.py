@@ -7,14 +7,13 @@ import random
 import pytest
 
 from lexdist import homology, monomials, verify
-from lexdist.distraction import DistractionMatrix, random_distraction
+from lexdist.distraction import DistractionMatrix, distract_ideal, random_distraction
 from lexdist.errors import BudgetExceededError, InvalidInputError
 from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general, initial_ideal
 from lexdist.monomials import MonomialIdeal, hilbert_function
 from lexdist.shakin import lex_embed, make_piecewise_lex, make_shakin, stable_lex_embedding
 from lexdist.verify import (
     enumerate_monomial_ideals_modulo,
-    epsilon_d,
     random_monomial_ideal,
     verify_betti_distraction_invariance,
     verify_betti_extremal,
@@ -178,7 +177,7 @@ def test_memos_stay_bounded_by_distinct_inputs():
     # sub-ideals; neither may grow with the number of enumerated ideals
     homology._homology.cache_clear()
     monomials._numerator.cache_clear()
-    report = verify_betti_extremal(shakin(3, pieces=[(1, [(2,)])]), 4, budget=10 ** 7, j_max=5)
+    report = verify_betti_extremal(shakin(3, pieces=[(1, [(2,)])]), 4, budget=10 ** 7)
     assert report.passed and report.cases_checked == 3266
     assert homology._homology.cache_info().currsize < 500
     assert monomials._numerator.cache_info().currsize < 500
@@ -223,19 +222,20 @@ def test_distracted_base_is_admissible():
     rng = random.Random(5)
     a = shakin(2, powers=(2, 3))
     d = random_distraction(rng, 2, P, columns=5)
-    from lexdist.distraction import distract_ideal
     h = hf_general(distract_ideal(d, a.total), 4)
     assert is_admissible_hf(a, h, 4)
 
 
+# epsilon_D(h) is the distraction of the lex-embedded ideal, the target the
+# epsilon-d-extremal checker builds for each sampled ideal
+
 def test_epsilon_d_identity_and_base():
     a = shakin(2, powers=(2, 2))
     ident = DistractionMatrix.identity(2, P)
-    out = epsilon_d(a, ident, (1, 1, 0))
     embedded = lex_embed(a, (1, 1, 0))
+    out = distract_ideal(ident, embedded)
     assert [list(g.terms) for g in out.gens] == [[g] for g in embedded.gens]
-    h = hilbert_function(a.total, 3)
-    out2 = epsilon_d(a, ident, h)
+    out2 = distract_ideal(ident, lex_embed(a, hilbert_function(a.total, 3)))
     assert [list(g.terms) for g in out2.gens] == [[g] for g in a.total.gens]
 
 
@@ -243,7 +243,7 @@ def test_epsilon_d_generic_matches_hf():
     rng = random.Random(11)
     a = shakin(2, powers=(2, 2))
     d = random_distraction(rng, 2, P, columns=4)
-    out = epsilon_d(a, d, (1, 1, 0))
+    out = distract_ideal(d, lex_embed(a, (1, 1, 0)))
     assert hf_general(out, 2) == (1, 1, 0)
 
 
