@@ -336,6 +336,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "dmax", None) is not None and args.dmax < 0:
+            raise InvalidInputError("dmax must be nonnegative")
         return args.func(args)
     except NotAdmissibleError as exc:
         _emit({"error": "not-admissible", "degree": exc.degree,

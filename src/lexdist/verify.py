@@ -2,13 +2,15 @@
 
 The exhaustive checkers share one enumerator, _superideals, which builds
 every ideal over a base degree by degree together with its Hilbert
-function, so neither is recomputed from the graded pieces.  Each checker
-replays deterministically from its recorded parameters and
-seed, counts the cases it examined and collects self-contained
-counterexample payloads.  A report passes iff it has no failures;
-observations that the underlying statement does not claim (for instance
-Betti extremality in small characteristic with pure powers present) are
-classified as findings instead.
+function and graded pieces, so neither is recomputed per ideal.  The
+extremality checkers read their per-ideal work off those: the embedding
+cache key (_series_keys) and, in at most three variables, the Betti table
+(_betti_by_pieces).  Each checker replays deterministically from its
+recorded parameters and seed, counts the cases it examined and collects
+self-contained counterexample payloads.  A report passes iff it has no
+failures; observations that the underlying statement does not claim (for
+instance Betti extremality in small characteristic with pure powers
+present) are classified as findings instead.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from .errors import (
 )
 from .groebner import DEFAULT_CHAR, Ideal, Poly
 from .homology import koszul_betti, local_coh_monomial
-from .monomials import MonomialIdeal, degree_monomials, shadow_mask
+from .monomials import (
+    MonomialIdeal,
+    binom,
+    degree_monomials,
+    mask_to_monomials,
+    shadow_mask,
+    shadow_table,
+)
 from .shakin import (
     ShakinIdeal,
     base_ideal,
@@ -88,37 +97,40 @@ def _count_upper_bound(n, base_masks, dmax) -> int:
 
 
 def _superideals(base: MonomialIdeal, dmax: int, budget=None):
-    """(ideal, Hilbert function up to dmax) for every ideal generated by the
-    base and monomials of degree <= dmax.
+    """(ideal, Hilbert function up to dmax, graded pieces up to dmax) for
+    every ideal generated by the base and monomials of degree <= dmax.
 
     At degree d a graded piece is the shadow of the piece below, the base
     piece and any subset of the other degree-d monomials.  Its monomials
     outside that shadow are the ideal's degree-d minimal generators;
     appended in ascending lex order they keep the generators canonical.
-    The degree-d Hilbert value is appended with them, so ideals that share
-    their lower pieces share that work.  Base generators above dmax lie in
-    no piece and are added to every ideal at the end.  Ideals stream in
+    The degree-d Hilbert value and the piece (as a bitmask over
+    degree_monomials) are appended with them, so ideals that share their
+    lower pieces share that work.  Base generators above dmax lie in no
+    piece and are added to every ideal at the end.  Ideals stream in
     lexicographic order of the per-degree subsets.  Raises
     BudgetExceededError (with an upper-bound count estimate) when more than
     budget ideals would be produced.
     """
+    if dmax < 0:
+        raise InvalidInputError("dmax must be nonnegative")
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     above = tuple(g for g in base.gens if sum(g) > dmax)
     estimate = _count_upper_bound(n, base_masks, dmax)
     counter = [0] if budget is not None and estimate > budget else None
 
-    def rec(d, prev, gens, hf):
+    def rec(d, gens, hf, pieces):
         if d > dmax:
             if counter is not None:
                 counter[0] += 1
                 if counter[0] > budget:
                     raise BudgetExceededError(budget, estimate)
             ideal = MonomialIdeal(n, gens + above) if above else MonomialIdeal._trusted(n, gens)
-            yield ideal, hf
+            yield ideal, hf, pieces
             return
         monos = degree_monomials(n, d)
-        below = shadow_mask(n, d - 1, prev) if d else 0
+        below = shadow_mask(n, d - 1, pieces[-1]) if d else 0
         forced = below | base_masks[d]
         free = [k for k in range(len(monos)) if not forced >> k & 1]
         for sub in range(1 << len(free)):
@@ -136,10 +148,10 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
                 k = new.bit_length() - 1
                 fresh.append(monos[k])
                 new ^= 1 << k
-            yield from rec(d + 1, mask, gens + tuple(fresh),
-                           hf + (len(monos) - mask.bit_count(),))
+            yield from rec(d + 1, gens + tuple(fresh),
+                           hf + (len(monos) - mask.bit_count(),), pieces + (mask,))
 
-    yield from rec(0, 0, (), ())
+    yield from rec(0, (), (), ())
 
 
 def enumerate_monomial_ideals_modulo(a, dmax: int, budget: int | None = DEFAULT_BUDGET):
@@ -149,7 +161,7 @@ def enumerate_monomial_ideals_modulo(a, dmax: int, budget: int | None = DEFAULT_
     each one contains a.  Emits each ideal exactly once, in the order of
     _superideals, and raises BudgetExceededError as it does.
     """
-    for ideal, _hf in _superideals(base_ideal(a), dmax, budget):
+    for ideal, _hf, _pieces in _superideals(base_ideal(a), dmax, budget):
         yield ideal
 
 
@@ -266,26 +278,130 @@ def _exceeding(left: dict, right: dict, keys=("i", "j")):
     return rows
 
 
+def _series_keys(base, dmax):
+    """A function (h, piece) -> a key of the Hilbert series of a superideal I
+    of base, from its HF h up to dmax and its degree-dmax piece (a bitmask).
+
+    For d >= dmax, I_d = J_d, where J is generated by the degree-dmax piece
+    and the base generators above dmax.  J is zero below dmax, so
+    N_I = N_J - (1-t)^n * sum_{d<dmax} (dim S_d - h_d) t^d for the series
+    numerators, and the key (h, N_J) determines N_I and is determined by
+    it.  N_J is memoised by the piece for the life of the function.
+    """
+    n = base.n
+    above = [g for g in base.gens if sum(g) > dmax]
+    numerators = {}
+
+    def key(h, piece):
+        num = numerators.get(piece)
+        if num is None:
+            j = MonomialIdeal(n, mask_to_monomials(n, dmax, piece) + above)
+            num = numerators[piece] = monomials.hilbert_numerator(j)
+        return h, num
+
+    return key
+
+
+def _betti_by_pieces(base, dmax):
+    """A function (ideal, h, pieces) -> {(i, j): beta_{i,j}(A/I)} for
+    j <= dmax + 1, nonzero values only, for a superideal I of base in at
+    most three variables, as _superideals yields it.
+
+    - beta_{0,0} = 1, and the unit ideal has the empty table.
+    - beta_{1,j} counts the degree-j minimal generators.
+    - For n = 3, beta_{3,j} = dim Soc(A/I)_{j-3}, since
+      Tor_n(A/I, K) = (0 :_{A/I} m)(-n): the standard monomials u of that
+      degree with every x_k u in the next piece.
+    - For n >= 2 and j >= 2 (below that it is zero), beta_{2,j} is what
+      is left of sum_i (-1)^i beta_{i,j} = sum_k (-1)^k C(n, k) h_{j-k},
+      where h_{dmax+1} = dim S_{dmax+1} - |shadow(piece dmax) | base piece
+      dmax+1|.
+
+    None of these depends on the characteristic: upper Koszul complexes on
+    at most three vertices have no torsion.  Socle dimensions are memoised
+    by (degree, pair of pieces) and h_{dmax+1} by the last piece, for the
+    life of the function.
+    """
+    n = base.n
+    if n > 3:
+        raise InvalidInputError(f"Betti tables by pieces need n <= 3, got n={n}")
+    j_max = dmax + 1
+    top = monomials.degree_masks(base, j_max)[j_max]
+    size = len(degree_monomials(n, j_max))
+    # the coefficients of (1-t)^n, padded to four; c_k multiplies h_{j-k}
+    c0, c1, c2, c3 = [(-1) ** k * binom(n, k) for k in range(4)]
+    socles = {}
+    nexts = {}
+
+    def table(ideal, h, pieces):
+        if pieces[0]:
+            return {}
+        gens = [0] * (j_max + 1)
+        for g in ideal.gens:  # in ascending degree
+            j = sum(g)
+            if j > j_max:
+                break
+            gens[j] += 1
+        # raw gains its rows in ascending (i, j) order, as koszul_betti's
+        # tables list them
+        raw = {(0, 0): 1}
+        for j, count in enumerate(gens):
+            if count:
+                raw[1, j] = count
+        if n < 2:
+            return raw
+        socle = [0] * (j_max + 1)  # socle[j] = dim Soc(A/I)_{j-3}
+        if n == 3:
+            for d in range(dmax - 1):
+                low, high = pieces[d], pieces[d + 1]
+                dim = socles.get((d, low, high))
+                if dim is None:
+                    dim = socles[d, low, high] = sum(
+                        1 for k, up in enumerate(shadow_table(n, d))
+                        if not low >> k & 1 and not up & ~high)
+                socle[d + 3] = dim
+        last = pieces[-1]
+        h_next = nexts.get(last)
+        if h_next is None:
+            h_next = nexts[last] = size - (shadow_mask(n, dmax, last) | top).bit_count()
+        h = (0, 0, 0) + h + (h_next,)  # h[j + 3] = h_j
+        for j in range(2, j_max + 1):
+            beta = (c0 * h[j + 3] + c1 * h[j + 2] + c2 * h[j + 1] + c3 * h[j]
+                    + gens[j] + socle[j])
+            if beta:
+                raw[2, j] = beta
+        for j in range(3, j_max + 1):
+            if socle[j]:
+                raw[3, j] = socle[j]
+        return raw
+
+    return table
+
+
 def _embedded_cases(report, base, dmax, budget, invariant):
     """Every superideal of base with its lex-embedding, counted on report.
 
-    Yields (ideal, HF up to dmax, embedded ideal, invariant(embedded)).  The
-    embedding depends on an ideal only through its Hilbert series, so it is
-    cached by the series numerator.  An error payload also depends on the
-    starting cutoff, so a failing ideal is filed on report.failures, uncached,
-    and not yielded.
+    Yields (ideal, HF up to dmax, graded pieces up to dmax, embedded ideal,
+    invariant(embedded)).  The embedding depends on an ideal only through
+    its Hilbert series, so it is cached by the series key of _series_keys,
+    which is read off the HF and the last piece instead of the ideal.
+    Equal keys mean equal series numerators and conversely, so the cache
+    hits are those of a cache keyed by the numerator.  An error payload
+    also depends on the starting cutoff, so a failing ideal is filed on
+    report.failures, uncached, and not yielded.
     """
     cache = {}
-    for ideal, h in _superideals(base, dmax, budget):
+    series_key = _series_keys(base, dmax)
+    for ideal, h, pieces in _superideals(base, dmax, budget):
         report.cases_checked += 1
-        key = monomials.hilbert_numerator(ideal)
+        key = series_key(h, pieces[-1])
         if key not in cache:
             embedded, err = _attempt(stable_lex_embedding, base, ideal)
             if err is not None:
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue
             cache[key] = embedded, invariant(embedded)
-        yield (ideal, h, *cache[key])
+        yield (ideal, h, pieces, *cache[key])
 
 
 def _require_samples(samples):
@@ -346,7 +462,7 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
     if not isinstance(a, ShakinIdeal):
         report.notes.append("base ideal not supplied as Shakin data; escape hatch")
     cache = {}
-    for ideal, h in _superideals(base, dmax, budget):
+    for ideal, h, _pieces in _superideals(base, dmax, budget):
         report.cases_checked += 1
         verdict = cache.get(h)
         if verdict is None:
@@ -397,8 +513,10 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     def betti(ideal):
         return koszul_betti(ideal, j_max, p).as_dict()
 
-    for ideal, h, embedded, target in _embedded_cases(report, base, dmax, budget, betti):
-        bad = _exceeding(betti(ideal), target)
+    by_pieces = _betti_by_pieces(base, dmax) if n <= 3 else None
+    for ideal, h, pieces, embedded, target in _embedded_cases(report, base, dmax, budget, betti):
+        mine = by_pieces(ideal, h, pieces) if by_pieces else betti(ideal)
+        bad = _exceeding(mine, target)
         if bad:
             payload = {
                 "ideal": ideal.to_json(),
@@ -431,7 +549,7 @@ def verify_coh_extremal(a, dmax: int, window=None,
     def coh(ideal):
         return local_coh_monomial(ideal, window=window, p=p).as_dict()
 
-    for ideal, h, _embedded, target in _embedded_cases(report, base, dmax, budget, coh):
+    for ideal, h, _pieces, _embedded, target in _embedded_cases(report, base, dmax, budget, coh):
         bad = _exceeding(coh(ideal), target)
         if bad:
             report.failures.append({

@@ -197,6 +197,25 @@ def test_verify_sampled_kinds_reject_a_negative_sample_count(capsys, files):
         assert data["error"] == "invalid-input"
 
 
+@pytest.mark.parametrize("argv", [
+    "hilbert --ideal {mono}",
+    "embed --shakin {shakin} --hf [1,1,0]",
+    "betti --ideal {mono}",
+    "verify macaulay-lex --shakin {shakin}",
+    "verify betti-extremal --shakin {shakin}",
+    "verify coh-extremal --shakin {shakin}",
+    "verify distraction-hf --shakin {shakin_pl} --distraction {distraction} --samples 2",
+    "verify epsilon-d-extremal --shakin {shakin_pl} --distraction {distraction} --samples 2",
+    "verify betti-invariance --n 2 --samples 2",
+    "verify codistra-h0 --n 2 --samples 2",
+], ids=lambda argv: " ".join(argv.split()[:2]))
+def test_every_command_rejects_a_negative_dmax(capsys, files, argv):
+    code, data = run(capsys, *argv.format(**files).split(), "--dmax", "-1")
+    assert code == 2
+    assert data["error"] == "invalid-input"
+    assert data["message"] == "dmax must be nonnegative"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -220,7 +239,11 @@ def test_byte_identical_output(capsys, files, tmp_path):
 # the homology and Hilbert-numerator memos are hit most; coh-extremal also
 # over plain (x1^2), 3266 passing cases.  The sampled kinds pin their seeded
 # cases and failure payloads.  {raw}, {ring}, {x1sq} and {d} stand for the
-# files holding RAW_BASE, SHAKIN_RING, X1SQ_RING and DISTRACTION.
+# files holding RAW_BASE, SHAKIN_RING, X1SQ_RING and DISTRACTION.  Over
+# SHAKIN_RING at dmax 1 and 2 the base generator x2^3 lies above dmax + 1
+# and at dmax + 1, where it is a minimal generator of some enumerated
+# ideals and not of others; a Betti table read off the graded pieces must
+# count it only where it is minimal.
 RAW_BASE = {"n": 3, "gens": [[0, 1, 1]]}
 SHAKIN_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": [2, 3]}
 X1SQ_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": []}
@@ -239,9 +262,21 @@ GOLDEN_REPORTS = {
     "betti-extremal-shakin-dmax4": (
         "betti-extremal --dmax 4 --shakin {ring}", 0,
         "08020ee09abd2b4066ee91f4b518c18b5efc9b6b863f78271fd948caaa2044a5"),
+    "betti-extremal-shakin-dmax1": (
+        "betti-extremal --dmax 1 --shakin {ring}", 0,
+        "d8e453454dc9ad90488e339b83bc030d0f1680feb97d6ed59b92185e6c4f1495"),
+    "betti-extremal-shakin-dmax2": (
+        "betti-extremal --dmax 2 --shakin {ring}", 0,
+        "080b2f4cf2ac140dc1eb7f42326950867be410df81ce7e69ecdac46bd56e0df9"),
     "coh-extremal": (
         "coh-extremal --dmax 3 --shakin {raw}", 1,
         "608170bd0105bd277efc7c1fa7fcf8fb5e795f0ca2455fa4cc228a20dd4a166a"),
+    "coh-extremal-shakin-dmax1": (
+        "coh-extremal --dmax 1 --shakin {ring}", 0,
+        "b8f80b22f8045b40f32216809afd2c715996c9b2c17b59d2ef41bbb9ed88a10e"),
+    "coh-extremal-shakin-dmax2": (
+        "coh-extremal --dmax 2 --shakin {ring}", 0,
+        "a7d7e5c302b38f5464a707d631c45377e1e5e987d07f705a355223aa2cba9dfa"),
     "coh-extremal-shakin-dmax4": (
         "coh-extremal --dmax 4 --shakin {ring}", 0,
         "5c314b93ae54523c47c6d28c5db34fd16b0e5e024727347f6c8f71f1c0dd8789"),

@@ -1,15 +1,19 @@
 """verify module: enumeration, reports, and the theorem checkers."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 
 import pytest
 
-from lexdist import homology, monomials, verify
+import lexdist
+from lexdist import monomials, verify
 from lexdist.distraction import DistractionMatrix, distract_ideal, random_distraction
 from lexdist.errors import BudgetExceededError, InvalidInputError
 from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general, initial_ideal
+from lexdist.homology import koszul_betti, taylor_betti_oracle
 from lexdist.monomials import MonomialIdeal, hilbert_function
 from lexdist.shakin import lex_embed, make_piecewise_lex, make_shakin, stable_lex_embedding
 from lexdist.verify import (
@@ -74,12 +78,66 @@ def test_enumerate_no_duplicates_and_contains_base():
 ])
 def test_superideals_carry_their_generators_and_hilbert_function(base, dmax):
     count = 0
-    for ideal, hf in verify._superideals(base, dmax):
+    for ideal, hf, pieces in verify._superideals(base, dmax):
         count += 1
         assert ideal == MonomialIdeal(base.n, ideal.gens)
         assert hf == hilbert_function(ideal, dmax)
+        assert list(pieces) == monomials.degree_masks(ideal, dmax)
         assert base <= ideal
     assert count == len(set(enumerate_monomial_ideals_modulo(base, dmax)))
+
+
+def test_superideals_reject_a_negative_dmax():
+    with pytest.raises(InvalidInputError, match="dmax must be nonnegative"):
+        next(verify._superideals(MonomialIdeal(2, [(2, 0)]), -1))
+
+
+# Enumerations the leaf shortcuts of the extremality checkers are pinned on:
+# (x1^2) and the raw base (x2*x3) in three variables, the Shakin ring with
+# pure powers (2, 3) (its x2^3 lies above dmax 1 and at dmax + 1 for dmax 2),
+# and bases in one and two variables, x2^4 at dmax + 1 and x2^5 above it.
+# Every enumeration holds the unit ideal.
+PINNED_ENUMERATIONS = [
+    (MonomialIdeal(3, [(2, 0, 0)]), 4),
+    *((MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), dmax) for dmax in (1, 2, 3, 4)),
+    (MonomialIdeal(3, [(0, 1, 1)]), 3),
+    (MonomialIdeal(1, [(3,)]), 4),
+    (MonomialIdeal(2, [(2, 0), (0, 4)]), 3),
+    (MonomialIdeal(2, [(2, 0), (0, 5)]), 3),
+]
+
+
+@pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
+def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
+    table = verify._betti_by_pieces(base, dmax)
+    units = 0
+    for ideal, h, pieces in verify._superideals(base, dmax):
+        got = table(ideal, h, pieces)
+        units += got == {}
+        for p in (2, P):
+            # also in koszul_betti's (i, j) order, which failure payloads show
+            assert list(got.items()) == list(koszul_betti(ideal, dmax + 1, p).as_dict().items()), \
+                (ideal.gens, p)
+        if len(ideal.gens) <= 10:
+            assert got == taylor_betti_oracle(ideal, dmax + 1).as_dict(), ideal.gens
+    assert units == 1
+
+
+def test_betti_by_pieces_rejects_four_variables():
+    with pytest.raises(InvalidInputError):
+        verify._betti_by_pieces(MonomialIdeal(4, [(2, 0, 0, 0)]), 2)
+
+
+@pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
+def test_series_key_classes_are_the_numerator_classes(base, dmax):
+    key = verify._series_keys(base, dmax)
+    by_key, by_numerator = {}, {}
+    for ideal, h, pieces in verify._superideals(base, dmax):
+        k, num = key(h, pieces[-1]), monomials.hilbert_numerator(ideal)
+        by_key.setdefault(k, set()).add(num)
+        by_numerator.setdefault(num, set()).add(k)
+    assert all(len(nums) == 1 for nums in by_key.values())
+    assert all(len(keys) == 1 for keys in by_numerator.values())
 
 
 def test_enumeration_order_is_pinned():
@@ -172,15 +230,30 @@ def test_extremal_with_base_generator_above_dmax(check):
     assert report.failures == []
 
 
+def _module_memos():
+    """Every lru_cache of a lexdist module, by qualified name."""
+    memos = {}
+    for info in pkgutil.iter_modules(lexdist.__path__):
+        module = importlib.import_module(f"lexdist.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                memos[f"{module.__name__}.{name}"] = value
+    return memos
+
+
 def test_memos_stay_bounded_by_distinct_inputs():
-    # the homology memo holds complexes and the numerator memo colon
-    # sub-ideals; neither may grow with the number of enumerated ideals
-    homology._homology.cache_clear()
-    monomials._numerator.cache_clear()
-    report = verify_betti_extremal(shakin(3, pieces=[(1, [(2,)])]), 4, budget=10 ** 7)
-    assert report.passed and report.cases_checked == 3266
-    assert homology._homology.cache_info().currsize < 500
-    assert monomials._numerator.cache_info().currsize < 500
+    # the homology memo holds complexes, the numerator memo colon
+    # sub-ideals and the rest per-degree tables; none may grow with the
+    # number of enumerated ideals.  The checkers' own memos live per call.
+    memos = _module_memos()
+    assert {"lexdist.homology._homology", "lexdist.monomials._numerator"} <= set(memos)
+    for check in (verify_betti_extremal, verify_coh_extremal):
+        for memo in memos.values():
+            memo.cache_clear()
+        report = check(shakin(3, pieces=[(1, [(2,)])]), 4, budget=10 ** 7)
+        assert report.passed and report.cases_checked == 3266
+        sizes = {name: memo.cache_info().currsize for name, memo in memos.items()}
+        assert all(size < 500 for size in sizes.values()), (check.__name__, sizes)
 
 
 def test_coh_extremal_small():
