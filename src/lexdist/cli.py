@@ -129,8 +129,6 @@ def _char(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    if args.order is not None:
-        sys.stderr.write("lexdist: --order is deprecated and ignored\n")
     ideal = _load_any_ideal(args.ideal, args.char)
     if isinstance(ideal, MonomialIdeal):
         values = monomials.hilbert_function(ideal, args.dmax)
@@ -268,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("hilbert", help="Hilbert function of a quotient")
     s.add_argument("--ideal", required=True)
-    s.add_argument("--order", choices=["lex", "degrevlex"],
-                   help="deprecated and ignored: the value does not change "
-                        "the result")
     _add_common(s, "char", "dmax", "out")
     s.set_defaults(func=_cmd_hilbert)
 

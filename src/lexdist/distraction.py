@@ -3,16 +3,19 @@
 A distraction replaces each variable power x_i^a by a product of the first
 a linear forms of row i of a column-stabilized matrix whose every row
 selection spans the linear forms.  Validity depends on the working prime
-field: the same matrix may be singular in another characteristic.
+field: the same matrix may be singular in another characteristic.  The
+selection search runs on _modmat.reduce_row, the elimination step of
+rank_mod.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._modmat import monic, reduce_row
 from .errors import InternalContradictionError, InvalidInputError
 from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
-from .monomials import MonomialIdeal, variable
+from .monomials import MonomialIdeal, json_ints, variable
 
 
 class DistractionMatrix:
@@ -81,47 +84,12 @@ class DistractionMatrix:
     @classmethod
     def from_json(cls, data, p=None) -> "DistractionMatrix":
         try:
-            char = int(p if p is not None else data.get("char", DEFAULT_CHAR))
-            return cls([[tuple(e["c"]) for e in row] for row in data["rows"]], char)
+            if p is None:
+                p = json_ints([data.get("char", DEFAULT_CHAR)], "char")[0]
+            return cls([[json_ints(e["c"], "coefficients") for e in row]
+                        for row in data["rows"]], p)
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad distraction JSON: {exc}") from exc
-
-
-def _extend_echelon(basis, entry, p):
-    """Add entry to a reduced row-echelon basis, or None if it is dependent.
-
-    basis is a list of (pivot column, row) with monic pivots and zeros in
-    every other row's pivot column; the result keeps that form.
-    """
-    v = list(entry)
-    for c, row in basis:
-        f = v[c]
-        if f:
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    c = next((k for k, a in enumerate(v) if a), None)
-    if c is None:
-        return None
-    inv = pow(v[c], -1, p)
-    v = [a * inv % p for a in v]
-    out = []
-    for c2, row in basis:
-        f = row[c]
-        if f:
-            row = [(a - f * b) % p for a, b in zip(row, v)]
-        out.append((c2, row))
-    out.append((c, v))
-    return out
-
-
-def _normal_vector(basis, n, p):
-    """A nonzero vector orthogonal to the n-1 rows of a reduced echelon basis."""
-    pivots = {c for c, _ in basis}
-    free = next(k for k in range(n) if k not in pivots)
-    v = [0] * n
-    v[free] = 1
-    for c, row in basis:
-        v[c] = -row[free] % p
-    return v
 
 
 def validate_distraction(d: DistractionMatrix):
@@ -129,14 +97,13 @@ def validate_distraction(d: DistractionMatrix):
 
     By column stabilization only selections of distinct per-row entries need
     checking.  The selections are searched depth-first over the rows in
-    itertools.product order, exactly mod p.  Each prefix is kept in reduced
-    row-echelon form and extended by one elimination, so it is shared by all
+    itertools.product order, exactly mod p.  Each prefix is kept as monic
+    pivot rows and extended by one reduce_row step, so it is shared by all
     its completions; a prefix that is already dependent fails with every
-    completion.  At the last row the n-1 chosen forms have a normal vector,
-    and an entry completes them to a basis exactly when its dot product with
-    that vector is nonzero.  With c distinct entries per row this costs one
-    elimination per prefix of fewer than n rows, about c^(n-1) of them, plus
-    at most c^n dot products.
+    completion.  At the last row an entry completes the n-1 chosen forms to
+    a basis exactly when it does not reduce to zero against their pivots.
+    With c distinct entries per row this costs about c^n reductions, each
+    against at most n-1 pivot rows.
 
     Returns (True, None) or (False, witness) where witness lists the
     (row, column) pairs of the first failing selection in product order; a
@@ -148,30 +115,31 @@ def validate_distraction(d: DistractionMatrix):
         seen = {}
         for j, entry in enumerate(row):
             seen.setdefault(entry, j)
-        per_row.append(list(seen.items()))
+        per_row.append([({k: a for k, a in enumerate(entry) if a}, j)
+                        for entry, j in seen.items()])
     if not n:
         return True, None
     chosen = []
+    pivots = {}
 
-    def search(basis, i):
-        if i == n - 1:
-            normal = _normal_vector(basis, n, p)
-            for entry, j in per_row[i]:
-                if not sum(a * b for a, b in zip(entry, normal)) % p:
-                    return chosen + [(i, j)]
-            return None
+    def search(i):
         for entry, j in per_row[i]:
+            v = dict(entry)
+            c = reduce_row(v, pivots, p)
+            if c is None:
+                return chosen + [(i, j)] + [(k, per_row[k][0][1]) for k in range(i + 1, n)]
+            if i == n - 1:
+                continue
             chosen.append((i, j))
-            extended = _extend_echelon(basis, entry, p)
-            if extended is None:
-                return chosen + [(k, per_row[k][0][1]) for k in range(i + 1, n)]
-            witness = search(extended, i + 1)
+            pivots[c] = monic(v, c, p)
+            witness = search(i + 1)
             if witness:
                 return witness
+            del pivots[c]
             chosen.pop()
         return None
 
-    witness = search([], 0)
+    witness = search(0)
     return (False, witness) if witness else (True, None)
 
 

@@ -1,18 +1,19 @@
 """Sparse polynomial arithmetic over a prime field and Buchberger's algorithm.
 
 Covers reduced Groebner bases, degrevlex initial ideals, Hilbert functions
-of homogeneous quotients, ideal quotients / saturation, degree-0 local
-cohomology and linear coordinate changes.  Buchberger itself takes any
-monomial order: intersect eliminates with a block order.
+of homogeneous quotients, ideal quotients / saturation and degree-0 local
+cohomology.  Buchberger itself takes any monomial order: intersect
+eliminates with a block order.
 All public ideals are homogeneous by contract; internal elimination steps
 are allowed to pass through non-homogeneous data.
 
 Degree-0 local cohomology of a general ideal comes from one saturation by
 a linear form (a variable, else a seeded generic form), read off a
-degrevlex initial ideal (Bayer-Stillman 1987) and certified by comparing
-Hilbert polynomials; saturate_maximal, the intersection of the
-per-variable saturations, is the fallback when no tried form certifies,
-and the tests' oracle.
+degrevlex initial ideal (Bayer-Stillman 1987) of the ideal with that form
+moved to x_n (by a swap of two variables or one shear of x_n), and
+certified by comparing Hilbert polynomials; saturate_maximal, the
+intersection of the per-variable saturations, is the fallback when no
+tried form certifies, and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 
 from . import monomials
-from ._modmat import rank_mod
 from .errors import InvalidInputError
 from .monomials import (
     DegRevLexOrder,
     MonomialIdeal,
     MonomialOrder,
     divides,
+    json_ints,
 )
 
 DEFAULT_CHAR = 32003
@@ -100,16 +101,8 @@ class Poly:
         self._lead = None  # (order, exponents, coefficient) of the last leading() call
 
     @classmethod
-    def zero(cls, n, p):
-        return cls(n, p)
-
-    @classmethod
     def constant(cls, n, p, c):
         return cls(n, p, {(0,) * n: c})
-
-    @classmethod
-    def variable(cls, n, p, i):
-        return cls(n, p, {monomials.variable(n, i): 1})
 
     @classmethod
     def from_linear_form(cls, coeffs, p):
@@ -194,27 +187,6 @@ class Poly:
                 out = out * base
             base = base * base
             k >>= 1
-        return out
-
-    def substitute(self, images):
-        """Evaluate at x_i -> images[i] (a list of Poly in the target ring)."""
-        if len(images) != self.n:
-            raise InvalidInputError("substitution needs one image per variable")
-        target_n = images[0].n if images else 0
-        cache = [dict() for _ in range(self.n)]
-
-        def pw(i, k):
-            if k not in cache[i]:
-                cache[i][k] = images[i].power(k)
-            return cache[i][k]
-
-        out = Poly.zero(target_n, self.p)
-        for e, c in self.terms.items():
-            term = Poly.constant(target_n, self.p, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pw(i, k)
-            out = out + term
         return out
 
     def __eq__(self, other):
@@ -398,9 +370,13 @@ class Ideal:
     @classmethod
     def from_json(cls, data, p=None) -> "Ideal":
         try:
-            char = int(p if p is not None else data.get("char", DEFAULT_CHAR))
-            n = data["n"]
-            return cls(n, [parse_poly(s, n, char) for s in data["polys"]], char)
+            if p is None:
+                p = json_ints([data.get("char", DEFAULT_CHAR)], "char")[0]
+            n = json_ints([data["n"]], "n")[0]
+            polys = data["polys"]
+            if not isinstance(polys, list) or not all(isinstance(s, str) for s in polys):
+                raise InvalidInputError(f"expected a list of texts for polys, got {polys!r}")
+            return cls(n, [parse_poly(s, n, p) for s in polys], p)
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad ideal JSON: {exc}") from exc
 
@@ -422,12 +398,26 @@ def hilbert_function(ideal: Ideal, dmax: int):
 # ---------------------------------------------------------------------------
 
 def _permute_last(ideal: Ideal, i: int):
+    """The map on polynomials that swaps x_{i+1} and x_n."""
     n = ideal.n
     perm = list(range(n))
     perm[i], perm[n - 1] = perm[n - 1], perm[i]
 
     def apply(g):
         return g.map_exponents(lambda e: tuple(e[perm[k]] for k in range(n)))
+
+    return apply
+
+
+def _shear_last(ideal: Ideal, head):
+    """The map on polynomials that sends x_n to x_n + sum_i head[i] x_{i+1}."""
+    form = Poly.from_linear_form([*head, 1], ideal.p)
+
+    def apply(g):
+        out = Poly(ideal.n, ideal.p)
+        for e, c in g.terms.items():
+            out = out + form.power(e[-1]).mul_term(e[:-1] + (0,), c)
+        return out
 
     return apply
 
@@ -532,28 +522,24 @@ def _h0_series(ideal: Ideal):
     The quotient is then the H^0 series.
 
     l runs over x_n, on the ideal's own cached basis, then the other
-    variables by relabelling, which keeps gI as sparse as I (these are the
-    saturations saturate_maximal would take), then seeded dense forms,
-    which over a large field almost surely avoid every associated prime
-    but m.  None means every form tried lies in such a prime, which over a
-    small field can be all of them.
+    variables, with g the swap of x_k and x_n, which keeps gI as sparse as
+    I (these are the saturations saturate_maximal would take), then seeded
+    dense forms l = x_n - c.x, with g the shear x_n -> x_n + c.x, which
+    over a large field almost surely avoid every associated prime but m.
+    None means every form tried lies in such a prime, which over a small
+    field can be all of them.
     """
     n, p = ideal.n, ideal.p
     lead = initial_ideal(ideal)
     target = monomials.hilbert_numerator(lead)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    changes = []
-    for k in range(n - 2, -1, -1):
-        rows = identity[:]
-        rows[k], rows[-1] = rows[-1], rows[k]
-        changes.append(rows)
     rng = random.Random(_H0_SEED)
     heads = dict.fromkeys(tuple(rng.randrange(p) for _ in range(n - 1))
                           for _ in range(_H0_RANDOM_FORMS))
-    changes += [identity[:-1] + [[*head, 1]] for head in heads if any(head)]
-    for rows in [None, *changes]:
-        if rows is not None:
-            lead = initial_ideal(apply_linear_change(LinearChange(rows, p), ideal))
+    changes = [None] + [_permute_last(ideal, k) for k in range(n - 2, -1, -1)]
+    changes += [_shear_last(ideal, head) for head in heads if any(head)]
+    for change in changes:
+        if change is not None:
+            lead = initial_ideal(Ideal(n, [change(g) for g in ideal.gens], p))
         stripped = MonomialIdeal(n, [g[:-1] + (0,) for g in lead.gens])
         diff = [a - b for a, b in
                 zip_longest(target, monomials.hilbert_numerator(stripped), fillvalue=0)]
@@ -573,36 +559,6 @@ def _divide_by_one_minus_t(coeffs, k):
         if coeffs and coeffs.pop():
             return None
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# linear changes of coordinates
-# ---------------------------------------------------------------------------
-
-class LinearChange:
-    """Invertible change of coordinates; row i is the image of x_{i+1}."""
-
-    __slots__ = ("n", "p", "matrix")
-
-    def __init__(self, matrix, p=DEFAULT_CHAR):
-        self.p = check_characteristic(p)
-        rows = tuple(tuple(int(c) % self.p for c in row) for row in matrix)
-        self.n = len(rows)
-        if any(len(r) != self.n for r in rows):
-            raise InvalidInputError("matrix must be square")
-        if rank_mod(rows, self.p) < self.n:
-            raise InvalidInputError("matrix is singular over the working field")
-        self.matrix = rows
-
-    def images(self):
-        return [Poly.from_linear_form(row, self.p) for row in self.matrix]
-
-
-def apply_linear_change(change: LinearChange, ideal: Ideal) -> Ideal:
-    if change.n != ideal.n or change.p != ideal.p:
-        raise InvalidInputError("change of coordinates in wrong ring")
-    images = change.images()
-    return Ideal(ideal.n, [g.substitute(images) for g in ideal.gens], ideal.p)
 
 
 # ---------------------------------------------------------------------------

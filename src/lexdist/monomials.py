@@ -167,6 +167,18 @@ def _minimal_generators(gens, n):
     return _antichain(gens)
 
 
+def json_ints(values, what):
+    """values as a tuple, checked to be JSON integers where input is read.
+
+    int() would truncate 1.5 and parse "7", and a bool is an int to Python,
+    so each value must be an int proper.
+    """
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise InvalidInputError(f"expected JSON integers for {what}, got {list(values)!r}")
+    return values
+
+
 class MonomialIdeal:
     """A monomial ideal, stored as its antichain of minimal generators.
 
@@ -233,7 +245,8 @@ class MonomialIdeal:
     @classmethod
     def from_json(cls, data) -> "MonomialIdeal":
         try:
-            return cls(data["n"], [tuple(g) for g in data["gens"]])
+            n = json_ints([data["n"]], "n")[0]
+            return cls(n, [json_ints(g, "exponents") for g in data["gens"]])
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad monomial ideal JSON: {exc}") from exc
 

@@ -26,6 +26,7 @@ from .monomials import (
     hilbert_function,
     hilbert_numerator,
     hilbert_upto,
+    json_ints,
     mask_to_monomials,
     masks_to_ideal,
     shadow_mask,
@@ -114,12 +115,13 @@ class ShakinIdeal:
     @classmethod
     def from_json(cls, data) -> "ShakinIdeal":
         try:
-            pieces = [
-                (p["i"], MonomialIdeal(p["i"], [tuple(g) for g in p["gens"]]))
-                for p in data.get("pieces", [])
-            ]
-            lex_part = make_piecewise_lex(data["n"], pieces)
-            return cls(lex_part, data.get("powers", []))
+            pieces = []
+            for p in data.get("pieces", []):
+                i = json_ints([p["i"]], "i")[0]
+                gens = [json_ints(g, "exponents") for g in p["gens"]]
+                pieces.append((i, MonomialIdeal(i, gens)))
+            lex_part = make_piecewise_lex(json_ints([data["n"]], "n")[0], pieces)
+            return cls(lex_part, json_ints(data.get("powers", []), "powers"))
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad Shakin ideal JSON: {exc}") from exc
 

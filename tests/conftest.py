@@ -74,6 +74,28 @@ def brute_rank_mod(rows, p):
     return rank
 
 
+def brute_compose_linear(terms, images, p):
+    """Terms of f(images) mod p, where f is {exponents: coefficient} and
+    images[i], the image of x_{i+1}, is a linear form's coefficient list;
+    each term is expanded one linear factor at a time."""
+    n = len(images)
+    out = {}
+    for exps, c in terms.items():
+        product = {(0,) * n: c}
+        for i, k in enumerate(exps):
+            for _ in range(k):
+                grown = {}
+                for e, a in product.items():
+                    for j, b in enumerate(images[i]):
+                        if b:
+                            key = e[:j] + (e[j] + 1,) + e[j + 1:]
+                            grown[key] = grown.get(key, 0) + a * b
+                product = grown
+        for e, a in product.items():
+            out[e] = out.get(e, 0) + a
+    return {e: a % p for e, a in out.items() if a % p}
+
+
 def brute_validate_distraction(rows, p):
     """(ok, witness) of the span condition by ranking every selection.
 

@@ -46,15 +46,34 @@ def test_hilbert_monomial(capsys, files):
     assert data["v"] == 1
 
 
-def test_hilbert_order_is_deprecated_and_ignored(capsys, files):
+def test_hilbert_rejects_removed_order_flag(capsys, files):
     argv = ["hilbert", "--ideal", files["mono"], "--dmax", "6"]
+    assert main(argv + ["--order", "lex"]) == 2
+    assert capsys.readouterr().out == ""
     assert main(argv) == 0
-    plain = capsys.readouterr()
-    assert main(argv + ["--order", "lex"]) == 0
-    flagged = capsys.readouterr()
-    assert flagged.out == plain.out
-    assert plain.err == ""
-    assert flagged.err == "lexdist: --order is deprecated and ignored\n"
+
+
+@pytest.mark.parametrize("command, data", [
+    ("hilbert", {"n": 2, "polys": [3]}),
+    ("hilbert", {"n": 2, "polys": "1"}),
+    ("hilbert", {"n": 2, "char": "q", "polys": ["x1"]}),
+    ("hilbert", {"n": 2, "gens": [[1.5, 0]]}),
+    ("betti", {"n": 2, "gens": [[1.5, 0]]}),
+    ("distract", {"n": 2, "rows": [[{"c": [1, "x"]}], [{"c": [0, 1]}]]}),
+    ("distract", {"n": 2, "char": "q", "rows": [[{"c": [1, 0]}], [{"c": [0, 1]}]]}),
+    ("distract", {"n": 2, "rows": [[{"c": [1.5, 0]}], [{"c": [0, 1]}]]}),
+], ids=["poly-not-text", "polys-not-list", "ideal-char-text", "float-exponent",
+        "betti-float-exponent", "text-coefficient", "distraction-char-text",
+        "float-coefficient"])
+def test_malformed_json_is_invalid_input(capsys, files, command, data):
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(data))
+    if command == "distract":
+        argv = ["distract", "--ideal", files["mono"], "--distraction", str(path)]
+    else:
+        argv = [command, "--ideal", str(path), "--dmax", "3"]
+    code, out = run(capsys, *argv)
+    assert code == 2 and out["error"] == "invalid-input", out
 
 
 def test_hilbert_polynomial_input(capsys, files):

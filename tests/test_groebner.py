@@ -13,9 +13,7 @@ from lexdist.errors import InvalidInputError
 from lexdist.groebner import (
     DEFAULT_CHAR,
     Ideal,
-    LinearChange,
     Poly,
-    apply_linear_change,
     format_poly,
     h0_hilbert_function,
     hilbert_function,
@@ -35,7 +33,7 @@ from lexdist.monomials import (
 from lexdist import groebner, monomials
 from lexdist.verify import random_monomial_ideal
 
-from conftest import HUGE_P, LARGE_P, brute_rank_mod
+from conftest import HUGE_P, LARGE_P, brute_rank_mod, brute_compose_linear
 
 P = DEFAULT_CHAR
 LEX = LexOrder()
@@ -159,7 +157,7 @@ def test_buchberger_confluence(seed):
     gens = [poly("x1^2 - x2^2"), poly("x1*x2 - x2^2")]
     ideal = Ideal(2, gens, P)
     basis = ideal.groebner_basis()
-    f = Poly.zero(2, P)
+    f = Poly(2, P)
     for g in gens:
         c = rng.randrange(P)
         e = (rng.randrange(3), rng.randrange(3))
@@ -313,30 +311,29 @@ def test_saturation_idempotent_general():
     assert again.contains_ideal(sat) and sat.contains_ideal(again)
 
 
-# --- linear changes -------------------------------------------------------------
+# --- the coordinate changes of H^0 -------------------------------------------
 
-def test_apply_linear_change_examples():
-    ideal = Ideal(2, [poly("x1^2")], P)
-    ident = LinearChange([[1, 0], [0, 1]], P)
-    assert [g.terms for g in apply_linear_change(ident, ideal).gens] == [poly("x1^2").terms]
-    swap = LinearChange([[0, 1], [1, 0]], P)
-    assert apply_linear_change(swap, ideal).gens[0].terms == poly("x2^2").terms
-    shear = LinearChange([[1, 0], [1, 1]], P)  # x->x, y->x+y
-    out = apply_linear_change(shear, Ideal(2, [poly("x2^2")], P))
-    assert out.gens[0].terms == poly("x1^2 + 2*x1*x2 + x2^2").terms
-
-
-def test_singular_change_rejected():
-    with pytest.raises(InvalidInputError):
-        LinearChange([[1, 1], [2, 2]], P)
-    for p in (LARGE_P, HUGE_P):
-        with pytest.raises(InvalidInputError):
-            LinearChange([[1, 2, 3], [p + 2, 4, 6], [0, 0, 1]], p)
-        assert LinearChange([[1, 2], [3, 4]], p).matrix == ((1, 2), (3, 4))
-
-
-def test_zero_variables_change_of_coordinates():
-    assert LinearChange([], P).matrix == ()
+def test_swap_and_shear_match_substitution():
+    # the x_k <-> x_n swap and the x_n shear of _h0_series, against expanding
+    # f(images) product by product
+    ideal = Ideal(2, [poly("x2^2")], P)
+    assert groebner._permute_last(ideal, 0)(poly("x1^2 + 3*x2")).terms == poly("x2^2 + 3*x1").terms
+    assert groebner._shear_last(ideal, (1,))(poly("x2^2")).terms == poly("x1^2 + 2*x1*x2 + x2^2").terms
+    gen = random.Random(1308)
+    for p in (2, 3, 32003, LARGE_P):
+        for n in (2, 3, 4):
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            ring = Ideal(n, [], p)
+            for _ in range(6):
+                f = _random_form(gen, n, p)
+                k = gen.randrange(n - 1)
+                images = identity[:]
+                images[k], images[-1] = images[-1], images[k]
+                assert groebner._permute_last(ring, k)(f).terms == \
+                    brute_compose_linear(f.terms, images, p), (f, k)
+                head = tuple(gen.randrange(p) for _ in range(n - 1))
+                assert groebner._shear_last(ring, head)(f).terms == \
+                    brute_compose_linear(f.terms, identity[:-1] + [[*head, 1]], p), (f, head)
 
 
 # --- the prime field -----------------------------------------------------------
@@ -376,6 +373,10 @@ def test_rank_mod_exact_above_int64_range():
             m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
                  for row in left]
             assert rank_mod(m, p) == brute_rank_mod(m, p)
+        # rows 1 and 2 of the 3x3 matrix agree mod p only, so its rank is 2
+        for m, rank in (([[1, 2, 3], [p + 2, 4, 6], [0, 0, 1]], 2), ([[1, 2], [3, 4]], 2),
+                        ([[1, 1], [2, 2]], 1)):
+            assert rank_mod(m, p) == brute_rank_mod(m, p) == rank
     # any integer entries, sparse or dense rows, tiny to huge primes
     entries = (0, 1, -1, 2, -3, 2 ** 64, -2 ** 64 - 5, 2 ** 70, 3 ** 50)
     gen = random.Random(32003)
