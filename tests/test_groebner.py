@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexdist._modmat import rank_mod
-from lexdist.distraction import distract_ideal, random_distraction
+from lexdist.distraction import (
+    DistractionMatrix,
+    distract_ideal,
+    random_distraction,
+    validate_distraction,
+)
 from lexdist.errors import InvalidInputError
 from lexdist.groebner import (
     DEFAULT_CHAR,
@@ -334,6 +339,21 @@ def test_swap_and_shear_match_substitution():
                 head = tuple(gen.randrange(p) for _ in range(n - 1))
                 assert groebner._shear_last(ring, head)(f).terms == \
                     brute_compose_linear(f.terms, identity[:-1] + [[*head, 1]], p), (f, head)
+
+
+def test_singular_change_rejected():
+    # one linear form per row makes a distraction a single change of
+    # coordinates; validation rejects it exactly when the matrix is singular
+    # mod p, and names the whole selection as its witness
+    def change(matrix, p):
+        return validate_distraction(DistractionMatrix([[row] for row in matrix], p))
+
+    assert change([[1, 1], [2, 2]], P) == (False, [(0, 0), (1, 0)])
+    for p in (LARGE_P, HUGE_P):
+        # rows 1 and 2 agree mod p only
+        assert change([[1, 2, 3], [p + 2, 4, 6], [0, 0, 1]], p) == \
+            (False, [(0, 0), (1, 0), (2, 0)])
+        assert change([[1, 2], [3, 4]], p) == (True, None)
 
 
 # --- the prime field -----------------------------------------------------------
