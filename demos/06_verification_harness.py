@@ -52,7 +52,7 @@ print("betti extremality:", "PASS" if report.passed else "FAIL",
 rng = random.Random(1)
 d = random_distraction(rng, 2, P, columns=5)
 planar = make_shakin(make_piecewise_lex(2, []), (2, 3))
-report = verify_distraction_hf(planar, d, 4, sample_count=25, seed=11)
+report = verify_distraction_hf(planar, d, 4, samples=25, seed=11)
 print("distracted Hilbert functions embed:", "PASS" if report.passed else "FAIL")
 
 report = verify_codistra_h0(2, samples=25, dmax=5, seed=13)

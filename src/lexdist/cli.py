@@ -74,7 +74,7 @@ def _load_json(path):
 
 
 def _load_any_ideal(path, char):
-    data = _load_json(path)
+    data = monomials.json_object(_load_json(path), path)
     if "gens" in data:
         return MonomialIdeal.from_json(data)
     if "polys" in data:
@@ -86,7 +86,7 @@ def _load_base(path):
     """A Shakin ideal, or a raw monomial ideal as the escape hatch."""
     if path is None:
         raise InvalidInputError("--shakin FILE is required for this command")
-    data = _load_json(path)
+    data = monomials.json_object(_load_json(path), path)
     if "pieces" in data or "powers" in data:
         return ShakinIdeal.from_json(data)
     if "gens" in data:
@@ -107,9 +107,9 @@ def _parse_hf(text):
         data = _load_json(text)
     if isinstance(data, dict):
         data = data.get("values")
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list):
         raise InvalidInputError("Hilbert function must be a JSON array of integers")
-    return tuple(data)
+    return monomials.json_ints(data, "Hilbert function values")
 
 
 def _parse_window(text):
@@ -218,7 +218,7 @@ def _cmd_verify(args) -> int:
     elif kind == "distraction-hf":
         d = _load_distraction(args.distraction, args.char)
         report = verify.verify_distraction_hf(
-            base, d, args.dmax, sample_count=args.samples, seed=args.seed,
+            base, d, args.dmax, samples=args.samples, seed=args.seed,
             p=_char(args))
     elif kind == "epsilon-d-extremal":
         d = _load_distraction(args.distraction, args.char)

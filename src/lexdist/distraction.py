@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from ._modmat import monic, reduce_row
 from .errors import InternalContradictionError, InvalidInputError
 from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
-from .monomials import MonomialIdeal, json_ints, variable
+from .monomials import MonomialIdeal, json_ints, json_object, variable
 
 
 class DistractionMatrix:
@@ -83,6 +83,7 @@ class DistractionMatrix:
 
     @classmethod
     def from_json(cls, data, p=None) -> "DistractionMatrix":
+        json_object(data, "a distraction")
         try:
             if p is None:
                 p = json_ints([data.get("char", DEFAULT_CHAR)], "char")[0]

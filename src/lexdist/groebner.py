@@ -4,8 +4,9 @@ Covers reduced Groebner bases, degrevlex initial ideals, Hilbert functions
 of homogeneous quotients, ideal quotients / saturation and degree-0 local
 cohomology.  Buchberger itself takes any monomial order: intersect
 eliminates with a block order.
-All public ideals are homogeneous by contract; internal elimination steps
-are allowed to pass through non-homogeneous data.
+All public ideals are homogeneous by contract.  Elimination data is
+homogeneous in x (t is not counted): t*f and (1-t)*g are, and so is every
+S-polynomial and remainder built from them.
 
 Degree-0 local cohomology of a general ideal comes from one saturation by
 a linear form (a variable, else a seeded generic form), read off a
@@ -33,6 +34,7 @@ from .monomials import (
     MonomialOrder,
     divides,
     json_ints,
+    json_object,
 )
 
 DEFAULT_CHAR = 32003
@@ -120,12 +122,6 @@ class Poly:
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_components(self):
-        comps = {}
-        for e, c in self.terms.items():
-            comps.setdefault(sum(e), {})[e] = c
-        return {d: Poly(self.n, self.p, t) for d, t in sorted(comps.items())}
 
     def leading(self, order: MonomialOrder):
         """(exponents, coefficient) of the largest term; kept for the last
@@ -250,30 +246,24 @@ def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
         g.monic(order).mul_term(tuple(a - b for a, b in zip(l, lg)))
 
 
-def _reduce_basis(polys, order: MonomialOrder):
-    """Inter-reduce to the unique reduced basis, sorted by decreasing lead."""
-    polys = [f.monic(order) for f in polys if not f.is_zero]
+def _reduce_basis(G, order: MonomialOrder):
+    """The reduced basis of a Groebner basis G, sorted by decreasing lead.
+
+    G must be a Groebner basis: then the leads of its minimal elements
+    generate the initial ideal, so reducing each of them once against the
+    others keeps its lead and leaves no other term in that initial ideal.
+    """
+    polys = [f.monic(order) for f in G if not f.is_zero]
     polys.sort(key=lambda f: order.key(f.leading(order)[0]))
     minimal = []
     for f in polys:
         lf = f.leading(order)[0]
         if not any(divides(g.leading(order)[0], lf) for g in minimal):
             minimal.append(f)
-    changed = True
-    while changed:
-        changed = False
-        for i, f in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1:]
-            r = normal_form(f, rest, order)
-            if r.terms != f.terms:
-                changed = True
-                if r.is_zero:
-                    minimal.pop(i)
-                else:
-                    minimal[i] = r.monic(order)
-                break
-    minimal.sort(key=lambda f: order.key(f.leading(order)[0]), reverse=True)
-    return tuple(minimal)
+    reduced = [normal_form(f, minimal[:i] + minimal[i + 1:], order)
+               for i, f in enumerate(minimal)]
+    reduced.sort(key=lambda f: order.key(f.leading(order)[0]), reverse=True)
+    return tuple(reduced)
 
 
 def _buchberger(gens, order: MonomialOrder):
@@ -369,6 +359,7 @@ class Ideal:
 
     @classmethod
     def from_json(cls, data, p=None) -> "Ideal":
+        json_object(data, "an ideal")
         try:
             if p is None:
                 p = json_ints([data.get("char", DEFAULT_CHAR)], "char")[0]
@@ -462,11 +453,8 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     one_minus_t = Poly(n + 1, p, {(0,) * (n + 1): 1, t: -1})
     gens += [lift(g) * one_minus_t for g in b.gens]
     basis = _buchberger(gens, _ElimLastOrder())
-    kept = []
-    for g in basis:
-        if all(e[-1] == 0 for e in g.terms):
-            proj = g.map_exponents(lambda e: e[:-1])
-            kept.extend(proj.homogeneous_components().values())
+    kept = [g.map_exponents(lambda e: e[:-1]) for g in basis
+            if all(e[-1] == 0 for e in g.terms)]
     return Ideal(n, _reduce_basis(kept, DEGREVLEX), p)
 
 

@@ -431,6 +431,8 @@ def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
         i_range = tuple(range(n + 1))
     else:
         i_range = tuple(i_range)
+        if not i_range:
+            raise InvalidInputError("empty cohomological index range")
     gens = ideal.gens
     if window is None:
         spread = sum(sum(g) for g in gens)

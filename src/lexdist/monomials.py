@@ -179,6 +179,13 @@ def json_ints(values, what):
     return values
 
 
+def json_object(data, what):
+    """data, checked to be a JSON object where input is read."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"expected a JSON object for {what}, got {type(data).__name__}")
+    return data
+
+
 class MonomialIdeal:
     """A monomial ideal, stored as its antichain of minimal generators.
 
@@ -400,7 +407,8 @@ def _minus_shifted(a, b, shift):
     return out
 
 
-def _values_from_numerator(num, n, upto):
+def values_from_numerator(num, n, upto):
+    """Quotient Hilbert function in degrees 0..upto off a numerator in n variables."""
     padded = num[:upto + 1] + (0,) * (upto + 1 - len(num))
     return series_transform(padded, -n)
 
@@ -413,7 +421,7 @@ def hilbert_function(ideal: MonomialIdeal, dmax: int):
     """
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
-    return _values_from_numerator(hilbert_numerator(ideal), ideal.n, dmax)
+    return values_from_numerator(hilbert_numerator(ideal), ideal.n, dmax)
 
 
 def hilbert_upto(ideal: MonomialIdeal, upto: int):
@@ -421,7 +429,7 @@ def hilbert_upto(ideal: MonomialIdeal, upto: int):
 
     Unlike hilbert_function, a negative upto gives the empty tuple.
     """
-    return _values_from_numerator(hilbert_numerator(ideal), ideal.n, upto)
+    return values_from_numerator(hilbert_numerator(ideal), ideal.n, upto)
 
 
 def series_transform(values, r: int):

@@ -25,11 +25,12 @@ from .monomials import (
     degree_monomials,
     hilbert_function,
     hilbert_numerator,
-    hilbert_upto,
     json_ints,
+    json_object,
     mask_to_monomials,
     masks_to_ideal,
     shadow_mask,
+    values_from_numerator,
 )
 
 
@@ -114,6 +115,7 @@ class ShakinIdeal:
 
     @classmethod
     def from_json(cls, data) -> "ShakinIdeal":
+        json_object(data, "a Shakin ideal")
         try:
             pieces = []
             for p in data.get("pieces", []):
@@ -208,7 +210,7 @@ def stable_lex_embedding(a, ideal: MonomialIdeal) -> MonomialIdeal:
     target = hilbert_numerator(ideal)
     cutoff = max(ideal.max_degree(), base.max_degree(), 1)
     while True:
-        candidate = lex_embed(base, hilbert_upto(ideal, cutoff), cutoff)
+        candidate = lex_embed(base, values_from_numerator(target, ideal.n, cutoff), cutoff)
         got = hilbert_numerator(candidate)
         if got == target:
             return candidate

@@ -132,16 +132,10 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
         monos = degree_monomials(n, d)
         below = shadow_mask(n, d - 1, pieces[-1]) if d else 0
         forced = below | base_masks[d]
-        free = [k for k in range(len(monos)) if not forced >> k & 1]
-        for sub in range(1 << len(free)):
-            mask = forced
-            s = sub
-            t = 0
-            while s:
-                if s & 1:
-                    mask |= 1 << free[t]
-                s >>= 1
-                t += 1
+        free = ((1 << len(monos)) - 1) & ~forced
+        sub = 0
+        while True:
+            mask = forced | sub
             fresh = []
             new = mask & ~below
             while new:
@@ -150,6 +144,9 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
                 new ^= 1 << k
             yield from rec(d + 1, gens + tuple(fresh),
                            hf + (len(monos) - mask.bit_count(),), pieces + (mask,))
+            if sub == free:
+                break
+            sub = (sub - free) & free  # the next larger submask of free
 
     yield from rec(0, (), (), ())
 
@@ -561,7 +558,7 @@ def verify_coh_extremal(a, dmax: int, window=None,
 
 
 def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
-                          sample_count: int = 100, seed: int = DEFAULT_SEED,
+                          samples: int = 100, seed: int = DEFAULT_SEED,
                           p: int = DEFAULT_CHAR) -> VerificationReport:
     """Hilbert functions over the distracted ring embed over the original ring.
 
@@ -575,10 +572,10 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
     _require_valid(d)
     report = VerificationReport(
         theorem="distraction-hf-poset",
-        params={"n": n, "dmax": dmax, "samples": sample_count, "seed": seed,
+        params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
                 "char": p, "distraction": d.to_json(), **_shakin_params(a)},
     )
-    for j, source, h in _sampled_cases(report, base, d, sample_count, seed, dmax, p):
+    for j, source, h in _sampled_cases(report, base, d, samples, seed, dmax, p):
         embedded, err = _attempt(lex_embed, base, h, dmax)
         if err is not None:
             report.failures.append({

@@ -119,7 +119,7 @@ def test_06_hf_poset_inclusion_under_distraction():
     a = shakin(3, pieces=[(1, [(2,)])], powers=(2, 3))
     assert set(a.total.gens) == {(2, 0, 0), (0, 3, 0)}
     d = random_distraction(random.Random(106), 3, P, columns=6)
-    rep = verify_distraction_hf(a, d, 5, sample_count=100, seed=106)
+    rep = verify_distraction_hf(a, d, 5, samples=100, seed=106)
     report(6, "hf-poset-inclusion", t0, 180, rep.cases_checked, rep.passed)
 
 

@@ -9,6 +9,10 @@ import sys
 import pytest
 
 from lexdist.cli import main
+from lexdist.distraction import DistractionMatrix
+from lexdist.errors import InvalidInputError
+from lexdist.groebner import Ideal
+from lexdist.shakin import ShakinIdeal
 
 
 @pytest.fixture
@@ -53,6 +57,20 @@ def test_hilbert_rejects_removed_order_flag(capsys, files):
     assert main(argv) == 0
 
 
+MALFORMED_ARGV = {
+    "hilbert": "hilbert --ideal {bad} --dmax 3",
+    "betti": "betti --ideal {bad} --dmax 3",
+    "distract": "distract --ideal {mono} --distraction {bad}",
+    "embed": "embed --shakin {bad} --hf [1,1,0]",
+    "macaulay-lex": "verify macaulay-lex --shakin {bad} --dmax 3",
+    "betti-extremal": "verify betti-extremal --shakin {bad} --dmax 3",
+    "coh-extremal": "verify coh-extremal --shakin {bad} --dmax 3",
+    "distraction-hf": "verify distraction-hf --shakin {bad} --distraction {distraction} --dmax 3",
+    "epsilon-d-extremal":
+        "verify epsilon-d-extremal --shakin {bad} --distraction {distraction} --dmax 3",
+}
+
+
 @pytest.mark.parametrize("command, data", [
     ("hilbert", {"n": 2, "polys": [3]}),
     ("hilbert", {"n": 2, "polys": "1"}),
@@ -62,18 +80,29 @@ def test_hilbert_rejects_removed_order_flag(capsys, files):
     ("distract", {"n": 2, "rows": [[{"c": [1, "x"]}], [{"c": [0, 1]}]]}),
     ("distract", {"n": 2, "char": "q", "rows": [[{"c": [1, 0]}], [{"c": [0, 1]}]]}),
     ("distract", {"n": 2, "rows": [[{"c": [1.5, 0]}], [{"c": [0, 1]}]]}),
+    ("hilbert", 5),
+    ("betti", 5),
+    ("distract", [1]),
+    *((kind, 5) for kind in ("embed", "macaulay-lex", "betti-extremal", "coh-extremal",
+                             "distraction-hf", "epsilon-d-extremal")),
 ], ids=["poly-not-text", "polys-not-list", "ideal-char-text", "float-exponent",
         "betti-float-exponent", "text-coefficient", "distraction-char-text",
-        "float-coefficient"])
+        "float-coefficient", "hilbert-number", "betti-number", "distraction-list",
+        "embed-number", "macaulay-lex-number", "betti-extremal-number",
+        "coh-extremal-number", "distraction-hf-number", "epsilon-d-extremal-number"])
 def test_malformed_json_is_invalid_input(capsys, files, command, data):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(data))
-    if command == "distract":
-        argv = ["distract", "--ideal", files["mono"], "--distraction", str(path)]
-    else:
-        argv = [command, "--ideal", str(path), "--dmax", "3"]
+    argv = MALFORMED_ARGV[command].format(bad=path, **files).split()
     code, out = run(capsys, *argv)
     assert code == 2 and out["error"] == "invalid-input", out
+
+
+@pytest.mark.parametrize("cls", [Ideal, ShakinIdeal, DistractionMatrix])
+@pytest.mark.parametrize("data", [[1], 5])
+def test_from_json_rejects_a_non_object(cls, data):
+    with pytest.raises(InvalidInputError):
+        cls.from_json(data)
 
 
 def test_hilbert_polynomial_input(capsys, files):
@@ -124,6 +153,12 @@ def test_lexify_and_embed_with_no_variables(capsys, files):
     assert code == 0 and data["ideal"] == {"gens": [], "n": 0}
 
 
+@pytest.mark.parametrize("argv", ["lexify --n 2", "embed --shakin {shakin}"])
+def test_hilbert_function_rejects_json_booleans(capsys, files, argv):
+    code, data = run(capsys, *argv.format(**files).split(), "--hf", "[true, 2, 1]")
+    assert code == 2 and data["error"] == "invalid-input", data
+
+
 def test_lexify_rejects_non_o_sequence(capsys):
     code, data = run(capsys, "lexify", "--n", "2", "--hf", "[1,3]")
     assert code == 1
@@ -162,6 +197,12 @@ def test_localcoh(capsys, files):
     assert code == 0
     assert data["entries"]["0,1"] == 1
     assert data["window_truncated"] is True
+
+
+@pytest.mark.parametrize("bounds", ["--irange=3:1", "--window=3:1"])
+def test_localcoh_rejects_an_empty_range(capsys, files, bounds):
+    code, data = run(capsys, "localcoh", "--ideal", files["mono"], bounds)
+    assert code == 2 and data["error"] == "invalid-input", data
 
 
 def test_verify_pass_and_fail_exit_codes(capsys, files):

@@ -170,6 +170,32 @@ def test_buchberger_confluence(seed):
     assert normal_form(f, basis).is_zero
 
 
+def test_reduce_basis_of_a_padded_groebner_basis():
+    # one inter-reduction pass over a Groebner basis plus redundant members
+    # (monomial multiples and sums of members), shuffled, gives the reduced
+    # basis: monic, and no term beyond a lead divisible by any lead
+    gen = random.Random(1511)
+    for n in (2, 3, 4, 5):
+        for p in (2, 3, P):
+            for _ in range(3):
+                d = random_distraction(gen, n, p, columns=4)
+                ideal = distract_ideal(d, random_monomial_ideal(gen, n, max_degree=3))
+                basis = groebner._buchberger(ideal.gens, DRL)
+                padded = list(basis)
+                for _ in range(4):
+                    f, g = gen.choice(basis), gen.choice(basis)
+                    x = monomials.variable(n, gen.randrange(n))
+                    padded += [f.mul_term(x, gen.randrange(1, p)), f + g.scale(gen.randrange(p))]
+                gen.shuffle(padded)
+                reduced = groebner._reduce_basis(padded, DRL)
+                assert [g.terms for g in reduced] == [g.terms for g in basis], ideal
+                leads = [g.leading(DRL)[0] for g in reduced]
+                for g, lead in zip(reduced, leads):
+                    assert g.terms[lead] == 1, g
+                    assert not any(monomials.divides(l, e)
+                                   for e in g.terms if e != lead for l in leads), g
+
+
 # --- Hilbert functions -----------------------------------------------------------
 
 def test_hilbert_general_examples():

@@ -277,7 +277,7 @@ def test_coh_extremal_artinian_equality():
 def test_distraction_hf_identity_tautology():
     a = shakin(2, powers=(2, 2))
     report = verify_distraction_hf(a, DistractionMatrix.identity(2, P), 4,
-                                   sample_count=10, seed=7)
+                                   samples=10, seed=7)
     assert report.passed
 
 
@@ -285,7 +285,7 @@ def test_distraction_hf_generic():
     rng = random.Random(3)
     a = shakin(2, pieces=[(1, [(2,)])])
     d = random_distraction(rng, 2, P, columns=5)
-    report = verify_distraction_hf(a, d, 4, sample_count=15, seed=9)
+    report = verify_distraction_hf(a, d, 4, samples=15, seed=9)
     assert report.passed
     assert report.cases_checked > 0
 
@@ -386,8 +386,8 @@ def test_reports_replay_identically():
     rng = random.Random(37)
     a = shakin(2, pieces=[(1, [(2,)])])
     d = random_distraction(rng, 2, P, columns=4)
-    r1 = verify_distraction_hf(a, d, 4, sample_count=12, seed=41)
-    r2 = verify_distraction_hf(a, d, 4, sample_count=12, seed=41)
+    r1 = verify_distraction_hf(a, d, 4, samples=12, seed=41)
+    r2 = verify_distraction_hf(a, d, 4, samples=12, seed=41)
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
     r3 = verify_codistra_h0(2, samples=6, dmax=5, seed=43)
     r4 = verify_codistra_h0(2, samples=6, dmax=5, seed=43)
