@@ -8,11 +8,14 @@ together with the characteristic, so an exhaustive check pays once per
 distinct complex, not once per ideal.  The keys are read off bitsets over
 the generators, one table per coordinate built once per ideal (see
 _split), so a key costs a few bit operations per coordinate instead of
-a comparison per generator and coordinate.  General homogeneous ideals use
-exact ranks on sparse Koszul strands of the quotient; a Taylor-complex
-route is an independent oracle on monomial inputs.  Every boundary map
-and strand is built as sparse columns for _modmat.rank_mod, so memory
-follows the number of nonzero entries, not the matrix shape.
+a comparison per generator and coordinate.  A general homogeneous ideal J
+takes the table of its initial ideal in(J), which differs only by
+consecutive cancellations (see koszul_betti), and ranks sparse Koszul
+strands of A/J only in the degrees where in(J) has an adjacent nonzero
+pair.  A Taylor-complex route is an independent oracle on monomial
+inputs.  Every boundary map and strand is built as sparse columns for
+_modmat.rank_mod, so memory follows the number of nonzero entries, not
+the matrix shape.
 """
 
 from __future__ import annotations
@@ -195,23 +198,28 @@ def _variable_images(ideal, top):
     return std, images
 
 
-def _koszul_strands(ideal, dmax):
-    """beta_{i,j}(A/I) from the ranks of sparse Koszul strands.
+def _koszul_strands(ideal, degrees):
+    """beta_{i,j}(A/I) for j in degrees, from the ranks of sparse Koszul strands.
 
-    x_k acts on the standard monomials of a degrevlex basis through the
-    normal-form table of _variable_images; each strand map is handed to
-    rank_mod as one {row: entry} dict per source basis element, holding
-    only its nonzero entries.
+    Only the strands of the given degrees are built, from the standard
+    monomials up to the largest of them; degrees = range(dmax + 1) gives
+    the whole table, the oracle for koszul_betti.  x_k acts on the standard
+    monomials of a degrevlex basis through the normal-form table of
+    _variable_images; each strand map is handed to rank_mod as one
+    {row: entry} dict per source basis element, holding only its nonzero
+    entries.
     """
     n, p = ideal.n, ideal.p
-    std, images = _variable_images(ideal, dmax)
+    if not degrees:
+        return {}
+    std, images = _variable_images(ideal, max(degrees))
     dims = [len(s) for s in std]
 
     subsets = [list(itertools.combinations(range(n), i)) for i in range(n + 2)]
     pos = [dict((s, t) for t, s in enumerate(level)) for level in subsets]
     ranks = {}
     for i in range(1, n + 1):
-        for j in range(dmax + 1):
+        for j in degrees:
             dsrc = j - i
             dst = dims[dsrc + 1] if dsrc >= 0 else 0
             if not dst:
@@ -232,7 +240,7 @@ def _koszul_strands(ideal, dmax):
             ranks[i, j] = rank_mod(columns, p)
     raw = {}
     for i in range(n + 1):
-        for j in range(dmax + 1):
+        for j in degrees:
             dsrc = j - i
             dim = len(subsets[i]) * dims[dsrc] if dsrc >= 0 else 0
             beta = dim - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
@@ -244,9 +252,13 @@ def _koszul_strands(ideal, dmax):
 def koszul_betti(ideal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:
     """beta_{ij}(A/I) for j <= dmax.
 
-    Monomial ideals split by multidegree into upper Koszul complexes;
-    general homogeneous ideals use sparse Koszul strands acting through
-    normal forms against a degrevlex basis, and p must be their own field.
+    Monomial ideals split by multidegree into upper Koszul complexes.  A
+    general homogeneous ideal J (p must be its own field) starts from the
+    table of its degrevlex initial ideal in(J).  Filtered by the degrevlex
+    order of x_S * m, J's degree-j strand has in(J)'s as associated graded
+    complex, so homology cancels only between beta_{i,j} and beta_{i+1,j}
+    (Peeva, Proc. AMS 132, 2004).  A row j of in(J) without an adjacent
+    nonzero pair is J's over every field; _koszul_strands ranks the rest.
     """
     p = check_characteristic(p)
     if isinstance(ideal, MonomialIdeal):
@@ -255,7 +267,11 @@ def koszul_betti(ideal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:
         raise InvalidInputError("expected MonomialIdeal or Ideal")
     if p != ideal.p:
         raise InvalidInputError(f"ideal is over characteristic {ideal.p}, not {p}")
-    return _table(ideal.n, dmax, _koszul_strands(ideal, dmax), p)
+    raw = _koszul_monomial(groebner.initial_ideal(ideal), dmax, p)
+    cancel = {j for (i, j) in raw if (i + 1, j) in raw}
+    raw = {k: v for k, v in raw.items() if k[1] not in cancel}
+    raw.update(_koszul_strands(ideal, cancel))
+    return _table(ideal.n, dmax, raw, p)
 
 
 def taylor_betti_oracle(ideal: MonomialIdeal, dmax: int, p: int = DEFAULT_CHAR) -> GradedBettiTable:

@@ -13,6 +13,7 @@ valid by construction and go straight to the antichain routine.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import re
@@ -171,11 +172,13 @@ def json_ints(values, what):
     """values as a tuple, checked to be JSON integers where input is read.
 
     int() would truncate 1.5 and parse "7", and a bool is an int to Python,
-    so each value must be an int proper.
+    so each value must be an int proper.  The values are echoed back as
+    JSON, the way they were read.
     """
     values = tuple(values)
     if any(type(x) is not int for x in values):
-        raise InvalidInputError(f"expected JSON integers for {what}, got {list(values)!r}")
+        got = json.dumps(list(values), default=repr)
+        raise InvalidInputError(f"expected JSON integers for {what}, got {got}")
     return values
 
 

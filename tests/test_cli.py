@@ -159,6 +159,12 @@ def test_hilbert_function_rejects_json_booleans(capsys, files, argv):
     assert code == 2 and data["error"] == "invalid-input", data
 
 
+def test_rejected_values_are_echoed_as_json(capsys):
+    code, data = run(capsys, "lexify", "--n", "2", "--hf", "[true, 2, 1]")
+    assert code == 2 and data["error"] == "invalid-input", data
+    assert data["message"].endswith("got [true, 2, 1]"), data
+
+
 def test_lexify_rejects_non_o_sequence(capsys):
     code, data = run(capsys, "lexify", "--n", "2", "--hf", "[1,3]")
     assert code == 1

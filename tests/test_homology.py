@@ -10,6 +10,7 @@ from lexdist.errors import InvalidInputError
 from lexdist.groebner import DEFAULT_CHAR, Ideal, parse_poly
 from lexdist.homology import koszul_betti, local_coh_monomial, taylor_betti_oracle
 from lexdist.monomials import MonomialIdeal, hilbert_function, series_transform
+from lexdist.verify import VerificationReport, _distraction_pairs
 from lexdist import groebner, homology
 
 from conftest import HUGE_P, LARGE_P, brute_local_coh
@@ -145,6 +146,32 @@ def test_strands_build_at_eight_variables():
     assert koszul_betti(distract_ideal(d, ideal), 6, 3) == koszul_betti(ideal, 6, 3)
 
 
+def test_initial_ideal_certificate_matches_strands():
+    # koszul_betti on a general ideal trusts in(J)'s row j unless it has an
+    # adjacent nonzero pair there; the full strands are the oracle
+    cancelled = 0
+    for p in (2, 3, P, LARGE_P):
+        for n, dmax, samples in ((3, 6, 25), (4, 6, 8), (5, 5, 5)):
+            pairs = list(_distraction_pairs(VerificationReport("certificate", {}), n, samples, 12345, p))
+            for ideal, _, j in pairs:
+                strands = homology._koszul_strands(j, range(dmax + 1))
+                assert koszul_betti(j, dmax, p).as_dict() == strands, (ideal.gens, n, p)
+                cancelled += koszul_betti(groebner.initial_ideal(j), dmax, p).as_dict() != strands
+            if (n, p) == (3, P):
+                pinned = pairs
+    assert cancelled >= 4, cancelled
+    # samples that really cancel (n 3, dmax 6, seed 12345 over 32003), with
+    # the number of cancelled pairs in each degree
+    for sample, cancels in ((1, {4: 2, 5: 1}), (24, {5: 1, 6: 1})):
+        ideal, _, j = pinned[sample]
+        initial = koszul_betti(groebner.initial_ideal(j), 6, P)
+        general = koszul_betti(j, 6, P)
+        assert general == koszul_betti(ideal, 6, P)
+        for d in range(7):
+            drop = sum(initial[i, d] - general[i, d] for i in range(4))
+            assert drop == 2 * cancels.get(d, 0), (sample, d)
+
+
 def test_monomial_kernel_matches_strands():
     # the upper-Koszul kernel against the strand route on the same ideal
     gen = random.Random(2024)
@@ -152,12 +179,12 @@ def test_monomial_kernel_matches_strands():
         n, dmax, p = gen.randint(1, 5), gen.randint(0, 7), gen.choice([2, 32003, LARGE_P, HUGE_P])
         gens = [tuple(gen.randrange(3) for _ in range(n)) for _ in range(gen.randint(1, 4))]
         ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
-        strands = koszul_betti(Ideal.from_monomial_ideal(ideal, p), dmax, p).as_dict()
+        strands = homology._koszul_strands(Ideal.from_monomial_ideal(ideal, p), range(dmax + 1))
         assert koszul_betti(ideal, dmax, p).as_dict() == strands, (ideal.gens, dmax, p)
     edges = [MonomialIdeal(3, [(0, 0, 0)]), MonomialIdeal(3), MonomialIdeal(0), MonomialIdeal(0, [()])]
     for ideal in edges:
         for dmax in (-1, 0, 3):
-            strands = koszul_betti(Ideal.from_monomial_ideal(ideal, P), dmax, P).as_dict()
+            strands = homology._koszul_strands(Ideal.from_monomial_ideal(ideal, P), range(dmax + 1))
             assert koszul_betti(ideal, dmax, P).as_dict() == strands, (ideal.gens, dmax)
     assert koszul_betti(MonomialIdeal(3, [(1, 0, 0)]), -1).as_dict() == {}
 
@@ -170,7 +197,7 @@ def test_betti_numbers_depend_on_characteristic():
         assert taylor_betti_oracle(ideal, 6, p).as_dict() == expected
         if p in (2, 3):  # the strand route, where -1 = 1 at p = 2
             general = Ideal.from_monomial_ideal(ideal, p)
-            assert koszul_betti(general, 6, p).as_dict() == expected
+            assert homology._koszul_strands(general, range(7)) == expected
 
 
 def test_homology_memo_is_keyed_by_characteristic():

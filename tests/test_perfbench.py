@@ -21,3 +21,16 @@ def test_traced_names_resolve():
         if not callable(owner):
             missing.append((module, attribute))
     assert spans.TRACED and missing == []
+
+
+def test_betti_invariance_block_checks_clean(tmp_path, monkeypatch):
+    # the block captures exactly two koszul_betti tables per sample, so a
+    # koszul_betti that calls itself through its public name fails here
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    import workloads
+
+    block = workloads.BettiInvarianceBlock("betti-invariance", 3, 5, 6, 12345)
+    block.prepare(str(tmp_path))
+    block.run()
+    assert block.rc == 0 and block.check() == []
+    assert len(block.capture.tables) == 2 * block.ops == 10
