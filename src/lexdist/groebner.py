@@ -2,8 +2,23 @@
 
 Covers reduced Groebner bases, degrevlex initial ideals, Hilbert functions
 of homogeneous quotients, ideal quotients / saturation and degree-0 local
-cohomology.  Buchberger itself takes any monomial order: intersect
-eliminates with a block order.
+cohomology.  Buchberger takes any monomial order that defines packing(n):
+intersect eliminates with a block order.
+
+A Poly keys its terms by exponent tuples, but division and Buchberger run
+on packed monomials (Monagan-Pearce 2007): one int per monomial, made of
+fields of one width, each with a zero guard bit above it, one field per
+variable plus a degree field.  MonomialOrder.packing places the fields so
+that the order is integer comparison of m ^ mask, where mask flips the
+fields compared in reverse: degrevlex puts the degree on top, then
+x_n..x_1 flipped; lex puts x_1..x_n, then the degree; intersect's
+elimination order puts t, then the x-degree, then x_n..x_1 flipped.  A
+product is then one addition, divisibility one subtract-and-mask and an
+lcm a field-wise max.  The width is chosen per call from the input's
+largest degree; a term that outgrows it sets its field's guard bit, and
+the call starts again at double the width, so nothing wraps.  The input
+is packed once and only the result is unpacked.
+
 All public ideals are homogeneous by contract.  Elimination data is
 homogeneous in x (t is not counted): t*f and (1-t)*g are, and so is every
 S-polynomial and remainder built from them.
@@ -20,9 +35,9 @@ tried form certifies, and the tests' oracle.
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 import re
-from bisect import insort
 from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 
@@ -32,7 +47,6 @@ from .monomials import (
     DegRevLexOrder,
     MonomialIdeal,
     MonomialOrder,
-    divides,
     json_ints,
     json_object,
 )
@@ -131,13 +145,6 @@ class Poly:
             self._lead = (order, exps, self.terms[exps])
         return self._lead[1:]
 
-    def monic(self, order: MonomialOrder):
-        _, c = self.leading(order)
-        if c == 1:
-            return self
-        inv = pow(c, self.p - 2, self.p)
-        return Poly(self.n, self.p, {e: v * inv for e, v in self.terms.items()})
-
     def map_exponents(self, f):
         return Poly(self.n, self.p, {tuple(f(e)): c for e, c in self.terms.items()})
 
@@ -201,110 +208,249 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# packed monomials, division and Buchberger
 # ---------------------------------------------------------------------------
+
+# the least field width: exponents below 64, and an n = 3 degrevlex
+# monomial in 28 bits, one CPython digit
+_MIN_WIDTH = 6
+
+
+class _Overflow(Exception):
+    """A packed exponent reached its field's guard bit."""
+
+
+class _Packing:
+    """The packed monomials of one order, ring and field width.
+
+    Two in-range fields sum to less than twice the limit, so a product
+    that outgrows a field sets only that field's guard bit: m & guards.
+    """
+
+    def __init__(self, order, n, width):
+        fields, summed = order.packing(n)
+        ones = (1 << width) - 1
+        self.width = width
+        self.shifts = [0] * n
+        self.mask = self.guards = 0
+        for k, (var, flip) in enumerate(reversed(fields)):
+            at = k * (width + 1)
+            self.guards |= 1 << (at + width)
+            if flip:
+                self.mask |= ones << at
+            if var is None:
+                self._degree_at = at
+            else:
+                self.shifts[var] = at
+        self.weights = [(1 << at) + ((1 << self._degree_at) if i in summed else 0)
+                        for i, at in enumerate(self.shifts)]
+        self._vars = sum(ones << at for at in self.shifts)
+        src = [self.shifts[i] for i in summed]
+        self._sum_at = max(src, default=0)
+        self._summed = sum(ones << at for at in src)
+        self._sum_mul = sum(1 << (self._sum_at - at) for at in src)
+
+    def pack(self, exps):
+        return sum(map(operator.mul, exps, self.weights))
+
+    def unpack(self, m):
+        ones = (1 << self.width) - 1
+        return tuple(m >> at & ones for at in self.shifts)
+
+    def divides(self, a, b):
+        guards = self.guards
+        return ((b | guards) - a) & guards == guards
+
+    def lcm(self, a, b):
+        """Field-wise max of the variable fields, under their degree.
+
+        The degree is one position of a product whose every position sums
+        distinct fields of the lcm, below twice the limit: no carry crosses
+        positions, and an outgrown degree sets its guard bit.
+        """
+        ge = ((a | self.guards) - b) & self.guards  # guard bits where a >= b
+        take_a = ge - (ge >> self.width)  # those fields, all ones
+        v = (a & take_a | b & ~take_a) & self._vars
+        degree = ((v & self._summed) * self._sum_mul >> self._sum_at) & ((2 << self.width) - 1)
+        return v | degree << self._degree_at
+
+
+# bounded, since orders hash by identity and a caller may make new ones
+_packing = lru_cache(maxsize=64)(_Packing)
+
+
+def _packed_run(order, polys, run):
+    """(packing, run(packing, packed polys)), widened until run finishes.
+
+    The first width holds the largest degree in polys, so the input fits;
+    when run meets a term that outgrows it (_Overflow), it runs again on
+    the input packed at double the width.
+    """
+    top = max((sum(e) for f in polys for e in f.terms), default=0)
+    width = max(_MIN_WIDTH, top.bit_length())
+    while True:
+        pk = _packing(order, polys[0].n, width)
+        try:
+            return pk, run(pk, [{pk.pack(e): c for e, c in f.terms.items()} for f in polys])
+        except _Overflow:
+            width *= 2
+
+
+def _monic(f, pk, p):
+    """(lead, tail) of the packed polynomial f scaled to lead coefficient 1;
+    the tail is a list of (monomial, coefficient) pairs."""
+    mask = pk.mask
+    lead = max(f, key=lambda m: m ^ mask)
+    inv = pow(f[lead], -1, p)
+    return lead, [(m, c * inv % p) for m, c in f.items() if m != lead]
+
+
+def _reduce(work, basis, pk, p):
+    """The remainder of work, a packed {monomial: coefficient} dict that
+    this uses up, by the monic (lead, tail) pairs of basis, as (monomial,
+    coefficient) pairs in decreasing order.
+
+    Pending monomials sit in a heap of negated order keys, so the largest
+    pops first.  Reducing a term only adds terms below it, so no popped
+    term comes back; a coefficient is taken mod p when its term pops.
+    """
+    mask, guards = pk.mask, pk.guards
+    pending = [-(m ^ mask) for m in work]
+    heapq.heapify(pending)
+    rem = []
+    while pending:
+        m = -heapq.heappop(pending) ^ mask
+        c = work.pop(m) % p
+        if not c:
+            continue
+        for lead, tail in basis:
+            if ((m | guards) - lead) & guards == guards:
+                shift = m - lead
+                for t, ct in tail:
+                    q = t + shift
+                    old = work.get(q)
+                    if old is None:
+                        if q & guards:
+                            raise _Overflow
+                        work[q] = -c * ct
+                        heapq.heappush(pending, -(q ^ mask))
+                    else:
+                        work[q] = old - c * ct
+                break
+        else:
+            rem.append((m, c))
+    return rem
+
 
 def normal_form(f: Poly, basis, order: MonomialOrder = DEGREVLEX) -> Poly:
     """Fully reduced remainder of f modulo the list basis.
 
-    Pending terms sit in an ascending list of (order key, exponents), so
-    each term is keyed once and the largest is the last entry.  Reducing a
-    term only adds terms below it, so no processed term comes back.
+    f and the basis are packed at a width that holds their degrees (see
+    the module docstring), widened if the remainder outgrows it.
     """
-    leads = [(*g.leading(order), g) for g in basis if not g.is_zero]
+    basis = [g for g in basis if not g.is_zero]
     p = f.p
-    work = dict(f.terms)
-    pending = sorted((order.key(e), e) for e in work)
-    rem = {}
-    while pending:
-        exps = pending.pop()[1]
-        c = work.pop(exps) % p
-        if not c:
-            continue
-        for lexps, lc, g in leads:
-            if divides(lexps, exps):
-                shift = tuple(a - b for a, b in zip(exps, lexps))
-                fac = c * pow(lc, p - 2, p) % p
-                for e2, c2 in g.terms.items():
-                    key = monomials.mul(e2, shift)
-                    if key == exps:
-                        continue
-                    if key not in work:
-                        insort(pending, (order.key(key), key))
-                    work[key] = (work.get(key, 0) - fac * c2) % p
-                break
-        else:
-            rem[exps] = c
-    return Poly(f.n, f.p, rem)
+    pk, rem = _packed_run(order, [f, *basis], lambda pk, fs: _reduce(
+        fs[0], [_monic(g, pk, p) for g in fs[1:]], pk, p))
+    return Poly(f.n, p, {pk.unpack(m): c for m, c in rem})
 
 
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    lf, _ = f.leading(order)
-    lg, _ = g.leading(order)
-    l = monomials.lcm(lf, lg)
-    return f.monic(order).mul_term(tuple(a - b for a, b in zip(l, lf))) - \
-        g.monic(order).mul_term(tuple(a - b for a, b in zip(l, lg)))
+def _groebner(polys, pk, p):
+    """A Groebner basis of the packed polys, as monic (lead, tail) pairs.
 
-
-def _reduce_basis(G, order: MonomialOrder):
-    """The reduced basis of a Groebner basis G, sorted by decreasing lead.
-
-    G must be a Groebner basis: then the leads of its minimal elements
-    generate the initial ideal, so reducing each of them once against the
-    others keeps its lead and leaves no other term in that initial ideal.
+    Normal pair selection (least lcm) with the coprime and chain criteria;
+    every S-polynomial is reduced fully by the basis so far.
     """
-    polys = [f.monic(order) for f in G if not f.is_zero]
-    polys.sort(key=lambda f: order.key(f.leading(order)[0]))
-    minimal = []
-    for f in polys:
-        lf = f.leading(order)[0]
-        if not any(divides(g.leading(order)[0], lf) for g in minimal):
-            minimal.append(f)
-    reduced = [normal_form(f, minimal[:i] + minimal[i + 1:], order)
-               for i, f in enumerate(minimal)]
-    reduced.sort(key=lambda f: order.key(f.leading(order)[0]), reverse=True)
-    return tuple(reduced)
-
-
-def _buchberger(gens, order: MonomialOrder):
-    """Reduced Groebner basis; deterministic normal pair selection."""
-    G = []
-    for f in sorted((g for g in gens if not g.is_zero),
-                    key=lambda g: order.key(g.leading(order)[0])):
-        G.append(f.monic(order))
-    if not G:
-        return ()
-    leads = [g.leading(order)[0] for g in G]
+    mask, guards = pk.mask, pk.guards
+    G = sorted((_monic(f, pk, p) for f in polys), key=lambda g: g[0] ^ mask)
+    leads = [g[0] for g in G]
     pairs = []
     done = set()
 
-    def push(i, j):
-        l = monomials.lcm(leads[i], leads[j])
-        heapq.heappush(pairs, (sum(l), l, i, j))
+    def push(j):
+        for i in range(j):
+            l = pk.lcm(leads[i], leads[j])
+            if l & guards:
+                raise _Overflow
+            if l == leads[i] + leads[j]:
+                done.add((i, j))  # coprime leads
+            else:
+                heapq.heappush(pairs, (l ^ mask, i, j))
 
     for j in range(len(G)):
-        for i in range(j):
-            push(i, j)
+        push(j)
     while pairs:
-        _, l, i, j = heapq.heappop(pairs)
+        l, i, j = heapq.heappop(pairs)
+        l ^= mask
         done.add((i, j))
-        if all(a == b + c for a, b, c in zip(l, leads[i], leads[j])):
-            continue  # coprime leads
+        above = l | guards
         if any(
-            k not in (i, j)
-            and divides(leads[k], l)
+            k != i and k != j
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
-            for k in range(len(G))
+            for k in [k for k, lead in enumerate(leads) if (above - lead) & guards == guards]
         ):
             continue  # chain criterion
-        r = normal_form(_s_poly(G[i], G[j], order), G, order)
-        if not r.is_zero:
-            G.append(r.monic(order))
-            leads.append(G[-1].leading(order)[0])
-            for i2 in range(len(G) - 1):
-                push(i2, len(G) - 1)
-    return _reduce_basis(G, order)
+        work = {}
+        (li, ti), (lj, tj) = G[i], G[j]
+        for t, c in ti:
+            work[t + l - li] = c
+        for t, c in tj:
+            q = t + l - lj
+            work[q] = work.get(q, 0) - c
+        if any(q & guards for q in work):
+            raise _Overflow
+        rem = _reduce(work, G, pk, p)
+        if rem:
+            G.append(_monic(dict(rem), pk, p))
+            leads.append(rem[0][0])
+            push(len(G) - 1)
+    return G
+
+
+def _interreduce(G, pk, p):
+    """The reduced basis of a packed Groebner basis G, by decreasing lead.
+
+    In increasing lead order, an element whose lead a kept lead divides is
+    dropped, and the tail of every other is reduced by the kept elements
+    before it.  A term below a lead is divisible by no larger lead, so
+    this one pass leaves no tail term in the initial ideal.
+    """
+    kept = []
+    for lead, tail in sorted(G, key=lambda g: g[0] ^ pk.mask):
+        if not any(pk.divides(k, lead) for k, _ in kept):
+            kept.append((lead, _reduce(dict(tail), kept, pk, p)))
+    kept.reverse()
+    return kept
+
+
+def _packed_basis(polys, order, kernel):
+    """The reduced basis of kernel(packed polys, packing, p), unpacked."""
+    polys = [f for f in polys if not f.is_zero]
+    if not polys:
+        return ()
+    n, p = polys[0].n, polys[0].p
+    pk, basis = _packed_run(order, polys,
+                            lambda pk, fs: _interreduce(kernel(fs, pk, p), pk, p))
+    return tuple(Poly(n, p, {pk.unpack(m): c for m, c in [(lead, 1), *tail]})
+                 for lead, tail in basis)
+
+
+def _reduce_basis(G, order: MonomialOrder):
+    """The reduced basis of a Groebner basis G, by decreasing lead, from
+    one _interreduce pass on packed monomials."""
+    return _packed_basis(G, order, lambda fs, pk, p: [_monic(f, pk, p) for f in fs])
+
+
+def _buchberger(gens, order: MonomialOrder):
+    """Reduced Groebner basis of gens, by decreasing lead.
+
+    The input is packed once (_packed_run: fields wide enough for its
+    degrees, widened and rerun on a guard-bit overflow), _groebner and
+    _interreduce run on packed monomials, and only the reduced basis is
+    unpacked.
+    """
+    return _packed_basis(gens, order, _groebner)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +581,15 @@ class _ElimLastOrder(MonomialOrder):
     def key(self, exps):
         return (exps[-1], sum(exps[:-1]), tuple(-e for e in reversed(exps[:-1])))
 
+    def packing(self, n):
+        return ([(n - 1, False), (None, False)] + [(i, True) for i in reversed(range(n - 1))],
+                range(n - 1))
+
     def __repr__(self):
         return "elim-last"
+
+
+_ELIM_LAST = _ElimLastOrder()
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -447,13 +600,13 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     t = monomials.variable(n + 1, n)
 
     def lift(g):
-        return g.map_exponents(lambda e: e + (0,))
+        return Poly(n + 1, p, {e + (0,): c for e, c in g.terms.items()})
 
     gens = [lift(g).mul_term(t) for g in a.gens]
     one_minus_t = Poly(n + 1, p, {(0,) * (n + 1): 1, t: -1})
     gens += [lift(g) * one_minus_t for g in b.gens]
-    basis = _buchberger(gens, _ElimLastOrder())
-    kept = [g.map_exponents(lambda e: e[:-1]) for g in basis
+    basis = _buchberger(gens, _ELIM_LAST)
+    kept = [Poly(n, p, {e[:-1]: c for e, c in g.terms.items()}) for g in basis
             if all(e[-1] == 0 for e in g.terms)]
     return Ideal(n, _reduce_basis(kept, DEGREVLEX), p)
 

@@ -120,15 +120,28 @@ def mask_to_monomials(n: int, d: int, mask: int):
 # ---------------------------------------------------------------------------
 
 class MonomialOrder:
-    """Total order on monomials given by a sortable key (bigger key = bigger)."""
+    """Total order on monomials given by a sortable key (bigger key = bigger).
+
+    packing(n) gives the same order as fixed-width integer fields, most
+    significant first, for groebner's packed monomials: (fields, summed),
+    where each field is (variable index, or None for the degree field that
+    sums the variables in summed; True if compared in reverse).
+    """
 
     def key(self, exps):
+        raise NotImplementedError
+
+    def packing(self, n):
         raise NotImplementedError
 
 
 class LexOrder(MonomialOrder):
     def key(self, exps):
         return exps
+
+    def packing(self, n):
+        # the degree field never decides: equal exponents mean equal degrees
+        return [(i, False) for i in range(n)] + [(None, False)], range(n)
 
     def __repr__(self):
         return "lex"
@@ -137,6 +150,9 @@ class LexOrder(MonomialOrder):
 class DegRevLexOrder(MonomialOrder):
     def key(self, exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
+
+    def packing(self, n):
+        return [(None, False)] + [(i, True) for i in reversed(range(n))], range(n)
 
     def __repr__(self):
         return "degrevlex"

@@ -1,5 +1,7 @@
 """Shared brute-force oracles, kept independent of the library internals."""
 
+import bisect
+import heapq
 import itertools
 from math import comb
 
@@ -94,6 +96,92 @@ def brute_compose_linear(terms, images, p):
         for e, a in product.items():
             out[e] = out.get(e, 0) + a
     return {e: a % p for e, a in out.items() if a % p}
+
+
+def brute_normal_form(terms, basis, p, key):
+    """Remainder of terms, an {exponents: coefficient} dict, by basis, a list
+    of (lead, monic dict) pairs.  Pending terms sit in an ascending list of
+    (order key, exponents); the largest is divided by the first basis
+    element whose lead divides it."""
+    work = dict(terms)
+    pending = sorted((key(e), e) for e in work)
+    rem = {}
+    while pending:
+        exps = pending.pop()[1]
+        c = work.pop(exps) % p
+        if not c:
+            continue
+        for lead, g in basis:
+            if brute_divides(lead, exps):
+                shift = tuple(b - a for a, b in zip(lead, exps))
+                for e, a in g.items():
+                    k = tuple(x + y for x, y in zip(e, shift))
+                    if k == exps:
+                        continue
+                    if k not in work:
+                        bisect.insort(pending, (key(k), k))
+                    work[k] = (work.get(k, 0) - c * a) % p
+                break
+        else:
+            rem[exps] = c
+    return rem
+
+
+def brute_buchberger(polys, p, order):
+    """Reduced Groebner basis by Buchberger's algorithm on exponent tuples.
+
+    polys are {exponents: coefficient} dicts.  Pairs go by least lcm degree,
+    with the coprime and chain criteria; the basis found is then made
+    minimal and each element reduced by the others.  Returns monic dicts,
+    largest lead first.
+    """
+    key = order.key
+
+    def monic(f):
+        lead = max(f, key=key)
+        inv = pow(f[lead], -1, p)
+        return lead, {e: c * inv % p for e, c in f.items()}
+
+    G = sorted((monic(f) for f in polys if any(c % p for c in f.values())),
+               key=lambda g: key(g[0]))
+    pairs = []
+    done = set()
+
+    def push(i, j):
+        l = tuple(map(max, G[i][0], G[j][0]))
+        heapq.heappush(pairs, (sum(l), l, i, j))
+
+    for j in range(len(G)):
+        for i in range(j):
+            push(i, j)
+    while pairs:
+        _, l, i, j = heapq.heappop(pairs)
+        done.add((i, j))
+        (li, fi), (lj, fj) = G[i], G[j]
+        if l == tuple(a + b for a, b in zip(li, lj)):
+            continue
+        if any(k not in (i, j) and brute_divides(G[k][0], l)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k in range(len(G))):
+            continue
+        s = {}
+        for lead, f, sign in ((li, fi, 1), (lj, fj, -1)):
+            for e, c in f.items():
+                k = tuple(x + y - z for x, y, z in zip(e, l, lead))
+                s[k] = s.get(k, 0) + sign * c
+        r = brute_normal_form(s, G, p, key)
+        if r:
+            G.append(monic(r))
+            for i in range(len(G) - 1):
+                push(i, len(G) - 1)
+    minimal = []
+    for lead, f in sorted(G, key=lambda g: key(g[0])):
+        if not any(brute_divides(m, lead) for m, _ in minimal):
+            minimal.append((lead, f))
+    reduced = [(lead, {lead: 1, **brute_normal_form({e: c for e, c in f.items() if e != lead},
+                                                    minimal, p, key)})
+               for lead, f in minimal]
+    return [f for _, f in sorted(reduced, key=lambda g: key(g[0]), reverse=True)]
 
 
 def brute_validate_distraction(rows, p):

@@ -38,7 +38,7 @@ from lexdist.monomials import (
 from lexdist import groebner, monomials
 from lexdist.verify import random_monomial_ideal
 
-from conftest import HUGE_P, LARGE_P, brute_rank_mod, brute_compose_linear
+from conftest import HUGE_P, LARGE_P, brute_buchberger, brute_rank_mod, brute_compose_linear
 
 P = DEFAULT_CHAR
 LEX = LexOrder()
@@ -194,6 +194,111 @@ def test_reduce_basis_of_a_padded_groebner_basis():
                     assert g.terms[lead] == 1, g
                     assert not any(monomials.divides(l, e)
                                    for e in g.terms if e != lead for l in leads), g
+
+
+def _mixed_distracted_ideal(gen, n, p):
+    """Generators of a seeded distracted ideal, each plus multiples of the
+    ones before it: the same ideal, but rarely a Groebner basis."""
+    mono = []
+    for _ in range(n + 2):
+        exps = [0] * n
+        for _ in range(gen.randint(2, 3)):
+            exps[gen.randrange(n)] += 1
+        mono.append(tuple(exps))
+    ideal = distract_ideal(random_distraction(gen, n, p, columns=3), MonomialIdeal(n, mono))
+    gens = []
+    for g in ideal.gens:
+        for f in gens[:]:
+            x = [0] * n
+            for _ in range(sum(next(iter(g.terms))) - sum(next(iter(f.terms)))):
+                x[gen.randrange(n)] += 1
+            g = g + f.mul_term(tuple(x), gen.randrange(p))
+        gens.append(g)
+    return ideal, gens
+
+
+def test_packed_kernel_matches_tuple_oracle():
+    # the packed kernel's reduced bases against Buchberger on exponent tuples
+    gen = random.Random(1717)
+
+    def agree(gens, order):
+        got = [g.terms for g in groebner._buchberger(gens, order)]
+        assert got == brute_buchberger([g.terms for g in gens], gens[0].p, order), (order, gens)
+        return got
+
+    def lift(g, t):
+        return Poly(g.n + 1, g.p, {e + (t,): c for e, c in g.terms.items()})
+
+    for p in (2, 3, P, LARGE_P, HUGE_P):
+        for n in range(1, 7):
+            for _ in range(2 if n <= 4 else 1):
+                ideal, gens = _mixed_distracted_ideal(gen, n, p)
+                assert agree(gens, DRL) == [g.terms for g in ideal.groebner_basis()]
+                if n <= 3:
+                    agree(gens, LEX)
+                    # intersect's elimination input: t * a and (1 - t) * b
+                    other = _mixed_distracted_ideal(gen, n, p)[1]
+                    agree([lift(g, 1) for g in gens] + [lift(g, 0) - lift(g, 1) for g in other],
+                          groebner._ELIM_LAST)
+        # an ideal with a unit, and the ring with no variables
+        assert agree([poly("x1^2 - x2^2", 2, p), Poly.constant(2, p, -1)], DRL) == [{(0, 0): 1}]
+        assert agree([Poly.constant(0, p, 1)], DRL) == [{(): 1}]
+        assert hilbert_function(Ideal(0, [Poly.constant(0, p, 1)], p), 2) == (0, 0, 0)
+        assert hilbert_function(Ideal(0, [], p), 2) == (1, 0, 0)
+
+
+@st.composite
+def _packable(draw):
+    # an order, a width, and two exponent vectors whose fields fit it
+    order = draw(st.sampled_from((LEX, DRL, groebner._ELIM_LAST)))
+    n = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 6))
+    limit = (1 << width) - 1
+    summed = order.packing(n)[1]
+
+    def vector():
+        exps = [draw(st.integers(0, limit)) for _ in range(n)]
+        while sum(exps[i] for i in summed) > limit:
+            exps[max(summed, key=lambda i: exps[i])] -= 1
+        return tuple(exps)
+
+    return order, n, width, vector(), vector()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packable())
+def test_packing_agrees_with_tuples(case):
+    # packed comparison, product, lcm and divisibility against order.key
+    # and monomials.mul / lcm / divides, up to the field limit; a product or
+    # lcm that outgrows it must set a guard bit instead of wrapping
+    order, n, width, u, v = case
+    pk = groebner._Packing(order, n, width)
+    a, b = pk.pack(u), pk.pack(v)
+    assert not (a | b) & pk.guards
+    assert pk.unpack(a) == u
+    assert ((a ^ pk.mask) < (b ^ pk.mask)) == (order.key(u) < order.key(v))
+    assert (a == b) == (u == v)
+    assert pk.divides(a, b) == monomials.divides(u, v)
+    for packed, exps in ((a + b, monomials.mul(u, v)), (pk.lcm(a, b), monomials.lcm(u, v))):
+        fits = all(f < 1 << width for f in (*exps, sum(exps[i] for i in order.packing(n)[1])))
+        if fits:
+            assert packed == pk.pack(exps)
+        else:
+            assert packed & pk.guards
+
+
+def test_overflow_widens_and_restarts():
+    # a remainder and a basis whose degrees outgrow the first field width:
+    # the kernel repacks at double width and finishes exactly
+    assert 40000 >= 1 << max(groebner._MIN_WIDTH, (20000).bit_length())
+    f = normal_form(poly("x1^4"), [poly("x1^2 - x2^20000")], LEX)
+    assert f.terms == {(0, 40000): 1}
+    d = 3000
+    assert 2 * d - 1 >= 1 << max(groebner._MIN_WIDTH, (d + 1).bit_length())
+    ideal = Ideal(3, [poly(f"x1^{d}", 3), poly(f"x1*x2^{d - 1} - x3^{d}", 3),
+                      poly(f"x3^{d + 1}", 3)], P)
+    assert [format_poly(g) for g in ideal.groebner_basis()] == [
+        f"x1^{d - 1}*x3^{d}", f"x3^{d + 1}", f"x1^{d}", f"x1*x2^{d - 1} + {P - 1}*x3^{d}"]
 
 
 # --- Hilbert functions -----------------------------------------------------------
