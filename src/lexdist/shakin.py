@@ -207,7 +207,11 @@ def stable_lex_embedding(a, ideal: MonomialIdeal) -> MonomialIdeal:
     base = base_ideal(a)
     if ideal.n != base.n:
         raise InvalidInputError("ambient mismatch")
-    target = hilbert_numerator(ideal)
+    return _embed_series(base, ideal, hilbert_numerator(ideal))
+
+
+def _embed_series(base: MonomialIdeal, ideal: MonomialIdeal, target) -> MonomialIdeal:
+    """stable_lex_embedding of an ideal whose series numerator target is known."""
     cutoff = max(ideal.max_degree(), base.max_degree(), 1)
     while True:
         candidate = lex_embed(base, values_from_numerator(target, ideal.n, cutoff), cutoff)

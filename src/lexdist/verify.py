@@ -4,13 +4,14 @@ The exhaustive checkers share one enumerator, _superideals, which builds
 every ideal over a base degree by degree together with its Hilbert
 function and graded pieces, so neither is recomputed per ideal.  The
 extremality checkers read their per-ideal work off those: the embedding
-cache key (_series_keys) and, in at most three variables, the Betti table
-(_betti_by_pieces).  Each checker replays deterministically from its
-recorded parameters and seed, counts the cases it examined and collects
-self-contained counterexample payloads.  A report passes iff it has no
-failures; observations that the underlying statement does not claim (for
-instance Betti extremality in small characteristic with pure powers
-present) are classified as findings instead.
+cache key and the target's series numerator (_piece_numerators) and, in
+at most three variables, the Betti table (_betti_by_pieces) and the local
+cohomology table (_coh_by_pieces).  Each checker replays deterministically
+from its recorded parameters and seed, counts the cases it examined and
+collects self-contained counterexample payloads.  A report passes iff it
+has no failures; observations that the underlying statement does not
+claim (for instance Betti extremality in small characteristic with pure
+powers present) are classified as findings instead.
 """
 
 from __future__ import annotations
@@ -34,14 +35,18 @@ from .groebner import DEFAULT_CHAR, Ideal, Poly
 from .homology import koszul_betti, local_coh_monomial
 from .monomials import (
     MonomialIdeal,
+    _minus_shifted,
     binom,
     degree_monomials,
     mask_to_monomials,
+    series_transform,
     shadow_mask,
     shadow_table,
+    values_from_numerator,
 )
 from .shakin import (
     ShakinIdeal,
+    _embed_series,
     base_ideal,
     embedded_masks,
     lex_embed,
@@ -275,28 +280,44 @@ def _exceeding(left: dict, right: dict, keys=("i", "j")):
     return rows
 
 
-def _series_keys(base, dmax):
-    """A function (h, piece) -> a key of the Hilbert series of a superideal I
-    of base, from its HF h up to dmax and its degree-dmax piece (a bitmask).
+def _piece_numerators(base, dmax):
+    """A function (piece, saturated=False) -> the Hilbert-series numerator
+    of J, or of J^sat, where J is generated by a degree-dmax piece (a
+    bitmask) and the base generators above dmax.
 
-    For d >= dmax, I_d = J_d, where J is generated by the degree-dmax piece
-    and the base generators above dmax.  J is zero below dmax, so
-    N_I = N_J - (1-t)^n * sum_{d<dmax} (dim S_d - h_d) t^d for the series
-    numerators, and the key (h, N_J) determines N_I and is determined by
-    it.  N_J is memoised by the piece for the life of the function.
+    A superideal I of base with HF h up to dmax and that last piece agrees
+    with J from degree dmax on, so (h, N_J) is a key of I's Hilbert series
+    (see _ideal_numerator), and I^sat = J^sat.  Both numerators are
+    memoised by (piece, saturated) for the life of the function.
     """
     n = base.n
     above = [g for g in base.gens if sum(g) > dmax]
     numerators = {}
 
-    def key(h, piece):
-        num = numerators.get(piece)
+    def numerator(piece, saturated=False):
+        num = numerators.get((piece, saturated))
         if num is None:
             j = MonomialIdeal(n, mask_to_monomials(n, dmax, piece) + above)
-            num = numerators[piece] = monomials.hilbert_numerator(j)
-        return h, num
+            if saturated:
+                j = monomials.saturate_maximal(j)
+            num = numerators[piece, saturated] = monomials.hilbert_numerator(j)
+        return num
 
-    return key
+    return numerator
+
+
+def _ideal_numerator(n, h, num):
+    """N_I off the series key (h, N_J) of _piece_numerators.
+
+    J is zero below dmax = len(h) - 1, so
+    N_I = N_J - (1-t)^n * sum_{d<dmax} (dim S_d - h_d) t^d; the key
+    determines N_I and is determined by it.
+    """
+    deficit = [binom(d + n - 1, n - 1) - v for d, v in enumerate(h[:-1])]
+    out = _minus_shifted(num, series_transform(deficit + [0] * n, n), 0)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _betti_by_pieces(base, dmax):
@@ -375,25 +396,80 @@ def _betti_by_pieces(base, dmax):
     return table
 
 
-def _embedded_cases(report, base, dmax, budget, invariant):
+def _coh_by_pieces(base, dmax, window, numerator):
+    """A function (ideal, h, pieces) -> {(i, j): dim H^i_m(A/I)_j} over the
+    window, nonzero values only in ascending (i, j), for a nonzero
+    superideal I of base in at most three variables, as _superideals
+    yields it; numerator is _piece_numerators(base, dmax).
+
+    With J as in _piece_numerators, I^sat = J^sat and HP(A/I) = HP(A/J);
+    the height-one part of I is (g), g the gcd of its generators, of degree e.
+    - h^0_j = h_j - HF(A/J^sat)_j, where h_j = HF(A/J)_j above dmax.
+    - h^{n-1}_j = dim S_{e-j-n} - dim S_{-j-n}, from 0 -> A(-e) -> A -> A/(g).
+    - h^n = 0, and for n = 3 Serre's formula
+      sum_i (-1)^i h^i_j = h_j - HP(j) gives h^1.
+    Only h^0 up to dmax depends on h; the rest is memoised by (last piece,
+    e) for the life of the function.  Nothing depends on the characteristic:
+    degree complexes on at most three vertices have no torsion.
+    """
+    n = base.n
+    if n > 3:
+        raise InvalidInputError(f"local cohomology by pieces needs n <= 3, got n={n}")
+    jmin, jmax = window
+    low = range(max(jmin, 0), min(jmax, dmax) + 1)
+    fixed = {}
+
+    def dim(d):
+        return binom(d + n - 1, n - 1)
+
+    def rows(last, e):
+        num, top = numerator(last), max(jmax, 0)
+        hf = values_from_numerator(num, n, top)
+        sat = values_from_numerator(numerator(last, True), n, top)
+        raw = {(0, j): hf[j] - sat[j] for j in range(max(jmin, dmax + 1), jmax + 1)}
+        outer = {j: dim(e - j - n) - dim(-j - n) for j in range(jmin, jmax + 1)}
+        if n == 3:  # h^1 = h^0 + h^2 - h + HP, where h^0 - h = -HF(A/J^sat)
+            for j, h2 in outer.items():
+                hp = sum(a * (j - k + 1) * (j - k + 2) // 2 for k, a in enumerate(num))
+                raw[1, j] = h2 + hp - (sat[j] if j >= 0 else 0)
+        if n > 1:  # in one variable the h^0 row is this row
+            raw.update(((n - 1, j), v) for j, v in outer.items())
+        return sat, {key: v for key, v in raw.items() if v}
+
+    def table(ideal, h, pieces):
+        if pieces[0]:
+            return {}
+        key = pieces[-1], sum(map(min, zip(*ideal.gens)))
+        got = fixed.get(key)
+        if got is None:
+            got = fixed[key] = rows(*key)
+        sat, rest = got
+        out = {(0, j): h[j] - sat[j] for j in low if h[j] != sat[j]}
+        out.update(rest)
+        return out
+
+    return table
+
+
+def _embedded_cases(report, base, dmax, budget, invariant, numerator):
     """Every superideal of base with its lex-embedding, counted on report.
 
     Yields (ideal, HF up to dmax, graded pieces up to dmax, embedded ideal,
     invariant(embedded)).  The embedding depends on an ideal only through
-    its Hilbert series, so it is cached by the series key of _series_keys,
-    which is read off the HF and the last piece instead of the ideal.
-    Equal keys mean equal series numerators and conversely, so the cache
-    hits are those of a cache keyed by the numerator.  An error payload
-    also depends on the starting cutoff, so a failing ideal is filed on
-    report.failures, uncached, and not yielded.
+    its Hilbert series, so it is cached by the series key (h, N_J), read
+    off the HF and the last piece through numerator, which is
+    _piece_numerators(base, dmax); a miss embeds from the N_I that the key
+    gives.  Equal keys mean equal series numerators and conversely, so the
+    cache hits are those of a cache keyed by the numerator.  An error
+    payload also depends on the starting cutoff, so a failing ideal is
+    filed on report.failures, uncached, and not yielded.
     """
     cache = {}
-    series_key = _series_keys(base, dmax)
     for ideal, h, pieces in _superideals(base, dmax, budget):
         report.cases_checked += 1
-        key = series_key(h, pieces[-1])
+        key = h, numerator(pieces[-1])
         if key not in cache:
-            embedded, err = _attempt(stable_lex_embedding, base, ideal)
+            embedded, err = _attempt(_embed_series, base, ideal, _ideal_numerator(base.n, *key))
             if err is not None:
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue
@@ -511,7 +587,9 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
         return koszul_betti(ideal, j_max, p).as_dict()
 
     by_pieces = _betti_by_pieces(base, dmax) if n <= 3 else None
-    for ideal, h, pieces, embedded, target in _embedded_cases(report, base, dmax, budget, betti):
+    numerator = _piece_numerators(base, dmax)
+    for ideal, h, pieces, embedded, target in _embedded_cases(
+            report, base, dmax, budget, betti, numerator):
         mine = by_pieces(ideal, h, pieces) if by_pieces else betti(ideal)
         bad = _exceeding(mine, target)
         if bad:
@@ -530,13 +608,17 @@ def verify_coh_extremal(a, dmax: int, window=None,
                         p: int = DEFAULT_CHAR) -> VerificationReport:
     """Local cohomology Hilbert functions are maximized by the embedded ideal.
 
-    Both sides are monomial, so all cohomological degrees are compared on
-    the window.
+    All cohomological degrees are compared on the window.  Targets, the
+    zero ideal and every ideal in n >= 4 variables go through
+    local_coh_monomial; other ideals in n <= 3 are read off their graded
+    pieces by _coh_by_pieces.
     """
     base = base_ideal(a)
     n = base.n
     if window is None:
         window = (-(dmax + n), dmax)
+    if window[0] > window[1]:
+        raise InvalidInputError("empty degree window")
     report = VerificationReport(
         theorem="cohomology-extremal",
         params={"n": n, "dmax": dmax, "window": list(window), "char": p,
@@ -546,8 +628,12 @@ def verify_coh_extremal(a, dmax: int, window=None,
     def coh(ideal):
         return local_coh_monomial(ideal, window=window, p=p).as_dict()
 
-    for ideal, h, _pieces, _embedded, target in _embedded_cases(report, base, dmax, budget, coh):
-        bad = _exceeding(coh(ideal), target)
+    numerator = _piece_numerators(base, dmax)
+    by_pieces = _coh_by_pieces(base, dmax, window, numerator) if n <= 3 else None
+    for ideal, h, pieces, _embedded, target in _embedded_cases(
+            report, base, dmax, budget, coh, numerator):
+        mine = by_pieces(ideal, h, pieces) if by_pieces and ideal.gens else coh(ideal)
+        bad = _exceeding(mine, target)
         if bad:
             report.failures.append({
                 "ideal": ideal.to_json(),

@@ -211,6 +211,12 @@ def test_localcoh_rejects_an_empty_range(capsys, files, bounds):
     assert code == 2 and data["error"] == "invalid-input", data
 
 
+def test_verify_coh_extremal_rejects_an_empty_window(capsys, files):
+    code, data = run(capsys, "verify", "coh-extremal", "--shakin", files["shakin"],
+                     "--dmax", "3", "--window=3:1")
+    assert code == 2 and data["error"] == "invalid-input", data
+
+
 def test_verify_pass_and_fail_exit_codes(capsys, files):
     code, data = run(capsys, "verify", "macaulay-lex",
                      "--shakin", files["shakin"], "--dmax", "4")

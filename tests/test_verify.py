@@ -13,7 +13,7 @@ from lexdist import monomials, verify
 from lexdist.distraction import DistractionMatrix, distract_ideal, random_distraction
 from lexdist.errors import BudgetExceededError, InvalidInputError
 from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general, initial_ideal
-from lexdist.homology import koszul_betti, taylor_betti_oracle
+from lexdist.homology import koszul_betti, local_coh_monomial, taylor_betti_oracle
 from lexdist.monomials import MonomialIdeal, hilbert_function
 from lexdist.shakin import lex_embed, make_piecewise_lex, make_shakin, stable_lex_embedding
 from lexdist.verify import (
@@ -130,10 +130,12 @@ def test_betti_by_pieces_rejects_four_variables():
 
 @pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
 def test_series_key_classes_are_the_numerator_classes(base, dmax):
-    key = verify._series_keys(base, dmax)
+    numerator = verify._piece_numerators(base, dmax)
     by_key, by_numerator = {}, {}
     for ideal, h, pieces in verify._superideals(base, dmax):
-        k, num = key(h, pieces[-1]), monomials.hilbert_numerator(ideal)
+        k, num = (h, numerator(pieces[-1])), monomials.hilbert_numerator(ideal)
+        # the key gives N_I, which the lex targets are embedded from
+        assert verify._ideal_numerator(base.n, *k) == num, ideal.gens
         by_key.setdefault(k, set()).add(num)
         by_numerator.setdefault(num, set()).add(k)
     assert all(len(nums) == 1 for nums in by_key.values())
@@ -270,6 +272,63 @@ def test_coh_extremal_three_variables_exhaustive():
 def test_coh_extremal_artinian_equality():
     report = verify_coh_extremal(shakin(2, powers=(2, 2)), 3)
     assert report.passed
+
+
+# (base, dmax, window or None for the checker's default, ideals whose
+# generators have a gcd > 1).  x3^5 lies above dmax 3; the window (-12, 9)
+# is wider than the default (-6, 3) on both sides.
+COH_ENUMERATIONS = [
+    (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 4, None, 0),
+    (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 5, None, 0),
+    (MonomialIdeal(3, [(2, 0, 0)]), 3, None, 14),
+    (MonomialIdeal(3, [(2, 0, 0)]), 4, None, 42),
+    (MonomialIdeal(3, [(2, 0, 0)]), 3, (-12, 9), 14),
+    (MonomialIdeal(3, [(0, 1, 1)]), 3, None, 27),
+    (MonomialIdeal(3), 3, None, 262),
+    (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5)]), 3, None, 0),
+    (MonomialIdeal(2, [(2, 0)]), 5, None, 6),
+    (MonomialIdeal(1, [(2,)]), 6, None, 2),
+]
+
+
+@pytest.mark.parametrize("base, dmax, window, gcds", COH_ENUMERATIONS)
+def test_coh_by_pieces_matches_takayama(base, dmax, window, gcds):
+    window = window or (-(dmax + base.n), dmax)
+    table = verify._coh_by_pieces(base, dmax, window, verify._piece_numerators(base, dmax))
+    units = found = 0
+    for ideal, h, pieces in verify._superideals(base, dmax):
+        if not ideal.gens:  # the zero ideal goes to local_coh_monomial
+            continue
+        got = table(ideal, h, pieces)
+        units += got == {}
+        found += sum(map(min, zip(*ideal.gens))) > 0
+        for p in (2, P):
+            # also in the (i, j) order that failure payloads show
+            want = local_coh_monomial(ideal, window=window, p=p).as_dict()
+            assert list(got.items()) == list(want.items()), (ideal.gens, p)
+    assert (units, found) == (1, gcds)
+
+
+def test_coh_extremal_sends_only_targets_zero_and_four_variables_to_takayama(monkeypatch):
+    seen = []
+
+    def spy(ideal, **kwargs):
+        seen.append(ideal.gens)
+        return local_coh_monomial(ideal, **kwargs)
+
+    monkeypatch.setattr(verify, "local_coh_monomial", spy)
+    four = shakin(4, pieces=[(1, [(2,)])])
+    report = verify_coh_extremal(four, 2)
+    assert report.passed and report.cases_checked == 717
+    assert {i.gens for i in enumerate_monomial_ideals_modulo(four, 2)} <= set(seen)
+    with pytest.raises(InvalidInputError):
+        verify._coh_by_pieces(four.total, 2, (-6, 2), None)
+    # in two variables: one call per series key, and the zero ideal is both
+    # an enumerated ideal and its own target
+    seen.clear()
+    report = verify_coh_extremal(MonomialIdeal(2), 3)
+    assert report.passed and report.cases_checked == 42
+    assert seen.count(()) == 2 and len(seen) == len(set(seen)) + 1
 
 
 # --- distraction statements ---------------------------------------------------------
