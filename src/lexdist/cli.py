@@ -8,6 +8,7 @@ exceeded.  Output is deterministic for fixed arguments, inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -257,6 +258,9 @@ def _add_common(sub, *flags):
                          help="human-readable rendering")
 
 
+# built on the first main() and shared by every later call in the process:
+# parse_args keeps no state between calls, so a call costs parse and dispatch
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexdist",

@@ -5,7 +5,11 @@ complex per multidegree, from one kernel: upper Koszul complexes give the
 Betti numbers, degree complexes the local cohomology.  The kernel is
 memoised by a canonical key of the complex (vertex bitmasks, see _faces_of)
 together with the characteristic, so an exhaustive check pays once per
-distinct complex, not once per ideal.  The keys are read off bitsets over
+distinct complex, not once per ideal.  A Koszul complex is first reduced
+to its strong-collapse core by deleting dominated vertices (Barmak-Minian,
+Discrete Comput. Geom. 47, 2012), which keeps its homotopy type; the memo
+holds the cores as well as the keys, so the ranks are paid once per core,
+and a core that is a point needs none.  The keys are read off bitsets over
 the generators, one table per coordinate built once per ideal (see
 _split), so a key costs a few bit operations per coordinate instead of
 a comparison per generator and coordinate.  A general homogeneous ideal J
@@ -375,13 +379,61 @@ def _faces_of(key):
     return [tuple(k for k in range(f.bit_length()) if f >> k & 1) for f in faces]
 
 
-@lru_cache(maxsize=1 << 12)  # distinct complexes; the exhaustive checkers see a few dozen
+def _strong_core(masks):
+    """The facets left after deleting dominated vertices while any remain.
+
+    A vertex v is dominated when some other vertex lies in every facet
+    through v.  Deleting it is a strong collapse, which keeps the homotopy
+    type (Barmak-Minian, Discrete Comput. Geom. 47, 2012), so the core has
+    the reduced homology of the complex over every field.  masks may hold
+    non-maximal facets; the core holds only maximal ones.  Deleting v
+    replaces each facet F through v by F - v; no two of those contain one
+    another, and the facets without v stay maximal, so only the F - v are
+    checked against the facets without v.  One vertex is deleted per pass:
+    deleting one can undo the domination of another.
+    """
+    facets = [f for f in masks if not any(f != g and f & g == f for g in masks)]
+    while True:
+        support = 0
+        for f in facets:
+            support |= f
+        while support:
+            bit = support & -support
+            support ^= bit
+            common = -1
+            for f in facets:
+                if f & bit:
+                    common &= f
+            if common != bit:
+                rest = [f for f in facets if not f & bit]
+                cut = [f & ~bit for f in facets if f & bit]
+                facets = rest + [f for f in cut if not any(f & g == f for g in rest)]
+                break
+        else:
+            return frozenset(facets)
+
+
+# the distinct keys, and the strong-collapse cores of the facet keys; the
+# exhaustive checkers see a few dozen keys, the n = 6 Betti tables a few hundred
+@lru_cache(maxsize=1 << 12)
 def _homology(key, p):
     """Reduced homology of the complex a key describes (see _faces_of), memoised.
 
     Returns sorted (k, dim H~_k) pairs, nonzero dims only; a tuple, since
-    every caller with the same key shares it.
+    every caller with the same key shares it.  A miss on a facet key first
+    reduces the facets to their strong-collapse core (_strong_core) and,
+    if that changes them, answers with the core's memoised homology, so
+    the ranks are paid once per core and the memo holds the cores as well
+    as the keys.  A core that is one facet is a point (a simplex collapses
+    to a vertex) and needs no rank.  Degree-complex keys are taken as
+    they are.
     """
+    if key[0] == "facets":
+        core = _strong_core(key[1])
+        if core != key[1]:
+            return _homology(("facets", core), p)
+        if len(core) == 1 and 0 not in core:
+            return ()
     return tuple(sorted(_reduced_homology(_faces_of(key), p).items()))
 
 

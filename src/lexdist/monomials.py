@@ -427,8 +427,11 @@ def _minus_shifted(a, b, shift):
 
 
 def values_from_numerator(num, n, upto):
-    """Quotient Hilbert function in degrees 0..upto off a numerator in n variables."""
-    padded = num[:upto + 1] + (0,) * (upto + 1 - len(num))
+    """Quotient Hilbert function in degrees 0..upto off a numerator in n variables.
+
+    A negative upto gives the empty tuple.
+    """
+    padded = num[:max(upto + 1, 0)] + (0,) * (upto + 1 - len(num))
     return series_transform(padded, -n)
 
 

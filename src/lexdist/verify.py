@@ -409,7 +409,8 @@ def _coh_by_pieces(base, dmax, window, numerator):
     - h^n = 0, and for n = 3 Serre's formula
       sum_i (-1)^i h^i_j = h_j - HP(j) gives h^1.
     Only h^0 up to dmax depends on h; the rest is memoised by (last piece,
-    e) for the life of the function.  Nothing depends on the characteristic:
+    e) for the life of the function, and every entry keys its (i, j) cells
+    by one shared tuple per cell.  Nothing depends on the characteristic:
     degree complexes on at most three vertices have no torsion.
     """
     n = base.n
@@ -418,6 +419,7 @@ def _coh_by_pieces(base, dmax, window, numerator):
     jmin, jmax = window
     low = range(max(jmin, 0), min(jmax, dmax) + 1)
     fixed = {}
+    cell = [{j: (i, j) for j in range(jmin, jmax + 1)} for i in range(n)]
 
     def dim(d):
         return binom(d + n - 1, n - 1)
@@ -426,14 +428,14 @@ def _coh_by_pieces(base, dmax, window, numerator):
         num, top = numerator(last), max(jmax, 0)
         hf = values_from_numerator(num, n, top)
         sat = values_from_numerator(numerator(last, True), n, top)
-        raw = {(0, j): hf[j] - sat[j] for j in range(max(jmin, dmax + 1), jmax + 1)}
+        raw = {cell[0][j]: hf[j] - sat[j] for j in range(max(jmin, dmax + 1), jmax + 1)}
         outer = {j: dim(e - j - n) - dim(-j - n) for j in range(jmin, jmax + 1)}
         if n == 3:  # h^1 = h^0 + h^2 - h + HP, where h^0 - h = -HF(A/J^sat)
             for j, h2 in outer.items():
                 hp = sum(a * (j - k + 1) * (j - k + 2) // 2 for k, a in enumerate(num))
-                raw[1, j] = h2 + hp - (sat[j] if j >= 0 else 0)
+                raw[cell[1][j]] = h2 + hp - (sat[j] if j >= 0 else 0)
         if n > 1:  # in one variable the h^0 row is this row
-            raw.update(((n - 1, j), v) for j, v in outer.items())
+            raw.update((cell[n - 1][j], v) for j, v in outer.items())
         return sat, {key: v for key, v in raw.items() if v}
 
     def table(ideal, h, pieces):
@@ -444,7 +446,7 @@ def _coh_by_pieces(base, dmax, window, numerator):
         if got is None:
             got = fixed[key] = rows(*key)
         sat, rest = got
-        out = {(0, j): h[j] - sat[j] for j in low if h[j] != sat[j]}
+        out = {cell[0][j]: h[j] - sat[j] for j in low if h[j] != sat[j]}
         out.update(rest)
         return out
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lexdist.cli import main
+from lexdist.cli import build_parser, main
 from lexdist.distraction import DistractionMatrix
 from lexdist.errors import InvalidInputError
 from lexdist.groebner import Ideal
@@ -390,6 +390,42 @@ def test_pretty_rendering(capsys, files):
     out = capsys.readouterr().out
     assert code == 0
     assert "values:" in out
+
+
+def test_one_parser_serves_every_call(capsys, files):
+    # main() builds the parser once per process; a call must give the bytes
+    # it gives on its own, with a parser nobody used before
+    calls = [
+        ["verify", "codistra-h0", "--n", "2", "--dmax", "4", "--samples", "4",
+         "--seed", "9", "--pretty"],
+        ["betti", "--ideal", files["mono"], "--dmax", "4"],
+        ["hilbert", "--ideal", files["mono"], "--dmax", "3", "--pretty"],
+        ["hilbert", "--ideal", files["mono"], "--dmax", "3"],
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr().out))
+    build_parser.cache_clear()
+    shared = []
+    for argv in calls:
+        shared.append((main(argv), capsys.readouterr().out))
+    assert shared == alone
+    assert [code for code, _ in alone] == [0, 0, 0, 0]
+    assert alone[2][1] != alone[3][1]
+    assert build_parser.cache_info().misses == 1
+
+
+def test_parse_errors_and_help_leave_the_parser_usable(capsys, files):
+    argv = ["betti", "--ideal", files["mono"]]
+    expected = run(capsys, *argv, "--dmax", "3")
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert run(capsys, *argv, "--dmax", "3") == expected
+    assert main(["--help"]) == 0
+    assert "{hilbert,lexify,embed,distract,polarize,betti,localcoh,verify}" in \
+        capsys.readouterr().out
+    assert run(capsys, *argv, "--dmax", "3") == expected
 
 
 def test_cli_imports_without_numpy():

@@ -13,7 +13,7 @@ from lexdist.monomials import MonomialIdeal, hilbert_function, series_transform
 from lexdist.verify import VerificationReport, _distraction_pairs
 from lexdist import groebner, homology
 
-from conftest import HUGE_P, LARGE_P, brute_local_coh
+from conftest import HUGE_P, LARGE_P, brute_local_coh, brute_reduced_homology
 
 P = DEFAULT_CHAR
 
@@ -44,13 +44,16 @@ def seeded_monomial_ideals():
     yield MonomialIdeal(3, [(9, 0, 0), (0, 9, 0), (0, 0, 9), (1, 1, 0), (0, 2, 1)]), 2
 
 
-def rp2_stanley_reisner_ideal():
-    """Stanley-Reisner ideal of the 6-vertex RP^2: H~_1 = Z/2 shows only mod 2."""
-    facets = {frozenset(int(v) - 1 for v in f) for f in
+# the facets of the 6-vertex RP^2: H~_1 = Z/2 shows only mod 2
+RP2_FACETS = {frozenset(int(v) - 1 for v in f) for f in
               ("124", "126", "135", "136", "145", "234", "235", "256", "346", "456")}
+
+
+def rp2_stanley_reisner_ideal():
+    """Stanley-Reisner ideal of the 6-vertex RP^2."""
     return MonomialIdeal(6, [
         tuple(int(k in t) for k in range(6)) for t in itertools.combinations(range(6), 3)
-        if frozenset(t) not in facets
+        if frozenset(t) not in RP2_FACETS
     ])
 
 
@@ -293,6 +296,65 @@ def test_void_complex():
 def test_facets_form_antichain():
     # non-maximal facets add no faces: the complex is that of the antichain
     assert reduced_homology([{0, 1}, {0}, {2}]) == reduced_homology([{0, 1}, {2}]) == {0: 1}
+
+
+def brute_facet_homology(masks, p):
+    """brute_reduced_homology of every subset of every facet bitmask."""
+    faces = set()
+    for mask in masks:
+        facet = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        for k in range(len(facet) + 1):
+            faces.update(itertools.combinations(facet, k))
+    return brute_reduced_homology(faces, p)
+
+
+def random_facet_sets():
+    """Seeded facet bitmasks on at most 7 vertices, non-maximal ones included."""
+    gen = random.Random(2012)
+    for _ in range(150):
+        r = gen.randint(1, 7)
+        yield frozenset(gen.randrange(1 << r) for _ in range(gen.randint(1, 7)))
+
+
+def is_antichain(masks):
+    return not any(f != g and f & g == f for f in masks for g in masks)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_strong_core_keeps_homology(p):
+    homology._homology.cache_clear()
+    rp2 = frozenset(sum(1 << v for v in f) for f in RP2_FACETS)
+    cone = frozenset(m | 1 << 6 for m in rp2)
+    pinned = {rp2: {1: 1, 2: 1} if p == 2 else {}, cone: {},
+              frozenset(): {}, frozenset({0}): {-1: 1}}
+    for masks in [*pinned, *random_facet_sets()]:
+        core = homology._strong_core(masks)
+        assert is_antichain(core), masks
+        expected = brute_facet_homology(masks, p)
+        assert pinned.get(masks, expected) == expected
+        assert brute_facet_homology(core, p) == expected, (masks, core)
+        assert dict(homology._homology(("facets", masks), p)) == expected, (masks, core)
+
+
+def test_strong_core_of_a_collapsible_complex_is_a_point(monkeypatch):
+    # a path, a tree, a simplex and cones: each collapses to one vertex by
+    # deleting dominated vertices one at a time, and a point needs no rank
+    def forbidden(*args):
+        raise AssertionError("rank_mod called on a complex whose core is a point")
+
+    gen = random.Random(47)
+    cones = [frozenset(gen.randrange(1, 1 << 6) | 1 << 6 for _ in range(gen.randint(1, 6)))
+             for _ in range(30)]
+    path = [{0, 1}, {1, 2}, {2, 3}, {3, 4}]
+    tree = [{0, 1}, {1, 2}, {1, 3}, {3, 4}, {3, 5}, {5, 6}]
+    complexes = [frozenset(sum(1 << v for v in f) for f in facets)
+                 for facets in (path, tree, [{0, 1, 2, 3}], [{0}], [{0, 1, 2}, {2, 3}])]
+    homology._homology.cache_clear()
+    monkeypatch.setattr(homology, "rank_mod", forbidden)
+    for masks in complexes + cones:
+        core = homology._strong_core(masks)
+        assert len(core) == 1 and next(iter(core)).bit_count() == 1, (masks, core)
+        assert homology._homology(("facets", masks), 2) == ()
 
 
 # --- local cohomology --------------------------------------------------------------

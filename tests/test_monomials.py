@@ -26,6 +26,7 @@ from lexdist.monomials import (
     series_transform,
     slice_last_variable,
     standard_monomials,
+    values_from_numerator,
     _antichain,
     _hilbert_by_masks,
     _minimal_generators,
@@ -160,6 +161,13 @@ def test_hilbert_matches_brute_force(ideal, dmax):
 @given(small_ideals(3, max_exp=2), st.integers(0, 6))
 def test_hilbert_upto_matches(ideal, dmax):
     assert hilbert_upto(ideal, dmax) == hilbert_function(ideal, dmax)
+
+
+@pytest.mark.parametrize("upto", [-1, -2, -5])
+def test_hilbert_upto_below_zero_is_empty(upto):
+    ideal = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 0, 3)])
+    assert hilbert_upto(ideal, upto) == ()
+    assert values_from_numerator(hilbert_numerator(ideal), 3, upto) == ()
 
 
 @given(small_ideals(4, max_gens=4, max_exp=1))
