@@ -40,21 +40,13 @@ def monic(v: dict, c, p: int) -> dict:
 
 
 def rank_mod(rows: list, p: int) -> int:
-    """Rank over F_p of a matrix given as a list of rows.
+    """Rank over F_p of a matrix given as a list of sparse {column: entry} rows.
 
-    A row is a sparse {column: entry} dict or a dense sequence of entries.
     Entries may be any integers; they are reduced mod p here.  Rows are
     taken sparsest first, which keeps the pivot rows sparse, and each
     becomes a new pivot row if reduce_row leaves anything of it.
     """
-    vectors = []
-    for row in rows:
-        v = {}
-        for k, x in (row.items() if isinstance(row, dict) else enumerate(row)):
-            x %= p
-            if x:
-                v[k] = x
-        vectors.append(v)
+    vectors = [{k: y for k, x in row.items() if (y := x % p)} for row in rows]
     vectors.sort(key=len)
     pivots = {}
     for v in vectors:

@@ -202,40 +202,34 @@ def _cmd_localcoh(args) -> int:
     return 0
 
 
+# the one list of verify kinds, in --help order (the parser's choices are its
+# keys); each entry loads its inputs, base first, and returns the report
+_VERIFY_KINDS = {
+    "macaulay-lex": lambda args: verify.verify_macaulay_lex(
+        _load_base(args.shakin), args.dmax, budget=args.budget),
+    "betti-extremal": lambda args: verify.verify_betti_extremal(
+        _load_base(args.shakin), args.dmax, budget=args.budget, p=_char(args)),
+    "coh-extremal": lambda args: verify.verify_coh_extremal(
+        _load_base(args.shakin), args.dmax,
+        window=_parse_window(args.window) if args.window else None,
+        budget=args.budget, p=_char(args)),
+    "distraction-hf": lambda args: verify.verify_distraction_hf(
+        _load_base(args.shakin), _load_distraction(args.distraction, args.char),
+        args.dmax, samples=args.samples, seed=args.seed, p=_char(args)),
+    "epsilon-d-extremal": lambda args: verify.verify_epsilon_d_extremal(
+        _load_base(args.shakin), _load_distraction(args.distraction, args.char),
+        args.dmax, samples=args.samples, seed=args.seed, p=_char(args)),
+    "betti-invariance": lambda args: verify.verify_betti_distraction_invariance(
+        args.n, samples=args.samples, dmax=args.dmax, seed=args.seed,
+        p=_char(args)),
+    "codistra-h0": lambda args: verify.verify_codistra_h0(
+        args.n, samples=args.samples, dmax=args.dmax, seed=args.seed,
+        p=_char(args)),
+}
+
+
 def _cmd_verify(args) -> int:
-    kind = args.kind
-    if kind in ("macaulay-lex", "betti-extremal", "coh-extremal",
-                "distraction-hf", "epsilon-d-extremal"):
-        base = _load_base(args.shakin)
-    if kind == "macaulay-lex":
-        report = verify.verify_macaulay_lex(base, args.dmax, budget=args.budget)
-    elif kind == "betti-extremal":
-        report = verify.verify_betti_extremal(
-            base, args.dmax, budget=args.budget, p=_char(args))
-    elif kind == "coh-extremal":
-        window = _parse_window(args.window) if args.window else None
-        report = verify.verify_coh_extremal(
-            base, args.dmax, window=window, budget=args.budget, p=_char(args))
-    elif kind == "distraction-hf":
-        d = _load_distraction(args.distraction, args.char)
-        report = verify.verify_distraction_hf(
-            base, d, args.dmax, samples=args.samples, seed=args.seed,
-            p=_char(args))
-    elif kind == "epsilon-d-extremal":
-        d = _load_distraction(args.distraction, args.char)
-        report = verify.verify_epsilon_d_extremal(
-            base, d, args.dmax, samples=args.samples, seed=args.seed,
-            p=_char(args))
-    elif kind == "betti-invariance":
-        report = verify.verify_betti_distraction_invariance(
-            args.n, samples=args.samples, dmax=args.dmax, seed=args.seed,
-            p=_char(args))
-    elif kind == "codistra-h0":
-        report = verify.verify_codistra_h0(
-            args.n, samples=args.samples, dmax=args.dmax, seed=args.seed,
-            p=_char(args))
-    else:
-        raise InvalidInputError(f"unknown verification kind {kind!r}")
+    report = _VERIFY_KINDS[args.kind](args)
     _emit(report.to_json(), args)
     return 0 if report.passed else 1
 
@@ -311,10 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_localcoh)
 
     s = subs.add_parser("verify", help="run a verification report")
-    s.add_argument("kind", choices=[
-        "macaulay-lex", "betti-extremal", "coh-extremal", "distraction-hf",
-        "epsilon-d-extremal", "betti-invariance", "codistra-h0",
-    ])
+    s.add_argument("kind", choices=list(_VERIFY_KINDS))
     s.add_argument("--shakin", help="Shakin (or monomial) ideal JSON file")
     s.add_argument("--distraction", help="distraction JSON file")
     s.add_argument("--n", type=int, default=3)

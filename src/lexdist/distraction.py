@@ -47,11 +47,6 @@ class DistractionMatrix:
                 if not any(entry):
                     raise InvalidInputError("zero linear form in distraction")
 
-    @property
-    def stabilization(self) -> int:
-        """Index N past which every row is constant (1-based column count)."""
-        return max(len(row) for row in self.rows)
-
     def entry(self, i: int, j: int):
         """Coefficients of l_{i+1, j+1} (0-based arguments, tail repeats)."""
         row = self.rows[i]
@@ -243,12 +238,9 @@ class PolarizationResult:
         out = []
         for g in self.polarized.gens:
             poly = Poly.constant(n, p, 1)
+            # polarize sets only block coordinates, which are all >= n
             for idx, e in enumerate(g):
-                if not e:
-                    continue
-                if idx < n:
-                    poly = poly * Poly.from_monomial(variable(n, idx), p).power(e)
-                else:
+                if e:
                     poly = poly * forms[idx].power(e)
             out.append(poly)
         return out

@@ -493,9 +493,6 @@ class Ideal:
     def contains(self, f: Poly) -> bool:
         return normal_form(f, self.groebner_basis(), DEGREVLEX).is_zero
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.gens) or "0"
         return f"Ideal(n={self.n}, p={self.p}; {gens})"

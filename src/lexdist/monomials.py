@@ -78,23 +78,14 @@ def degree_index(n: int, d: int):
 
 
 @lru_cache(maxsize=None)
-def mult_table(n: int, d: int):
-    """mult_table(n, d)[k][i] = index of x_{i+1} * m_k inside degree d+1."""
+def shadow_table(n: int, d: int):
+    """shadow_table(n, d)[k] = bitmask of the x_i * m_k inside degree d+1."""
     idx = degree_index(n, d + 1)
     table = []
     for m in degree_monomials(n, d):
-        table.append(tuple(idx[mul(m, variable(n, i))] for i in range(n)))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def shadow_table(n: int, d: int):
-    """shadow_table(n, d)[k] = bitmask of the degree-(d+1) multiples of m_k."""
-    table = []
-    for row in mult_table(n, d):
         mask = 0
-        for j in row:
-            mask |= 1 << j
+        for i in range(n):
+            mask |= 1 << idx[mul(m, variable(n, i))]
         table.append(mask)
     return tuple(table)
 

@@ -119,6 +119,8 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     """
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
+    if budget is not None and budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     above = tuple(g for g in base.gens if sum(g) > dmax)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lexdist.cli import build_parser, main
+from lexdist.cli import _VERIFY_KINDS, build_parser, main
 from lexdist.distraction import DistractionMatrix
 from lexdist.errors import InvalidInputError
 from lexdist.groebner import Ideal
@@ -33,6 +33,7 @@ def files(tmp_path):
             "rows": [[{"c": [1, 0]}, {"c": [1, 1]}], [{"c": [0, 1]}]],
         }),
         "bad_base": write("bad.json", {"n": 2, "gens": [[0, 2]]}),
+        "neither": write("neither.json", {"n": 2}),
         "tmp": tmp_path,
     }
 
@@ -95,6 +96,37 @@ def test_malformed_json_is_invalid_input(capsys, files, command, data):
     path.write_text(json.dumps(data))
     argv = MALFORMED_ARGV[command].format(bad=path, **files).split()
     code, out = run(capsys, *argv)
+    assert code == 2 and out["error"] == "invalid-input", out
+
+
+@pytest.mark.parametrize("argv", [
+    "verify macaulay-lex --dmax 2",
+    "verify distraction-hf --shakin {shakin} --dmax 2",
+    "verify macaulay-lex --shakin {neither} --dmax 2",
+    "hilbert --ideal {neither} --dmax 2",
+    "hilbert --ideal {missing} --dmax 2",
+    "localcoh --ideal {mono} --window 3",
+    "verify coh-extremal --shakin {shakin} --dmax 2 --window 3",
+], ids=["no-shakin", "no-distraction", "shakin-without-gens", "ideal-without-gens",
+        "unreadable-path", "localcoh-window-3", "coh-extremal-window-3"])
+def test_missing_or_unusable_input_is_invalid_input(capsys, files, argv):
+    argv = argv.format(missing=files["tmp"] / "missing.json", **files)
+    code, out = run(capsys, *argv.split())
+    assert code == 2 and out["error"] == "invalid-input", out
+
+
+@pytest.mark.parametrize("argv", [
+    "verify distraction-hf --shakin {neither} --dmax 2",
+    "verify coh-extremal --shakin {neither} --dmax 2 --window 3",
+], ids=["before-the-distraction", "before-the-window"])
+def test_verify_reports_a_bad_base_first(capsys, files, argv):
+    code, out = run(capsys, *argv.format(**files).split())
+    assert code == 2
+    assert out["message"] == f"{files['neither']}: expected 'pieces'/'powers' or 'gens'"
+
+
+def test_lexify_rejects_values_that_are_not_a_list(capsys):
+    code, out = run(capsys, "lexify", "--n", "2", "--hf", '{"values": 3}')
     assert code == 2 and out["error"] == "invalid-input", out
 
 
@@ -184,6 +216,14 @@ def test_polarize(capsys, files):
     assert code == 0
     assert data["extended_n"] == 5
     assert sorted(data["polarized"]["gens"]) == [[0, 0, 1, 0, 1], [0, 0, 1, 1, 0]]
+    assert data["specialization_l"] is None
+    code, with_d = run(capsys, "polarize", "--ideal", files["mono"],
+                       "--distraction", files["distraction"])
+    assert code == 0
+    assert {k: v for k, v in with_d.items() if k != "specialization_l"} == \
+        {k: v for k, v in data.items() if k != "specialization_l"}
+    # blocks X_11, X_12 (indices 2, 3) and X_21 (4) carry l_11, l_12 and l_21
+    assert with_d["specialization_l"] == [[[1, 0], 2], [[1, 1], 3], [[0, 1], 4]]
 
 
 def test_betti(capsys, files):
@@ -242,6 +282,18 @@ def test_verify_budget_exit_code(capsys, files, tmp_path):
     assert data["error"] == "budget-exceeded"
 
 
+def test_verify_rejects_a_negative_budget(capsys, tmp_path):
+    x1sq = tmp_path / "x1sq.json"
+    x1sq.write_text(json.dumps({"n": 3, "gens": [[2, 0, 0]]}))
+    argv = ["verify", "macaulay-lex", "--shakin", str(x1sq), "--dmax", "2"]
+    code, data = run(capsys, *argv, "--budget", "-1")
+    assert code == 2 and data["error"] == "invalid-input"
+    assert data["message"] == "budget must be nonnegative, got -1"
+    code, data = run(capsys, *argv, "--budget", "0")
+    assert code == 3
+    assert data == {"v": 1, "error": "budget-exceeded", "budget": 0, "count_estimate": 512}
+
+
 def test_verify_sampled_kinds(capsys, files):
     code, data = run(capsys, "verify", "codistra-h0", "--n", "2", "--dmax", "4",
                      "--samples", "5", "--seed", "3")
@@ -290,6 +342,16 @@ def test_every_command_rejects_a_negative_dmax(capsys, files, argv):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_verify_kinds_are_listed_once_and_pinned(capsys):
+    kinds = ["macaulay-lex", "betti-extremal", "coh-extremal", "distraction-hf",
+             "epsilon-d-extremal", "betti-invariance", "codistra-h0"]
+    assert list(_VERIFY_KINDS) == kinds
+    assert main(["verify", "--help"]) == 0
+    assert "{" + ",".join(kinds) + "}" in capsys.readouterr().out
+    # a new kind cannot ship without its report bytes pinned
+    assert {args.split()[0] for args, _, _ in GOLDEN_REPORTS.values()} == set(kinds)
 
 
 def test_byte_identical_output(capsys, files, tmp_path):

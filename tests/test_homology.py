@@ -383,6 +383,15 @@ def test_local_coh_hypersurface():
     assert table.row(0) == (0,) * 9
 
 
+def test_local_coh_default_window_spans_the_generator_degrees():
+    # no window: degrees -s..s, where s sums the generators' degrees
+    ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
+    table = local_coh_monomial(ideal)
+    assert table.window == (-4, 4)
+    assert table == local_coh_monomial(ideal, window=(-4, 4))
+    assert any(table.row(1))
+
+
 def test_local_coh_polynomial_ring_top():
     table = local_coh_monomial(MonomialIdeal(3), window=(-6, 0))
     # H^n of the ambient ring: dimension C(-j-1, n-1) in degree j

@@ -1,5 +1,6 @@
 """verify module: enumeration, reports, and the theorem checkers."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -9,7 +10,8 @@ import random
 import pytest
 
 import lexdist
-from lexdist import monomials, verify
+from lexdist import groebner, monomials, verify
+from lexdist.cli import main
 from lexdist.distraction import DistractionMatrix, distract_ideal, random_distraction
 from lexdist.errors import BudgetExceededError, InvalidInputError
 from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general, initial_ideal
@@ -90,6 +92,18 @@ def test_superideals_carry_their_generators_and_hilbert_function(base, dmax):
 def test_superideals_reject_a_negative_dmax():
     with pytest.raises(InvalidInputError, match="dmax must be nonnegative"):
         next(verify._superideals(MonomialIdeal(2, [(2, 0)]), -1))
+
+
+@pytest.mark.parametrize("check", [
+    lambda base: list(enumerate_monomial_ideals_modulo(base, 2, budget=-1)),
+    lambda base: verify_macaulay_lex(base, 2, budget=-1),
+    lambda base: verify_betti_extremal(base, 2, budget=-1),
+    lambda base: verify_coh_extremal(base, 2, budget=-1),
+], ids=["enumerate", "macaulay-lex", "betti-extremal", "coh-extremal"])
+def test_exhaustive_kinds_reject_a_negative_budget(check):
+    base = MonomialIdeal(3, [(2, 0, 0)])
+    with pytest.raises(InvalidInputError, match="budget must be nonnegative, got -1"):
+        check(base)
 
 
 # Enumerations the leaf shortcuts of the extremality checkers are pinned on:
@@ -437,6 +451,92 @@ def test_epsilon_d_extremal_rejects_betti_with_powers():
     d = random_distraction(rng, 2, P, columns=4)
     report = verify_epsilon_d_extremal(a, d, 3, samples=3, seed=31)
     assert any("rejected" in note for note in report.notes)
+
+
+# --- failure payloads --------------------------------------------------------------
+# Each checker's failure branch, reached by breaking one step it relies on; the
+# CLI must then exit 1 with the same report.
+
+def _cli_report(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    code = main(["verify", *argv, "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_distraction_hf_reports_a_failed_reverse_inclusion(monkeypatch, tmp_path):
+    base = MonomialIdeal(2, [(2, 0)])
+    d = random_distraction(random.Random(3), 2, P, columns=5)
+    # an "embedding" that returns the base distracts to the base's HF
+    monkeypatch.setattr(verify, "lex_embed", lambda a, h, dmax: base)
+    report = verify_distraction_hf(base, d, 4, samples=15, seed=9)
+    assert report.passed is False
+    back = list(hf_general(distract_ideal(d, base), 4))
+    assert report.failures and report.cases_checked >= len(report.failures)
+    for failure in report.failures:
+        assert set(failure) == {"embedded", "expected_hf", "distracted_hf", "error"}
+        assert failure["error"] == "reverse-inclusion"
+        assert failure["embedded"] == base.to_json()
+        assert failure["distracted_hf"] == back != failure["expected_hf"]
+    (tmp_path / "base.json").write_text(json.dumps(base.to_json()))
+    (tmp_path / "d.json").write_text(json.dumps(d.to_json()))
+    code, data = _cli_report(
+        tmp_path, "distraction-hf", "--shakin", str(tmp_path / "base.json"),
+        "--distraction", str(tmp_path / "d.json"), "--dmax", "4",
+        "--samples", "15", "--seed", "9")
+    assert code == 1 and data["failures"] == report.failures
+
+
+def test_betti_invariance_reports_differing_tables(monkeypatch, tmp_path):
+    real = verify.koszul_betti
+
+    def koszul_betti_off_by_one(ideal, dmax, p):
+        table = real(ideal, dmax, p)
+        if isinstance(ideal, MonomialIdeal):
+            return table
+        rest = tuple(e for e in table.entries if e[0] != (0, 0))
+        return dataclasses.replace(table, entries=(((0, 0), table[0, 0] + 1),) + rest)
+
+    monkeypatch.setattr(verify, "koszul_betti", koszul_betti_off_by_one)
+    report = verify_betti_distraction_invariance(2, samples=3, dmax=4, seed=13)
+    assert report.passed is False and report.cases_checked == 3
+    assert len(report.failures) == 3
+    for failure in report.failures:
+        assert set(failure) == {"ideal", "distraction", "betti_monomial", "betti_distracted"}
+        ideal = MonomialIdeal.from_json(failure["ideal"])
+        left = real(ideal, 4, P).to_json()
+        assert failure["betti_monomial"] == left
+        assert failure["betti_distracted"]["entries"] == {**left["entries"], "0,0": 2}
+    code, data = _cli_report(tmp_path, "betti-invariance", "--n", "2", "--dmax", "4",
+                             "--samples", "3", "--seed", "13")
+    assert code == 1 and data["failures"] == report.failures
+
+
+def test_codistra_h0_reports_a_monomial_value_above_the_distracted(monkeypatch, tmp_path):
+    real = groebner.h0_hilbert_function
+
+    def h0_raised_on_monomials(ideal, dmax):
+        values = real(ideal, dmax)
+        if isinstance(ideal, MonomialIdeal):
+            return tuple(v + 1 for v in values)
+        return values
+
+    monkeypatch.setattr(groebner, "h0_hilbert_function", h0_raised_on_monomials)
+    report = verify_codistra_h0(2, samples=3, dmax=4, seed=17)
+    assert report.passed is False and report.cases_checked == 3
+    assert len(report.failures) == 3
+    for failure in report.failures:
+        assert set(failure) == {"ideal", "distraction", "h0_monomial", "h0_distracted",
+                                "violations"}
+        ideal = MonomialIdeal.from_json(failure["ideal"])
+        right = list(real(ideal, 4))
+        # the two sides agree on these samples, so every degree exceeds by one
+        assert failure["h0_distracted"] == right
+        assert failure["h0_monomial"] == [v + 1 for v in right]
+        assert failure["violations"] == [{"j": j, "left": v + 1, "right": v}
+                                         for j, v in enumerate(right)]
+    code, data = _cli_report(tmp_path, "codistra-h0", "--n", "2", "--dmax", "4",
+                             "--samples", "3", "--seed", "17")
+    assert code == 1 and data["failures"] == report.failures
 
 
 # --- replayability -------------------------------------------------------------------
