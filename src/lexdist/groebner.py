@@ -160,9 +160,6 @@ class Poly:
             out[e] = out.get(e, 0) - c
         return Poly(self.n, self.p, out)
 
-    def __neg__(self):
-        return Poly(self.n, self.p, {e: -c for e, c in self.terms.items()})
-
     def scale(self, c):
         return Poly(self.n, self.p, {e: v * c for e, v in self.terms.items()})
 
@@ -173,8 +170,6 @@ class Poly:
         )
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -191,17 +186,6 @@ class Poly:
             base = base * base
             k >>= 1
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.n == other.n
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.p, frozenset(self.terms.items())))
 
     def __repr__(self):
         return format_poly(self)

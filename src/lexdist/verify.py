@@ -4,9 +4,11 @@ The exhaustive checkers share one enumerator, _superideals, which builds
 every ideal over a base degree by degree together with its Hilbert
 function and graded pieces, so neither is recomputed per ideal.  The
 extremality checkers read their per-ideal work off those: the embedding
-cache key and the target's series numerator (_piece_numerators) and, in
-at most three variables, the Betti table (_betti_by_pieces) and the local
-cohomology table (_coh_by_pieces).  Each checker replays deterministically
+cache key and the target's series numerator (_piece_numerators, grown by
+one colon step from the piece with one generator fewer) and, in at most
+three variables, the Betti tables of the ideal and of its lex target
+(_betti_by_pieces) and the ideal's local cohomology table
+(_coh_by_pieces).  Each checker replays deterministically
 from its recorded parameters and seed, counts the cases it examined and
 collects self-contained counterexample payloads.  A report passes iff it
 has no failures; observations that the underlying statement does not
@@ -31,7 +33,7 @@ from .errors import (
     InvalidInputError,
     NotAdmissibleError,
 )
-from .groebner import DEFAULT_CHAR, Ideal, Poly
+from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
 from .homology import koszul_betti, local_coh_monomial
 from .monomials import (
     MonomialIdeal,
@@ -289,20 +291,41 @@ def _piece_numerators(base, dmax):
 
     A superideal I of base with HF h up to dmax and that last piece agrees
     with J from degree dmax on, so (h, N_J) is a key of I's Hilbert series
-    (see _ideal_numerator), and I^sat = J^sat.  Both numerators are
-    memoised by (piece, saturated) for the life of the function.
+    (see _ideal_numerator), and I^sat = J^sat.  N_J is grown one generator
+    at a time: with m the monomial of the piece's highest bit and J' the
+    ideal of the piece without it, N_J = N_J' - t^dmax N(J' : m)
+    (Bayer-Stillman 1992, Bigatti 1997), one colon step through the memo
+    monomials._numerator.  The empty piece starts from the generators above
+    dmax.  Both numerators are memoised by (piece, saturated) for the life
+    of the function, the unsaturated ones with every smaller piece met on
+    the way down.
     """
     n = base.n
     above = [g for g in base.gens if sum(g) > dmax]
-    numerators = {}
+    monos = degree_monomials(n, dmax)
+    numerators = {(0, False): monomials.hilbert_numerator(MonomialIdeal(n, above))}
 
     def numerator(piece, saturated=False):
         num = numerators.get((piece, saturated))
-        if num is None:
+        if num is not None:
+            return num
+        if saturated:
             j = MonomialIdeal(n, mask_to_monomials(n, dmax, piece) + above)
-            if saturated:
-                j = monomials.saturate_maximal(j)
-            num = numerators[piece, saturated] = monomials.hilbert_numerator(j)
+            num = numerators[piece, True] = monomials.hilbert_numerator(
+                monomials.saturate_maximal(j))
+            return num
+        grown = []
+        while (piece, False) not in numerators:
+            grown.append(piece)
+            piece ^= 1 << piece.bit_length() - 1
+        num = numerators[piece, False]
+        for piece in reversed(grown):
+            k = piece.bit_length() - 1
+            num = monomials._plus_generator(
+                num, mask_to_monomials(n, dmax, piece ^ 1 << k) + above, monos[k])
+            while num and not num[-1]:
+                num.pop()
+            num = numerators[piece, False] = tuple(num)
         return num
 
     return numerator
@@ -323,9 +346,13 @@ def _ideal_numerator(n, h, num):
 
 
 def _betti_by_pieces(base, dmax):
-    """A function (ideal, h, pieces) -> {(i, j): beta_{i,j}(A/I)} for
-    j <= dmax + 1, nonzero values only, for a superideal I of base in at
-    most three variables, as _superideals yields it.
+    """A function (ideal, h=None, pieces=None) -> {(i, j): beta_{i,j}(A/I)}
+    for j <= dmax + 1, nonzero values only in ascending (i, j), for a
+    monomial ideal I in at most three variables.  A superideal of base
+    comes with its HF h and graded pieces up to dmax, as _superideals
+    yields it; any other ideal, such as a lex target, which can have
+    generators in degree dmax + 1, comes alone and is read off its own
+    degree_masks and HF up to dmax + 1.
 
     - beta_{0,0} = 1, and the unit ideal has the empty table.
     - beta_{1,j} counts the degree-j minimal generators.
@@ -334,13 +361,13 @@ def _betti_by_pieces(base, dmax):
       degree with every x_k u in the next piece.
     - For n >= 2 and j >= 2 (below that it is zero), beta_{2,j} is what
       is left of sum_i (-1)^i beta_{i,j} = sum_k (-1)^k C(n, k) h_{j-k},
-      where h_{dmax+1} = dim S_{dmax+1} - |shadow(piece dmax) | base piece
-      dmax+1|.
+      where a superideal's h_{dmax+1} = dim S_{dmax+1} - |shadow(piece
+      dmax) | base piece dmax+1|.
 
     None of these depends on the characteristic: upper Koszul complexes on
     at most three vertices have no torsion.  Socle dimensions are memoised
-    by (degree, pair of pieces) and h_{dmax+1} by the last piece, for the
-    life of the function.
+    by (degree, pair of pieces) and a superideal's h_{dmax+1} by its last
+    piece, for the life of the function.
     """
     n = base.n
     if n > 3:
@@ -353,7 +380,17 @@ def _betti_by_pieces(base, dmax):
     socles = {}
     nexts = {}
 
-    def table(ideal, h, pieces):
+    def table(ideal, h=None, pieces=None):
+        if pieces is None:
+            pieces = monomials.degree_masks(ideal, j_max)
+            h = tuple(len(degree_monomials(n, d)) - mask.bit_count()
+                      for d, mask in enumerate(pieces))
+        else:  # a superideal: h_{dmax+1} off its last piece
+            last = pieces[-1]
+            h_next = nexts.get(last)
+            if h_next is None:
+                h_next = nexts[last] = size - (shadow_mask(n, dmax, last) | top).bit_count()
+            h += (h_next,)
         if pieces[0]:
             return {}
         gens = [0] * (j_max + 1)
@@ -380,11 +417,7 @@ def _betti_by_pieces(base, dmax):
                         1 for k, up in enumerate(shadow_table(n, d))
                         if not low >> k & 1 and not up & ~high)
                 socle[d + 3] = dim
-        last = pieces[-1]
-        h_next = nexts.get(last)
-        if h_next is None:
-            h_next = nexts[last] = size - (shadow_mask(n, dmax, last) | top).bit_count()
-        h = (0, 0, 0) + h + (h_next,)  # h[j + 3] = h_j
+        h = (0, 0, 0) + h  # h[j + 3] = h_j
         for j in range(2, j_max + 1):
             beta = (c0 * h[j + 3] + c1 * h[j + 2] + c2 * h[j + 1] + c3 * h[j]
                     + gens[j] + socle[j])
@@ -566,11 +599,15 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     """Graded Betti numbers are maximized by the embedded ideal.
 
     Exhaustive over the superideals of enumerate_monomial_ideals_modulo;
-    tables compared for all homological degrees and j <= dmax + 1.  With
-    pure powers present and small characteristic the statement is an open
-    expectation, so violations are classified as findings rather than
-    failures.
+    tables compared for all homological degrees and j <= dmax + 1.  In at
+    most three variables both the enumerated ideals' and the lex targets'
+    tables are read off their graded pieces by _betti_by_pieces, which
+    never sees p, so p is checked first; in more, koszul_betti computes
+    both.  With pure powers present and small characteristic the
+    statement is an open expectation, so violations are classified as
+    findings rather than failures.
     """
+    p = check_characteristic(p)
     base = base_ideal(a)
     n = base.n
     j_max = dmax + 1
@@ -587,15 +624,16 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
             f"emulated here by p={p}"
         )
 
-    def betti(ideal):
-        return koszul_betti(ideal, j_max, p).as_dict()
+    if n <= 3:
+        betti = _betti_by_pieces(base, dmax)
+    else:
+        def betti(ideal, _h=None, _pieces=None):
+            return koszul_betti(ideal, j_max, p).as_dict()
 
-    by_pieces = _betti_by_pieces(base, dmax) if n <= 3 else None
     numerator = _piece_numerators(base, dmax)
     for ideal, h, pieces, embedded, target in _embedded_cases(
             report, base, dmax, budget, betti, numerator):
-        mine = by_pieces(ideal, h, pieces) if by_pieces else betti(ideal)
-        bad = _exceeding(mine, target)
+        bad = _exceeding(betti(ideal, h, pieces), target)
         if bad:
             payload = {
                 "ideal": ideal.to_json(),

@@ -301,6 +301,19 @@ def test_overflow_widens_and_restarts():
         f"x1^{d - 1}*x3^{d}", f"x3^{d + 1}", f"x1^{d}", f"x1*x2^{d - 1} + {P - 1}*x3^{d}"]
 
 
+def test_overflow_from_an_s_polynomial_widens_and_restarts():
+    # the generators, their leads x1 and x1*x2^30 and the lcm of those fit
+    # the first width, but the S-polynomial x2^30*(x1 + x2^40) - x1*x2^30
+    # = x2^70 does not.  For input homogeneous in the summed variables
+    # every S-polynomial term has the lcm's degree and fits, so only input
+    # that is not homogeneous, which no public ideal is, gets here.
+    gens = [poly("x1 + x2^40"), poly("x1*x2^30")]
+    assert 70 >= 1 << max(groebner._MIN_WIDTH, (40).bit_length())
+    got = [g.terms for g in groebner._buchberger(gens, LEX)]
+    assert got == brute_buchberger([g.terms for g in gens], P, LEX)
+    assert got == [poly("x1 + x2^40").terms, poly("x2^70").terms]
+
+
 # --- Hilbert functions -----------------------------------------------------------
 
 def test_hilbert_general_examples():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import json
 import pkgutil
 import random
@@ -137,6 +138,34 @@ def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
     assert units == 1
 
 
+@pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
+def test_betti_by_pieces_reads_lex_targets_alone(base, dmax):
+    # a target comes without pieces and is read off its own pieces up to
+    # dmax + 1, where it can have generators that no superideal has
+    numerator = verify._piece_numerators(base, dmax)
+    report = verify.VerificationReport("targets", {})
+    targets = {embedded for *_, embedded, _ in verify._embedded_cases(
+        report, base, dmax, None, lambda embedded: None, numerator)}
+    table = verify._betti_by_pieces(base, dmax)
+    for target in targets:
+        got = table(target)
+        for p in (2, P):
+            assert list(got.items()) == list(koszul_betti(target, dmax + 1, p).as_dict().items()), \
+                (target.gens, p)
+        if len(target.gens) <= 10:
+            assert got == taylor_betti_oracle(target, dmax + 1).as_dict(), target.gens
+    assert targets
+
+
+def test_betti_extremal_reads_both_sides_off_pieces(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("koszul_betti called")
+
+    monkeypatch.setattr(verify, "koszul_betti", fail)
+    report = verify_betti_extremal(shakin(3, pieces=[(1, [(2,)])]), 4)
+    assert report.passed and report.cases_checked == 3266
+
+
 def test_betti_by_pieces_rejects_four_variables():
     with pytest.raises(InvalidInputError):
         verify._betti_by_pieces(MonomialIdeal(4, [(2, 0, 0, 0)]), 2)
@@ -154,6 +183,23 @@ def test_series_key_classes_are_the_numerator_classes(base, dmax):
         by_numerator.setdefault(num, set()).add(k)
     assert all(len(nums) == 1 for nums in by_key.values())
     assert all(len(keys) == 1 for keys in by_numerator.values())
+
+
+@pytest.mark.parametrize("base, dmax", [
+    *PINNED_ENUMERATIONS,
+    (MonomialIdeal(4, [(2, 0, 0, 0), (0, 0, 0, 4)]), 2),  # x4^4 lies above dmax
+])
+def test_piece_numerators_match_hilbert_numerator(base, dmax):
+    # N_J grows one colon step per piece from whatever smaller piece is
+    # memoised; the reverse order reaches the memo from other pieces
+    n = base.n
+    above = [g for g in base.gens if sum(g) > dmax]
+    lasts = list(dict.fromkeys(pieces[-1] for _, _, pieces in verify._superideals(base, dmax)))
+    for order in (lasts, lasts[::-1]):
+        numerator = verify._piece_numerators(base, dmax)
+        for piece in order:
+            j = MonomialIdeal(n, monomials.mask_to_monomials(n, dmax, piece) + above)
+            assert numerator(piece) == monomials.hilbert_numerator(j), j.gens
 
 
 def test_enumeration_order_is_pinned():
@@ -257,19 +303,35 @@ def _module_memos():
     return memos
 
 
-def test_memos_stay_bounded_by_distinct_inputs():
+def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
     # the homology memo holds complexes, the numerator memo colon
     # sub-ideals and the rest per-degree tables; none may grow with the
-    # number of enumerated ideals.  The checkers' own memos live per call.
+    # number of enumerated ideals.  The checkers' own memos live per call;
+    # the series key's holds a numerator per distinct last piece (two in
+    # coh-extremal, which saturates too) and the few smaller pieces that
+    # growing them one generator at a time meets.
     memos = _module_memos()
     assert {"lexdist.homology._homology", "lexdist.monomials._numerator"} <= set(memos)
-    for check in (verify_betti_extremal, verify_coh_extremal):
+    made = []
+
+    def spy(base, dmax):
+        made.append(real(base, dmax))
+        return made[-1]
+
+    real = verify._piece_numerators
+    monkeypatch.setattr(verify, "_piece_numerators", spy)
+    a = shakin(3, pieces=[(1, [(2,)])])
+    lasts = len({pieces[-1] for _, _, pieces in verify._superideals(a.total, 4)})
+    for check, kinds in ((verify_betti_extremal, 1), (verify_coh_extremal, 2)):
         for memo in memos.values():
             memo.cache_clear()
-        report = check(shakin(3, pieces=[(1, [(2,)])]), 4, budget=10 ** 7)
+        report = check(a, 4, budget=10 ** 7)
         assert report.passed and report.cases_checked == 3266
         sizes = {name: memo.cache_info().currsize for name, memo in memos.items()}
         assert all(size < 500 for size in sizes.values()), (check.__name__, sizes)
+        numerators = inspect.getclosurevars(made.pop()).nonlocals["numerators"]
+        slack = len(monomials.degree_monomials(3, 4))
+        assert kinds * lasts <= len(numerators) <= kinds * lasts + slack, check.__name__
 
 
 def test_coh_extremal_small():
