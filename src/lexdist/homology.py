@@ -413,8 +413,10 @@ def _strong_core(masks):
             return frozenset(facets)
 
 
-# the distinct keys, and the strong-collapse cores of the facet keys; the
-# exhaustive checkers see a few dozen keys, the n = 6 Betti tables a few hundred
+# the distinct keys, and the strong-collapse cores of the facet keys.
+# coh-extremal over (x1^2) meets 79 keys in three variables (dmax 4 or 5),
+# 563 in four at dmax 2 and 8 325 at dmax 3, past the cap; the n = 6 Betti
+# tables meet a few hundred
 @lru_cache(maxsize=1 << 12)
 def _homology(key, p):
     """Reduced homology of the complex a key describes (see _faces_of), memoised.

@@ -147,10 +147,14 @@ def embedded_masks(base: MonomialIdeal, values, dmax: int):
     Raises NotAdmissibleError when a degree cannot reach the requested
     codimension, ClosureError when the degreewise spans fail to multiply
     into each other (never silently repaired: on a Shakin base the latter
-    contradicts attainability of the Hilbert function).
+    contradicts attainability of the Hilbert function).  Raises
+    InvalidInputError for dmax < 0: no ideal cut off there contains the
+    base.
     """
     n = base.n
     values = tuple(values)
+    if dmax < 0:
+        raise InvalidInputError("dmax must be nonnegative")
     if len(values) < dmax + 1:
         raise InvalidInputError("Hilbert function shorter than dmax+1")
     amasks = degree_masks(base, dmax)

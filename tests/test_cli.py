@@ -197,6 +197,14 @@ def test_rejected_values_are_echoed_as_json(capsys):
     assert data["message"].endswith("got [true, 2, 1]"), data
 
 
+@pytest.mark.parametrize("argv", ["lexify --n 2", "embed --shakin {shakin}"])
+def test_an_empty_hilbert_function_is_invalid(capsys, files, argv):
+    # dmax would be -1, and the zero ideal cut off there misses the base
+    code, data = run(capsys, *argv.format(**files).split(), "--hf", "[]")
+    assert code == 2 and data["error"] == "invalid-input", data
+    assert data["message"] == "dmax must be nonnegative"
+
+
 def test_lexify_rejects_non_o_sequence(capsys):
     code, data = run(capsys, "lexify", "--n", "2", "--hf", "[1,3]")
     assert code == 1
@@ -371,14 +379,19 @@ def test_byte_identical_output(capsys, files, tmp_path):
 # digest.  betti-extremal and coh-extremal also run at dmax 4 over the
 # Shakin ring (x1^2) with pure powers (2, 3), 706 passing cases each, where
 # the homology and Hilbert-numerator memos are hit most; coh-extremal also
-# over plain (x1^2), 3266 passing cases.  The sampled kinds pin their seeded
-# cases and failure payloads.  {raw}, {ring}, {x1sq} and {d} stand for the
-# files holding RAW_BASE, SHAKIN_RING, X1SQ_RING and DISTRACTION.  Over
+# over plain (x1^2), 3266 passing cases.  coh-extremal also runs over
+# RAW_BASE_4 (x1*x2, x3*x4) in four variables at dmax 2, 434 cases with 100
+# failures, and over RAW_BASE at p = 2 on the window (-10, 8), wider than
+# the default on both sides: 4534 cases with 1110 failures.  The sampled
+# kinds pin their seeded cases and failure payloads.  {raw}, {raw4},
+# {ring}, {x1sq} and {d} stand for the files holding RAW_BASE, RAW_BASE_4,
+# SHAKIN_RING, X1SQ_RING and DISTRACTION.  Over
 # SHAKIN_RING at dmax 1 and 2 the base generator x2^3 lies above dmax + 1
 # and at dmax + 1, where it is a minimal generator of some enumerated
 # ideals and not of others; a Betti table read off the graded pieces must
 # count it only where it is minimal.
 RAW_BASE = {"n": 3, "gens": [[0, 1, 1]]}
+RAW_BASE_4 = {"n": 4, "gens": [[1, 1, 0, 0], [0, 0, 1, 1]]}
 SHAKIN_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": [2, 3]}
 X1SQ_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": []}
 DISTRACTION = {"n": 3, "char": 32003, "rows": [
@@ -417,6 +430,12 @@ GOLDEN_REPORTS = {
     "coh-extremal-x1sq-dmax4": (
         "coh-extremal --dmax 4 --shakin {x1sq}", 0,
         "7850422907a698526d1b00bb9fb259027e46030ea07ac7917dba7f7e57bf7199"),
+    "coh-extremal-four-variables": (
+        "coh-extremal --dmax 2 --shakin {raw4}", 1,
+        "aa3bfae6670b1cb4dda30c25b8631b97f03486ecd781403fe2ec52d515d227e8"),
+    "coh-extremal-char2-wide-window": (
+        "coh-extremal --dmax 4 --char 2 --window=-10:8 --shakin {raw}", 1,
+        "da835197a2b9825fd06672a3279385c2c2bede8608590b80c6f1aae3c92055cd"),
     "distraction-hf": (
         "distraction-hf --dmax 4 --shakin {raw} --distraction {d} --samples 30 --seed 5", 1,
         "c791b7c47aa46989983fd9dcc94ce31d06d1961f19821fb86e4a8b8b335f134b"),
@@ -435,9 +454,11 @@ GOLDEN_REPORTS = {
 @pytest.mark.parametrize("kind", sorted(GOLDEN_REPORTS))
 def test_verify_report_bytes_pinned(tmp_path, kind):
     args, expected_code, digest = GOLDEN_REPORTS[kind]
-    paths = {"raw": tmp_path / "raw.json", "ring": tmp_path / "ring.json",
-             "x1sq": tmp_path / "x1sq.json", "d": tmp_path / "d.json"}
+    paths = {"raw": tmp_path / "raw.json", "raw4": tmp_path / "raw4.json",
+             "ring": tmp_path / "ring.json", "x1sq": tmp_path / "x1sq.json",
+             "d": tmp_path / "d.json"}
     paths["raw"].write_text(json.dumps(RAW_BASE))
+    paths["raw4"].write_text(json.dumps(RAW_BASE_4))
     paths["ring"].write_text(json.dumps(SHAKIN_RING))
     paths["x1sq"].write_text(json.dumps(X1SQ_RING))
     paths["d"].write_text(json.dumps(DISTRACTION))

@@ -11,6 +11,7 @@ from lexdist.errors import (
     NotAdmissibleError,
     NotLexSegmentError,
 )
+from lexdist.macaulay import lex_ideal_for_hf
 from lexdist.monomials import MonomialIdeal, hilbert_function, hilbert_upto
 from lexdist.shakin import (
     ShakinIdeal,
@@ -98,6 +99,15 @@ def test_embed_rejects_overlarge_values():
     with pytest.raises(NotAdmissibleError) as err:
         lex_embed(a, (1, 3, 0))
     assert err.value.degree == 1
+
+
+def test_embed_rejects_a_negative_dmax():
+    a = shakin(2, powers=(2, 2))
+    for values, dmax in (((), None), ((1, 2), -1)):
+        with pytest.raises(InvalidInputError, match="dmax must be nonnegative"):
+            lex_embed(a, values, dmax)
+    with pytest.raises(InvalidInputError, match="dmax must be nonnegative"):
+        lex_ideal_for_hf(2, ())
 
 
 def test_embed_closure_error_is_loud_and_precise():

@@ -303,26 +303,33 @@ def _module_memos():
     return memos
 
 
+def _spy_on(monkeypatch, name):
+    """Patch verify.name to record every function it makes; returns the list."""
+    made = []
+    real = getattr(verify, name)
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(verify, name, spy)
+    return made
+
+
 def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
     # the homology memo holds complexes, the numerator memo colon
     # sub-ideals and the rest per-degree tables; none may grow with the
     # number of enumerated ideals.  The checkers' own memos live per call;
-    # the series key's holds a numerator per distinct last piece (two in
-    # coh-extremal, which saturates too) and the few smaller pieces that
-    # growing them one generator at a time meets.
+    # the series key's holds a numerator per distinct last piece and the
+    # few smaller pieces that growing them one generator at a time meets,
+    # and coh-extremal's tables one entry per distinct last piece.
     memos = _module_memos()
     assert {"lexdist.homology._homology", "lexdist.monomials._numerator"} <= set(memos)
-    made = []
-
-    def spy(base, dmax):
-        made.append(real(base, dmax))
-        return made[-1]
-
-    real = verify._piece_numerators
-    monkeypatch.setattr(verify, "_piece_numerators", spy)
+    made = _spy_on(monkeypatch, "_piece_numerators")
+    tables = _spy_on(monkeypatch, "_coh_by_pieces")
     a = shakin(3, pieces=[(1, [(2,)])])
     lasts = len({pieces[-1] for _, _, pieces in verify._superideals(a.total, 4)})
-    for check, kinds in ((verify_betti_extremal, 1), (verify_coh_extremal, 2)):
+    for check in (verify_betti_extremal, verify_coh_extremal):
         for memo in memos.values():
             memo.cache_clear()
         report = check(a, 4, budget=10 ** 7)
@@ -331,7 +338,8 @@ def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
         assert all(size < 500 for size in sizes.values()), (check.__name__, sizes)
         numerators = inspect.getclosurevars(made.pop()).nonlocals["numerators"]
         slack = len(monomials.degree_monomials(3, 4))
-        assert kinds * lasts <= len(numerators) <= kinds * lasts + slack, check.__name__
+        assert lasts <= len(numerators) <= lasts + slack, check.__name__
+    assert len(inspect.getclosurevars(tables.pop()).nonlocals["memo"]) == lasts
 
 
 def test_coh_extremal_small():
@@ -352,7 +360,8 @@ def test_coh_extremal_artinian_equality():
 
 # (base, dmax, window or None for the checker's default, ideals whose
 # generators have a gcd > 1).  x3^5 lies above dmax 3; the window (-12, 9)
-# is wider than the default (-6, 3) on both sides.
+# is wider than the default (-6, 3) on both sides; the last entry is in
+# four variables.
 COH_ENUMERATIONS = [
     (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 4, None, 0),
     (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 5, None, 0),
@@ -364,28 +373,34 @@ COH_ENUMERATIONS = [
     (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5)]), 3, None, 0),
     (MonomialIdeal(2, [(2, 0)]), 5, None, 6),
     (MonomialIdeal(1, [(2,)]), 6, None, 2),
+    (MonomialIdeal(4, [(2, 0, 0, 0)]), 2, None, 9),
 ]
 
 
 @pytest.mark.parametrize("base, dmax, window, gcds", COH_ENUMERATIONS)
 def test_coh_by_pieces_matches_takayama(base, dmax, window, gcds):
+    # every superideal, the zero ideal too, against its own Takayama table,
+    # though the tables read it off the first superideal with its last piece
     window = window or (-(dmax + base.n), dmax)
-    table = verify._coh_by_pieces(base, dmax, window, verify._piece_numerators(base, dmax))
+    tables = {p: verify._coh_by_pieces(dmax, window, p) for p in (2, P)}
     units = found = 0
     for ideal, h, pieces in verify._superideals(base, dmax):
-        if not ideal.gens:  # the zero ideal goes to local_coh_monomial
-            continue
-        got = table(ideal, h, pieces)
-        units += got == {}
-        found += sum(map(min, zip(*ideal.gens))) > 0
-        for p in (2, P):
+        found += bool(ideal.gens) and sum(map(min, zip(*ideal.gens))) > 0
+        for p, table in tables.items():
+            got = table(ideal, h, pieces)
+            units += p == P and got == {}
             # also in the (i, j) order that failure payloads show
             want = local_coh_monomial(ideal, window=window, p=p).as_dict()
             assert list(got.items()) == list(want.items()), (ideal.gens, p)
     assert (units, found) == (1, gcds)
 
 
-def test_coh_extremal_sends_only_targets_zero_and_four_variables_to_takayama(monkeypatch):
+@pytest.mark.parametrize("a, dmax, cases", [
+    (shakin(4, pieces=[(1, [(2,)])]), 2, 717),
+    (MonomialIdeal(2), 3, 42),
+])
+def test_coh_extremal_runs_takayama_once_per_last_piece_and_series_key(monkeypatch, a, dmax,
+                                                                      cases):
     seen = []
 
     def spy(ideal, **kwargs):
@@ -393,18 +408,15 @@ def test_coh_extremal_sends_only_targets_zero_and_four_variables_to_takayama(mon
         return local_coh_monomial(ideal, **kwargs)
 
     monkeypatch.setattr(verify, "local_coh_monomial", spy)
-    four = shakin(4, pieces=[(1, [(2,)])])
-    report = verify_coh_extremal(four, 2)
-    assert report.passed and report.cases_checked == 717
-    assert {i.gens for i in enumerate_monomial_ideals_modulo(four, 2)} <= set(seen)
-    with pytest.raises(InvalidInputError):
-        verify._coh_by_pieces(four.total, 2, (-6, 2), None)
-    # in two variables: one call per series key, and the zero ideal is both
-    # an enumerated ideal and its own target
-    seen.clear()
-    report = verify_coh_extremal(MonomialIdeal(2), 3)
-    assert report.passed and report.cases_checked == 42
-    assert seen.count(()) == 2 and len(seen) == len(set(seen)) + 1
+    report = verify_coh_extremal(a, dmax)
+    assert report.passed and report.cases_checked == cases
+    base = verify.base_ideal(a)
+    numerator = verify._piece_numerators(base, dmax)
+    lasts, keys = set(), set()
+    for _ideal, h, pieces in verify._superideals(base, dmax):
+        lasts.add(pieces[-1])
+        keys.add((h, numerator(pieces[-1])))
+    assert len(seen) == len(lasts) + len(keys)
 
 
 # --- distraction statements ---------------------------------------------------------
@@ -467,6 +479,12 @@ def test_betti_invariance_above_int64_prime_range():
         report = verify_betti_distraction_invariance(3, samples=20, dmax=6, seed=1, p=p)
         assert report.cases_checked == 20
         assert report.failures == []
+
+
+@pytest.mark.parametrize("check", [verify_betti_distraction_invariance, verify_codistra_h0])
+def test_sampled_checkers_reject_a_negative_dmax(check):
+    with pytest.raises(InvalidInputError, match="dmax must be nonnegative"):
+        check(3, samples=4, dmax=-1)
 
 
 def test_codistra_h0_run():
