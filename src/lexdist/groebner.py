@@ -17,7 +17,9 @@ product is then one addition, divisibility one subtract-and-mask and an
 lcm a field-wise max.  The width is chosen per call from the input's
 largest degree; a term that outgrows it sets its field's guard bit, and
 the call starts again at double the width, so nothing wraps.  The input
-is packed once and only the result is unpacked.
+is packed once and only the result is unpacked.  The same division gives
+the action of each variable on the standard monomials, which homology's
+Koszul strands take (_variable_action).
 
 All public ideals are homogeneous by contract.  Elimination data is
 homogeneous in x (t is not counted): t*f and (1-t)*g are, and so is every
@@ -324,6 +326,35 @@ def _reduce(work, basis, pk, p):
         else:
             rem.append((m, c))
     return rem
+
+
+def _variable_action(ideal, std):
+    """images[d][b][k]: the normal form of x_{k+1} * std[d][b] modulo the
+    reduced degrevlex basis of ideal, as (position in std[d + 1],
+    coefficient) pairs, for d < top = len(std) - 1.
+
+    std[d] lists the degree-d standard monomials.  They and the basis
+    elements of degree <= top, the only ones whose leads can divide a
+    product, are packed once, at a width that holds degree top: a
+    reduction keeps the degree of the product, so no field can outgrow
+    it.  A product that is itself standard takes its position straight
+    from std[d + 1]; every other distinct product is reduced once by
+    _reduce, and the terms of its remainder, standard monomials of the
+    same degree, are positioned the same way.
+    """
+    top = len(std) - 1
+    p = ideal.p
+    pk = _packing(DEGREVLEX, ideal.n, max(_MIN_WIDTH, top.bit_length()))
+    basis = [_monic({pk.pack(e): c for e, c in g.terms.items()}, pk, p)
+             for g in ideal.groebner_basis() if sum(next(iter(g.terms))) <= top]
+    pos = [{pk.pack(m): t for t, m in enumerate(level)} for level in std]
+    images = []
+    for here, there in zip(pos, pos[1:]):
+        known = {m: [(t, 1)] for m, t in there.items()}
+        for m in {s + w for s in here for w in pk.weights} - known.keys():
+            known[m] = [(there[r], c) for r, c in _reduce({m: 1}, basis, pk, p)]
+        images.append([[known[s + w] for w in pk.weights] for s in here])
+    return images
 
 
 def normal_form(f: Poly, basis, order: MonomialOrder = DEGREVLEX) -> Poly:

@@ -16,10 +16,11 @@ a comparison per generator and coordinate.  A general homogeneous ideal J
 takes the table of its initial ideal in(J), which differs only by
 consecutive cancellations (see koszul_betti), and ranks sparse Koszul
 strands of A/J only in the degrees where in(J) has an adjacent nonzero
-pair.  A Taylor-complex route is an independent oracle on monomial
-inputs.  Every boundary map and strand is built as sparse columns for
-_modmat.rank_mod, so memory follows the number of nonzero entries, not
-the matrix shape.
+pair; x_k acts on their standard monomials through groebner's division
+kernel, the one Buchberger and normal_form run.  A Taylor-complex route
+is an independent oracle on monomial inputs.  Every boundary map and
+strand is built as sparse columns for _modmat.rank_mod, so memory
+follows the number of nonzero entries, not the matrix shape.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from . import groebner, monomials
 from ._modmat import rank_mod
@@ -138,68 +138,15 @@ def _variable_images(ideal, top):
     """The standard monomials of degrees 0..top and x_{k+1} acting on them.
 
     Returns (std, images): std[d] lists the degree-d standard monomials of
-    the degrevlex basis in descending lex order, and images[d][b][k] is the
-    normal form of x_{k+1} * std[d][b] as (position in std[d + 1],
-    coefficient) pairs, for d < top.
-
-    The normal forms come from one table per degree, built in ascending
-    degrevlex order: a monomial m = u * LM(g) of the initial ideal gets
-    NF(m) = -sum_t c_t NF(u * t) over the tail of the monic basis element g.
-    Each u * t has the degree of m and is smaller, so its normal form is
-    already in the table; a degree's table is used only by that degree's
-    images and is dropped after them.  The factorization m = u * LM(g) is
-    carried up from m / x_j, one degree lower, so no basis element is
-    searched.
+    the degrevlex basis in descending lex order, read off the masks of the
+    initial ideal, and images[d][b][k] is the normal form of
+    x_{k+1} * std[d][b] as (position in std[d + 1], coefficient) pairs,
+    for d < top, from groebner's division kernel (_variable_action).
     """
-    n, p = ideal.n, ideal.p
-    tails = {}
-    for g in ideal.groebner_basis():
-        lead, c = g.leading(groebner.DEGREVLEX)
-        scale = -pow(c, -1, p)
-        tails[lead] = [(t, v * scale % p) for t, v in g.terms.items() if t != lead]
     masks = degree_masks(groebner.initial_ideal(ideal), top)
-    std, images = [], []
-    factors = {}  # each non-standard monomial m of the last degree -> (LM(g), u)
-    for d in range(top + 1):
-        monos = degree_monomials(n, d)
-        std.append([m for t, m in enumerate(monos) if not masks[d] >> t & 1])
-        stdpos = {m: t for t, m in enumerate(std[d])}
-        found = {}
-        for t, m in enumerate(monos):
-            if not masks[d] >> t & 1:
-                continue
-            if m in tails:
-                found[m] = (m, (0,) * n)
-                continue
-            for j in range(n):
-                if m[j]:
-                    below = factors.get(m[:j] + (m[j] - 1,) + m[j + 1:])
-                    if below:
-                        found[m] = (below[0], below[1][:j] + (below[1][j] + 1,) + below[1][j + 1:])
-                        break
-        factors = found
-        if not d:
-            continue
-        table = {}
-        if std[d - 1]:
-            for m in sorted(found, key=groebner.DEGREVLEX.key):
-                lead, u = found[m]
-                acc = {}
-                for t, c in tails[lead]:
-                    ut = tuple(map(add, u, t))
-                    at = stdpos.get(ut)
-                    if at is not None:
-                        acc[at] = acc.get(at, 0) + c
-                    else:
-                        for at, c2 in table[ut]:
-                            acc[at] = acc.get(at, 0) + c * c2
-                table[m] = [(at, c % p) for at, c in acc.items() if c % p]
-        images.append([
-            [[(stdpos[m], 1)] if m in stdpos else table[m]
-             for m in (s[:k] + (s[k] + 1,) + s[k + 1:] for k in range(n))]
-            for s in std[d - 1]
-        ])
-    return std, images
+    std = [[m for t, m in enumerate(degree_monomials(ideal.n, d)) if not masks[d] >> t & 1]
+           for d in range(top + 1)]
+    return std, groebner._variable_action(ideal, std)
 
 
 def _koszul_strands(ideal, degrees):
@@ -208,10 +155,10 @@ def _koszul_strands(ideal, degrees):
     Only the strands of the given degrees are built, from the standard
     monomials up to the largest of them; degrees = range(dmax + 1) gives
     the whole table, the oracle for koszul_betti.  x_k acts on the standard
-    monomials of a degrevlex basis through the normal-form table of
-    _variable_images; each strand map is handed to rank_mod as one
-    {row: entry} dict per source basis element, holding only its nonzero
-    entries.
+    monomials of a degrevlex basis through _variable_images, whose normal
+    forms come from groebner's packed reduction; each strand map is handed
+    to rank_mod as one {row: entry} dict per source basis element, holding
+    only its nonzero entries.
     """
     n, p = ideal.n, ideal.p
     if not degrees:
@@ -415,8 +362,9 @@ def _strong_core(masks):
 
 # the distinct keys, and the strong-collapse cores of the facet keys.
 # coh-extremal over (x1^2) meets 79 keys in three variables (dmax 4 or 5),
-# 563 in four at dmax 2 and 8 325 at dmax 3, past the cap; the n = 6 Betti
-# tables meet a few hundred
+# 563 in four at dmax 2 and 8 325 at dmax 3, past the cap: 344 evicted keys
+# are computed again there, yet a cap of 1 << 14 ran no faster and peaked
+# 3 MB higher; the n = 6 Betti tables meet a few hundred
 @lru_cache(maxsize=1 << 12)
 def _homology(key, p):
     """Reduced homology of the complex a key describes (see _faces_of), memoised.

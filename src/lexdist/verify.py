@@ -332,7 +332,7 @@ def _ideal_numerator(n, h, num):
     N_I = N_J - (1-t)^n * sum_{d<dmax} (dim S_d - h_d) t^d; the key
     determines N_I and is determined by it.
     """
-    deficit = [binom(d + n - 1, n - 1) - v for d, v in enumerate(h[:-1])]
+    deficit = [len(degree_monomials(n, d)) - v for d, v in enumerate(h[:-1])]
     out = _minus_shifted(num, series_transform(deficit + [0] * n, n), 0)
     while out and not out[-1]:
         out.pop()
@@ -496,10 +496,12 @@ def _require_samples(samples):
         raise InvalidInputError(f"sample count must be nonnegative, got {samples}")
 
 
-def _distraction_pairs(report, n, samples, seed, p):
+def _distraction_pairs(report, n, samples, seed, dmax, p):
     """Seeded (monomial ideal, distraction, distracted ideal), counted on report."""
     if n < 1:
         raise InvalidInputError(f"sampled ideals need at least one variable, got n={n}")
+    if dmax < 0:
+        raise InvalidInputError("dmax must be nonnegative")
     _require_samples(samples)
     rng = random.Random(seed)
     for _ in range(samples):
@@ -512,8 +514,11 @@ def _distraction_pairs(report, n, samples, seed, p):
 def _sampled_cases(report, base, d, samples, seed, dmax, p):
     """Seeded (J, monomial source ideal or None, HF(J)) over the distracted base.
 
-    Each sample is counted on report; see _sample_ideal_over for J.
+    Each sample is counted on report; see _sample_ideal_over for J, whose
+    extra generators have degrees 1..dmax, so dmax must be at least 1.
     """
+    if dmax < 1:
+        raise InvalidInputError(f"sampled ideals need dmax at least 1, got dmax={dmax}")
     _require_samples(samples)
     rng = random.Random(seed)
     for _ in range(samples):
@@ -706,14 +711,12 @@ def verify_betti_distraction_invariance(n: int, samples: int = 50, dmax: int = 5
                                         seed: int = DEFAULT_SEED,
                                         p: int = DEFAULT_CHAR) -> VerificationReport:
     """Graded Betti numbers of a monomial ideal match those of any distraction."""
-    if dmax < 0:
-        raise InvalidInputError("dmax must be nonnegative")
     report = VerificationReport(
         theorem="betti-distraction-invariance",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
                 "char": p, "max_degree": SAMPLE_MAX_DEGREE},
     )
-    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p):
+    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, dmax, p):
         left = koszul_betti(ideal, dmax, p)
         right = koszul_betti(distracted, dmax, p)
         if left.as_dict() != right.as_dict():
@@ -734,7 +737,7 @@ def verify_codistra_h0(n: int, samples: int = 100, dmax: int = 6,
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
                 "char": p, "max_degree": SAMPLE_MAX_DEGREE},
     )
-    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, p):
+    for ideal, d, distracted in _distraction_pairs(report, n, samples, seed, dmax, p):
         left = groebner.h0_hilbert_function(ideal, dmax)
         right = groebner.h0_hilbert_function(distracted, dmax)
         bad = _exceeding(dict(enumerate(left)), dict(enumerate(right)), ("j",))

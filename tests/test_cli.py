@@ -348,6 +348,32 @@ def test_every_command_rejects_a_negative_dmax(capsys, files, argv):
     assert data["message"] == "dmax must be nonnegative"
 
 
+SWEEP_BASES = {"x1sq": {"n": 2, "gens": [[2, 0]]},
+               "n0-zero": {"n": 0, "gens": []}, "n0-unit": {"n": 0, "gens": [[]]}}
+EXHAUSTIVE_KINDS = ("macaulay-lex", "betti-extremal", "coh-extremal")
+
+
+@pytest.mark.parametrize("dmax", ["0", "1"])
+@pytest.mark.parametrize("kind, base", [
+    *((kind, "x1sq") for kind in _VERIFY_KINDS),
+    *((kind, base) for kind in EXHAUSTIVE_KINDS for base in ("n0-zero", "n0-unit")),
+])
+def test_verify_kinds_end_cleanly_at_the_smallest_degrees(capsys, files, kind, base, dmax):
+    # each kind reads only its own options; every run ends in one JSON
+    # object and a documented exit code, never an uncaught exception
+    path = files["tmp"] / f"{base}.json"
+    path.write_text(json.dumps(SWEEP_BASES[base]))
+    for seed in ("1", "2"):
+        code, data = run(capsys, "verify", kind, "--shakin", str(path), "--n", "2",
+                         "--distraction", files["distraction"], "--dmax", dmax,
+                         "--samples", "20", "--seed", seed)
+        assert isinstance(data, dict) and code in (0, 1, 2, 3), (code, data)
+        if base != "x1sq":
+            assert code == 0 and data["passed"], data
+        if dmax == "0" and kind in ("distraction-hf", "epsilon-d-extremal"):
+            assert code == 2 and data["error"] == "invalid-input", data
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

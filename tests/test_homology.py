@@ -13,7 +13,8 @@ from lexdist.monomials import MonomialIdeal, hilbert_function, series_transform
 from lexdist.verify import VerificationReport, _distraction_pairs
 from lexdist import groebner, homology
 
-from conftest import HUGE_P, LARGE_P, brute_local_coh, brute_reduced_homology
+from conftest import (HUGE_P, LARGE_P, brute_divides, brute_local_coh, brute_normal_form,
+                      brute_reduced_homology)
 
 P = DEFAULT_CHAR
 
@@ -114,33 +115,44 @@ def test_betti_invariance_under_distraction(rng):
 
 
 def test_normal_form_table_matches_normal_form():
-    # every standard monomial times every variable, against groebner.normal_form
+    # every standard monomial times every variable, against brute-force
+    # division: groebner.normal_form shares the kernel under test
     gen = random.Random(808)
-    checked = reduced = 0
+    cases = []
     for n in (2, 3, 4, 5):
         for p in (2, 3, P):
             for _ in range(3):
                 gens = [tuple(gen.randrange(3) for _ in range(n)) for _ in range(gen.randint(3, 6))]
                 ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
                 dmax = 6 if n < 4 else 5
-                j = distract_ideal(random_distraction(gen, n, p, columns=4), ideal)
-                basis = j.groebner_basis()
-                std, images = homology._variable_images(j, dmax)
-                assert len(std) == dmax + 1 and len(images) == dmax
-                for d in range(dmax):
-                    for b, s in enumerate(std[d]):
-                        for k in range(n):
-                            target = s[:k] + (s[k] + 1,) + s[k + 1:]
-                            nf = groebner.normal_form(groebner.Poly.from_monomial(target, p), basis)
-                            assert {std[d + 1][t]: c for t, c in images[d][b][k]} == nf.terms
-                            checked += 1
-                            reduced += nf.terms != {target: 1}
+                cases.append((distract_ideal(random_distraction(gen, n, p, columns=4), ideal), dmax))
+    # the products reach degree 70, far above the basis: an exponent of 70
+    # needs a wider field than the basis degree alone gives
+    cases.append((Ideal(2, [parse_poly("x1 - 3*x2", 2, P)], P), 70))
+    checked = reduced = 0
+    for j, top in cases:
+        n, p = j.n, j.p
+        basis = [(g.leading(groebner.DEGREVLEX)[0], g.terms) for g in j.groebner_basis()]
+        std = [sorted((e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d
+                       and not any(brute_divides(lead, e) for lead, _ in basis)), reverse=True)
+               for d in range(top + 1)]
+        images = groebner._variable_action(j, std)
+        assert homology._variable_images(j, top) == (std, images)
+        assert len(images) == top
+        for d in range(top):
+            for b, s in enumerate(std[d]):
+                for k in range(n):
+                    target = s[:k] + (s[k] + 1,) + s[k + 1:]
+                    nf = brute_normal_form({target: 1}, basis, p, groebner.DEGREVLEX.key)
+                    assert {std[d + 1][t]: c for t, c in images[d][b][k]} == nf
+                    checked += 1
+                    reduced += nf != {target: 1}
     assert checked > 5000 and reduced > 800, (checked, reduced)
 
 
 def test_strands_build_at_eight_variables():
-    # the normal-form table is built without recursion, so its depth does
-    # not grow with the number of monomials of a degree
+    # the strand route at eight variables, whose packed monomials hold
+    # nine fields (eight exponents and the degree)
     gens = [(2, 0, 0, 0, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0),
             (0, 0, 0, 0, 2, 1, 0, 0), (0, 0, 0, 0, 0, 0, 1, 2), (0, 1, 0, 0, 1, 0, 0, 1),
             (0, 0, 2, 0, 0, 0, 1, 0)]
@@ -155,7 +167,7 @@ def test_initial_ideal_certificate_matches_strands():
     cancelled = 0
     for p in (2, 3, P, LARGE_P):
         for n, dmax, samples in ((3, 6, 25), (4, 6, 8), (5, 5, 5)):
-            pairs = list(_distraction_pairs(VerificationReport("certificate", {}), n, samples, 12345, p))
+            pairs = list(_distraction_pairs(VerificationReport("certificate", {}), n, samples, 12345, dmax, p))
             for ideal, _, j in pairs:
                 strands = homology._koszul_strands(j, range(dmax + 1))
                 assert koszul_betti(j, dmax, p).as_dict() == strands, (ideal.gens, n, p)

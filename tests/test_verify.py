@@ -110,8 +110,9 @@ def test_exhaustive_kinds_reject_a_negative_budget(check):
 # Enumerations the leaf shortcuts of the extremality checkers are pinned on:
 # (x1^2) and the raw base (x2*x3) in three variables, the Shakin ring with
 # pure powers (2, 3) (its x2^3 lies above dmax 1 and at dmax + 1 for dmax 2),
-# and bases in one and two variables, x2^4 at dmax + 1 and x2^5 above it.
-# Every enumeration holds the unit ideal.
+# bases in one and two variables, x2^4 at dmax + 1 and x2^5 above it, and
+# the zero and unit ideals in no variables.  Every enumeration holds the
+# unit ideal.
 PINNED_ENUMERATIONS = [
     (MonomialIdeal(3, [(2, 0, 0)]), 4),
     *((MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), dmax) for dmax in (1, 2, 3, 4)),
@@ -119,6 +120,8 @@ PINNED_ENUMERATIONS = [
     (MonomialIdeal(1, [(3,)]), 4),
     (MonomialIdeal(2, [(2, 0), (0, 4)]), 3),
     (MonomialIdeal(2, [(2, 0), (0, 5)]), 3),
+    (MonomialIdeal(0), 2),
+    (MonomialIdeal(0, [()]), 2),
 ]
 
 
@@ -483,8 +486,18 @@ def test_betti_invariance_above_int64_prime_range():
 
 @pytest.mark.parametrize("check", [verify_betti_distraction_invariance, verify_codistra_h0])
 def test_sampled_checkers_reject_a_negative_dmax(check):
-    with pytest.raises(InvalidInputError, match="dmax must be nonnegative"):
-        check(3, samples=4, dmax=-1)
+    for samples in (0, 4):  # raised before any sample is drawn
+        with pytest.raises(InvalidInputError, match="dmax must be nonnegative"):
+            check(3, samples=samples, dmax=-1)
+
+
+@pytest.mark.parametrize("check", [verify_distraction_hf, verify_epsilon_d_extremal])
+def test_sampled_shakin_checkers_need_a_positive_dmax(check):
+    # seed 20201 draws no extra generator in its 5 samples, seed 1 does
+    d = DistractionMatrix([[(1, 0), (1, 1)], [(0, 1)]], P)
+    for seed in (1, 20201):
+        with pytest.raises(InvalidInputError, match="need dmax at least 1, got dmax=0"):
+            check(MonomialIdeal(2, [(2, 0)]), d, 0, samples=5, seed=seed)
 
 
 def test_codistra_h0_run():
