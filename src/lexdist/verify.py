@@ -2,8 +2,13 @@
 
 The exhaustive checkers share one enumerator, _superideals, which builds
 every ideal over a base degree by degree together with its Hilbert
-function and graded pieces, so neither is recomputed per ideal.  The
-extremality checkers read their per-ideal work off those: the embedding
+function and graded pieces, so neither is recomputed per ideal, and one
+count of those ideals, _chain_counts, a DP over (graded piece, HF prefix)
+states that builds none of them.  Every exhaustive kind checks the exact
+count against its budget before it starts (_check_budget), and
+macaulay-lex, whose verdict depends only on the Hilbert function, checks
+each Hilbert function once off the count.  The extremality checkers
+read their per-ideal work off the enumeration: the embedding
 cache key and the target's series numerator (_piece_numerators, grown by
 one colon step from the piece with one generator fewer), in at most
 three variables the Betti tables of the ideal and of its lex target
@@ -94,6 +99,10 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _count_upper_bound(n, base_masks, dmax) -> int:
+    """2 to the number of monomials of degree <= dmax that neither the base
+    nor the shadow of the piece below forces: at least the number of
+    superideals.  It is the gate for the exact count of _check_budget and
+    the estimate BudgetExceededError reports."""
     est = 1
     prev = 0
     for d in range(dmax + 1):
@@ -101,6 +110,80 @@ def _count_upper_bound(n, base_masks, dmax) -> int:
         est <<= len(degree_monomials(n, d)) - forced.bit_count()
         prev = forced
     return est
+
+
+def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, estimate=None) -> dict:
+    """{Hilbert function up to dmax: number of superideals with it}, over
+    the ideals _superideals yields, without building one.
+
+    A chain's future depends only on its current piece, so the states at
+    degree d are the pieces, each with the number of chain prefixes that
+    reach it per HF up to d, and a transition adds a submask of the free
+    monomials, as in _superideals.  At dmax only the number k of added
+    monomials matters: a state adds C(f, k) ideals to the HF ending in
+    top - k, with f free monomials and top the value with none added.
+    Every prefix extends to at least one ideal, so the number of prefixes
+    through a degree is a lower bound on the total; given a budget, the DP
+    raises BudgetExceededError(budget, estimate) at the first degree whose
+    prefixes outnumber it, before it builds that degree's states.
+    """
+    n = base.n
+    base_masks = monomials.degree_masks(base, dmax)
+    states = {0: {(): 1}}  # piece at d - 1 -> {HF up to d - 1: prefixes}
+    counts = {}
+    for d in range(dmax + 1):
+        size = len(degree_monomials(n, d))
+        level = []
+        prefixes = 0
+        for prev, hfs in states.items():
+            forced = (shadow_mask(n, d - 1, prev) if d else 0) | base_masks[d]
+            free = ((1 << size) - 1) & ~forced
+            level.append((hfs, forced, free))
+            if budget is not None:
+                prefixes += sum(hfs.values()) << free.bit_count()
+        if budget is not None and prefixes > budget:
+            raise BudgetExceededError(budget, estimate)
+        states = {}
+        for hfs, forced, free in level:
+            top = size - forced.bit_count()
+            if d == dmax:
+                f = free.bit_count()
+                ways = [(top - k, binom(f, k)) for k in range(f + 1)]
+                for h, count in hfs.items():
+                    for v, way in ways:
+                        key = h + (v,)
+                        counts[key] = counts.get(key, 0) + count * way
+                continue
+            sub = 0
+            while True:
+                mask = forced | sub
+                into = states.get(mask)
+                if into is None:
+                    into = states[mask] = {}
+                v = (top - sub.bit_count(),)
+                for h, count in hfs.items():
+                    key = h + v
+                    into[key] = into.get(key, 0) + count
+                if sub == free:
+                    break
+                sub = (sub - free) & free  # the next larger submask of free
+    return counts
+
+
+def _check_budget(base: MonomialIdeal, dmax: int, budget):
+    """Reject a negative dmax or budget.  When _count_upper_bound exceeds
+    budget, count exactly: _chain_counts raises BudgetExceededError (with
+    the bound as its estimate) if more than budget ideals would be
+    enumerated over base, and its counts are returned.  Otherwise None.
+    """
+    if dmax < 0:
+        raise InvalidInputError("dmax must be nonnegative")
+    if budget is None:
+        return None
+    if budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
+    estimate = _count_upper_bound(base.n, monomials.degree_masks(base, dmax), dmax)
+    return _chain_counts(base, dmax, budget, estimate) if estimate > budget else None
 
 
 def _superideals(base: MonomialIdeal, dmax: int, budget=None):
@@ -115,26 +198,16 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     degree_monomials) are appended with them, so ideals that share their
     lower pieces share that work.  Base generators above dmax lie in no
     piece and are added to every ideal at the end.  Ideals stream in
-    lexicographic order of the per-degree subsets.  Raises
-    BudgetExceededError (with an upper-bound count estimate) when more than
-    budget ideals would be produced.
+    lexicographic order of the per-degree subsets.  The number of ideals
+    is checked against budget by _check_budget before any is yielded.
     """
-    if dmax < 0:
-        raise InvalidInputError("dmax must be nonnegative")
-    if budget is not None and budget < 0:
-        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
+    _check_budget(base, dmax, budget)
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     above = tuple(g for g in base.gens if sum(g) > dmax)
-    estimate = _count_upper_bound(n, base_masks, dmax)
-    counter = [0] if budget is not None and estimate > budget else None
 
     def rec(d, gens, hf, pieces):
         if d > dmax:
-            if counter is not None:
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise BudgetExceededError(budget, estimate)
             ideal = MonomialIdeal(n, gens + above) if above else MonomialIdeal._trusted(n, gens)
             yield ideal, hf, pieces
             return
@@ -165,7 +238,8 @@ def enumerate_monomial_ideals_modulo(a, dmax: int, budget: int | None = DEFAULT_
 
     Base generators above dmax are generators of every emitted ideal, so
     each one contains a.  Emits each ideal exactly once, in the order of
-    _superideals, and raises BudgetExceededError as it does.
+    _superideals.  Like it, raises BudgetExceededError before the first
+    ideal when more than budget ideals exist.
     """
     for ideal, _hf, _pieces in _superideals(base_ideal(a), dmax, budget):
         yield ideal
@@ -543,7 +617,11 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
     Exhaustive over monomial ideals generated by the base and monomials of
     degree <= dmax.  For a Shakin base a failure would contradict the
     Macaulay-lex property; for an arbitrary base (escape hatch) failures
-    are legitimate counterexamples and are recorded.
+    are legitimate counterexamples and are recorded.  The verdict depends
+    on an ideal only through its HF, so each HF of _chain_counts is
+    embedded once and counts its ideals as cases.  No ideal is built unless
+    some HF fails; then _superideals is walked again to file every ideal
+    with a failing HF, in enumeration order.
     """
     base = base_ideal(a)
     n = base.n
@@ -553,26 +631,27 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
     )
     if not isinstance(a, ShakinIdeal):
         report.notes.append("base ideal not supplied as Shakin data; escape hatch")
-    cache = {}
-    for ideal, h, _pieces in _superideals(base, dmax, budget):
-        report.cases_checked += 1
-        verdict = cache.get(h)
-        if verdict is None:
-            masks, err = _attempt(embedded_masks, base, h, dmax)
-            if err is not None:
-                verdict = err
-            else:
-                got = tuple(len(degree_monomials(n, d)) - mask.bit_count()
-                            for d, mask in enumerate(masks))
-                verdict = {} if got == h else {"error": "hf-mismatch", "embedded_hf": got}
-            cache[h] = verdict
-        if verdict:
-            report.failures.append({
-                "ideal": ideal.to_json(),
-                "hilbert_function": list(h),
-                **verdict,
-            })
-    report.notes.append(f"distinct Hilbert functions: {len(cache)}")
+    counts = _check_budget(base, dmax, budget) or _chain_counts(base, dmax)
+    failing = {}
+    for h, count in counts.items():
+        report.cases_checked += count
+        masks, err = _attempt(embedded_masks, base, h, dmax)
+        if err is None:
+            got = tuple(len(degree_monomials(n, d)) - mask.bit_count()
+                        for d, mask in enumerate(masks))
+            if got != h:
+                err = {"error": "hf-mismatch", "embedded_hf": got}
+        if err is not None:
+            failing[h] = err
+    if failing:
+        for ideal, h, _pieces in _superideals(base, dmax):
+            if h in failing:
+                report.failures.append({
+                    "ideal": ideal.to_json(),
+                    "hilbert_function": list(h),
+                    **failing[h],
+                })
+    report.notes.append(f"distinct Hilbert functions: {len(counts)}")
     return report
 
 

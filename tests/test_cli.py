@@ -409,9 +409,13 @@ def test_byte_identical_output(capsys, files, tmp_path):
 # RAW_BASE_4 (x1*x2, x3*x4) in four variables at dmax 2, 434 cases with 100
 # failures, and over RAW_BASE at p = 2 on the window (-10, 8), wider than
 # the default on both sides: 4534 cases with 1110 failures.  The sampled
-# kinds pin their seeded cases and failure payloads.  {raw}, {raw4},
-# {ring}, {x1sq} and {d} stand for the files holding RAW_BASE, RAW_BASE_4,
-# SHAKIN_RING, X1SQ_RING and DISTRACTION.  Over
+# kinds pin their seeded cases and failure payloads.  macaulay-lex also
+# runs over two Shakin rings, where it passes on the Hilbert-function count
+# without building an ideal: SHAKIN_RING at dmax 4, 706 cases over 89
+# Hilbert functions, and X1CU_RING (x1^3) at dmax 5 with budget 10^6,
+# 579 726 cases over 715.  {raw}, {raw4}, {ring}, {x1sq}, {x1cu} and {d}
+# stand for the files holding RAW_BASE, RAW_BASE_4, SHAKIN_RING,
+# X1SQ_RING, X1CU_RING and DISTRACTION.  Over
 # SHAKIN_RING at dmax 1 and 2 the base generator x2^3 lies above dmax + 1
 # and at dmax + 1, where it is a minimal generator of some enumerated
 # ideals and not of others; a Betti table read off the graded pieces must
@@ -420,6 +424,7 @@ RAW_BASE = {"n": 3, "gens": [[0, 1, 1]]}
 RAW_BASE_4 = {"n": 4, "gens": [[1, 1, 0, 0], [0, 0, 1, 1]]}
 SHAKIN_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": [2, 3]}
 X1SQ_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[2]]}], "powers": []}
+X1CU_RING = {"n": 3, "pieces": [{"i": 1, "gens": [[3]]}], "powers": []}
 DISTRACTION = {"n": 3, "char": 32003, "rows": [
     [{"c": [1, 0, 0]}, {"c": [1, 5, 0]}, {"c": [1, 0, 7]}],
     [{"c": [0, 1, 0]}, {"c": [3, 1, 0]}, {"c": [0, 1, 2]}],
@@ -429,6 +434,12 @@ GOLDEN_REPORTS = {
     "macaulay-lex": (
         "macaulay-lex --dmax 3 --shakin {raw}", 1,
         "ba46c214759aacf1fe495e56866b8f21adda6a2b38696e21261b75748fc5e0cc"),
+    "macaulay-lex-shakin-dmax4": (
+        "macaulay-lex --dmax 4 --shakin {ring}", 0,
+        "68f819c095314229578fb62467b25a885e709ed2c46092ef893ebf46163ff3ae"),
+    "macaulay-lex-x1cu-dmax5": (
+        "macaulay-lex --dmax 5 --budget 1000000 --shakin {x1cu}", 0,
+        "a0a5a92c81296232749650e35c0af382e587a4c2035f6de411d627ab1092a7ed"),
     "betti-extremal": (
         "betti-extremal --dmax 3 --shakin {raw}", 1,
         "821ebd78396ce311b654a5215c1a3ec3a1af88e82042e2c52f23fe698af46ad8"),
@@ -482,11 +493,12 @@ def test_verify_report_bytes_pinned(tmp_path, kind):
     args, expected_code, digest = GOLDEN_REPORTS[kind]
     paths = {"raw": tmp_path / "raw.json", "raw4": tmp_path / "raw4.json",
              "ring": tmp_path / "ring.json", "x1sq": tmp_path / "x1sq.json",
-             "d": tmp_path / "d.json"}
+             "x1cu": tmp_path / "x1cu.json", "d": tmp_path / "d.json"}
     paths["raw"].write_text(json.dumps(RAW_BASE))
     paths["raw4"].write_text(json.dumps(RAW_BASE_4))
     paths["ring"].write_text(json.dumps(SHAKIN_RING))
     paths["x1sq"].write_text(json.dumps(X1SQ_RING))
+    paths["x1cu"].write_text(json.dumps(X1CU_RING))
     paths["d"].write_text(json.dumps(DISTRACTION))
     out = tmp_path / "report.json"
     argv = ["verify", *(a.format(**paths) for a in args.split()), "--out", str(out)]

@@ -7,6 +7,7 @@ import inspect
 import json
 import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,11 +15,17 @@ import lexdist
 from lexdist import groebner, monomials, verify
 from lexdist.cli import main
 from lexdist.distraction import DistractionMatrix, distract_ideal, random_distraction
-from lexdist.errors import BudgetExceededError, InvalidInputError
+from lexdist.errors import BudgetExceededError, InvalidInputError, NotAdmissibleError
 from lexdist.groebner import DEFAULT_CHAR, hilbert_function as hf_general, initial_ideal
 from lexdist.homology import koszul_betti, local_coh_monomial, taylor_betti_oracle
-from lexdist.monomials import MonomialIdeal, hilbert_function
-from lexdist.shakin import lex_embed, make_piecewise_lex, make_shakin, stable_lex_embedding
+from lexdist.monomials import MonomialIdeal, degree_monomials, hilbert_function
+from lexdist.shakin import (
+    embedded_masks,
+    lex_embed,
+    make_piecewise_lex,
+    make_shakin,
+    stable_lex_embedding,
+)
 from lexdist.verify import (
     enumerate_monomial_ideals_modulo,
     random_monomial_ideal,
@@ -235,6 +242,75 @@ def test_enumerate_budget_error():
     assert err.value.count_estimate >= 10
 
 
+X1CU = MonomialIdeal(3, [(3, 0, 0)])
+
+
+@pytest.mark.parametrize("base, dmax", [*PINNED_ENUMERATIONS, (X1CU, 4)])
+def test_chain_counts_match_the_enumeration(base, dmax):
+    counts = Counter(h for _, h, _ in verify._superideals(base, dmax))
+    assert verify._chain_counts(base, dmax) == counts
+    if base == X1CU:
+        assert (sum(counts.values()), len(counts)) == (26946, 187)
+
+
+def _count_built(monkeypatch):
+    """Record the generators of every ideal MonomialIdeal._trusted builds."""
+    built = []
+    real = MonomialIdeal._trusted.__func__
+
+    def spy(cls, n, gens):
+        built.append(gens)
+        return real(cls, n, gens)
+
+    monkeypatch.setattr(MonomialIdeal, "_trusted", classmethod(spy))
+    return built
+
+
+EXHAUSTIVE_CHECKS = [
+    lambda base, dmax, budget: list(enumerate_monomial_ideals_modulo(base, dmax, budget)),
+    lambda base, dmax, budget: verify_macaulay_lex(base, dmax, budget),
+    lambda base, dmax, budget: verify_betti_extremal(base, dmax, budget),
+    lambda base, dmax, budget: verify_coh_extremal(base, dmax, budget=budget),
+]
+EXHAUSTIVE_IDS = ["enumerate", "macaulay-lex", "betti-extremal", "coh-extremal"]
+
+
+@pytest.mark.parametrize("check", EXHAUSTIVE_CHECKS, ids=EXHAUSTIVE_IDS)
+@pytest.mark.parametrize("base, dmax", [
+    (MonomialIdeal(3, [(2, 0, 0)]), 2),
+    (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 2),  # x2^3 at dmax + 1
+    (MonomialIdeal(2, [(2, 0), (0, 5)]), 3),  # x2^5 above dmax
+])
+def test_exhaustive_budgets_are_exact(check, base, dmax):
+    # the estimate exceeds the count, so both budgets go to the exact count
+    count = sum(1 for _ in verify._superideals(base, dmax))
+    estimate = verify._count_upper_bound(base.n, monomials.degree_masks(base, dmax), dmax)
+    assert estimate > count
+    out = check(base, dmax, count)
+    assert len(out) == count if isinstance(out, list) else out.cases_checked == count
+    with pytest.raises(BudgetExceededError) as err:
+        check(base, dmax, count - 1)
+    assert (err.value.budget, err.value.count_estimate) == (count - 1, estimate)
+
+
+def test_superideals_check_the_budget_before_the_first_ideal(monkeypatch):
+    built = _count_built(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        next(verify._superideals(X1CU, 4, budget=26945))
+    assert built == []
+    assert sum(1 for _ in verify._superideals(X1CU, 4, budget=26946)) == len(built) == 26946
+
+
+@pytest.mark.parametrize("check", EXHAUSTIVE_CHECKS, ids=EXHAUSTIVE_IDS)
+def test_over_budget_runs_build_no_ideal(monkeypatch, check):
+    # 579 726 ideals at dmax 5: every kind stops on the count alone
+    built = _count_built(monkeypatch)
+    with pytest.raises(BudgetExceededError) as err:
+        check(X1CU, 5, 10 ** 5)
+    assert err.value.budget == 10 ** 5
+    assert built == []
+
+
 # --- macaulay-lex ------------------------------------------------------------------
 
 def test_macaulay_lex_shakin_rings_pass():
@@ -258,6 +334,53 @@ def test_macaulay_lex_escape_hatch_finds_counterexamples():
     assert not report.passed
     assert any(f.get("error") == "ClosureError" for f in report.failures)
     assert any("escape hatch" in note for note in report.notes)
+
+
+def test_macaulay_lex_builds_no_ideal_on_a_passing_base(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("_superideals called")
+
+    monkeypatch.setattr(verify, "_superideals", fail)
+    report = verify_macaulay_lex(shakin(3, pieces=[(1, [(3,)])]), 4)
+    assert report.passed and report.cases_checked == 26946
+    assert report.notes == ["distinct Hilbert functions: 187"]
+
+
+def _macaulay_lex_per_ideal(base, dmax):
+    """The per-ideal loop verify_macaulay_lex replaced, kept as its oracle:
+    (cases, failures, number of distinct Hilbert functions)."""
+    n = base.n
+    cache, failures, cases = {}, [], 0
+    for ideal, h, _pieces in verify._superideals(base, dmax):
+        cases += 1
+        verdict = cache.get(h)
+        if verdict is None:
+            try:
+                masks = embedded_masks(base, h, dmax)
+            except NotAdmissibleError as exc:
+                verdict = {"error": type(exc).__name__, "degree": exc.degree,
+                           "message": str(exc)}
+            else:
+                got = tuple(len(degree_monomials(n, d)) - mask.bit_count()
+                            for d, mask in enumerate(masks))
+                verdict = {} if got == h else {"error": "hf-mismatch", "embedded_hf": got}
+            cache[h] = verdict
+        if verdict:
+            failures.append({"ideal": ideal.to_json(), "hilbert_function": list(h), **verdict})
+    return cases, failures, len(cache)
+
+
+@pytest.mark.parametrize("base, dmax", [
+    (MonomialIdeal(2, [(0, 2)]), 4),
+    (MonomialIdeal(3, [(0, 1, 1)]), 3),
+])
+def test_macaulay_lex_failures_match_the_per_ideal_loop(base, dmax):
+    cases, failures, distinct = _macaulay_lex_per_ideal(base, dmax)
+    report = verify_macaulay_lex(base, dmax)
+    assert failures and report.cases_checked == cases
+    # the same payloads in the same order, key order included
+    assert json.dumps(report.failures) == json.dumps(failures)
+    assert report.notes[-1] == f"distinct Hilbert functions: {distinct}"
 
 
 def test_embedded_ideal_occurs_and_passes():
