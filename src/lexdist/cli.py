@@ -215,10 +215,10 @@ _VERIFY_KINDS = {
         budget=args.budget, p=_char(args)),
     "distraction-hf": lambda args: verify.verify_distraction_hf(
         _load_base(args.shakin), _load_distraction(args.distraction, args.char),
-        args.dmax, samples=args.samples, seed=args.seed, p=_char(args)),
+        args.dmax, samples=args.samples, seed=args.seed),
     "epsilon-d-extremal": lambda args: verify.verify_epsilon_d_extremal(
         _load_base(args.shakin), _load_distraction(args.distraction, args.char),
-        args.dmax, samples=args.samples, seed=args.seed, p=_char(args)),
+        args.dmax, samples=args.samples, seed=args.seed),
     "betti-invariance": lambda args: verify.verify_betti_distraction_invariance(
         args.n, samples=args.samples, dmax=args.dmax, seed=args.seed,
         p=_char(args)),

@@ -1,18 +1,19 @@
 """Graded Betti numbers and local cohomology Hilbert functions.
 
 For monomial ideals both are reduced simplicial homology of one small
-complex per multidegree, from one kernel: upper Koszul complexes give the
-Betti numbers, degree complexes the local cohomology.  The kernel is
-memoised by a canonical key of the complex (vertex bitmasks, see _faces_of)
-together with the characteristic, so an exhaustive check pays once per
-distinct complex, not once per ideal.  A Koszul complex is first reduced
-to its strong-collapse core by deleting dominated vertices (Barmak-Minian,
-Discrete Comput. Geom. 47, 2012), which keeps its homotopy type; the memo
-holds the cores as well as the keys, so the ranks are paid once per core,
-and a core that is a point needs none.  The keys are read off bitsets over
-the generators, one table per coordinate built once per ideal (see
-_split), so a key costs a few bit operations per coordinate instead of
-a comparison per generator and coordinate.  A general homogeneous ideal J
+complex per multidegree, from one kernel over one kind of complex, given
+by its facets as vertex bitmasks: upper Koszul complexes give the Betti
+numbers, and the Alexander duals of degree complexes the local
+cohomology.  The kernel is memoised by the facet set together with the
+characteristic, so an exhaustive check pays once per distinct complex,
+not once per ideal.  A complex is first reduced to its strong-collapse
+core by deleting dominated vertices (Barmak-Minian, Discrete Comput.
+Geom. 47, 2012), which keeps its homotopy type; the memo holds the cores
+as well as the keys, so the ranks are paid once per core, and a core
+that is a point needs none.  The facets are read off bitsets over the
+generators, one table per coordinate built once per ideal (see _split),
+so a key costs a few bit operations per coordinate instead of a
+comparison per generator and coordinate.  A general homogeneous ideal J
 takes the table of its initial ideal in(J), which differs only by
 consecutive cancellations (see koszul_betti), and ranks sparse Koszul
 strands of A/J only in the degrees where in(J) has an adjacent nonzero
@@ -129,7 +130,7 @@ def _koszul_monomial(ideal, dmax, p):
         for k, (row, v) in enumerate(zip(below, b)):
             facets = _split(facets, k, row[v])
         j = sum(b)
-        for k, h in _homology(("facets", frozenset(facets)), p):
+        for k, h in _homology(frozenset(facets), p):
             raw[k + 2, j] = raw.get((k + 2, j), 0) + h
     return raw
 
@@ -286,12 +287,21 @@ def taylor_betti_oracle(ideal: MonomialIdeal, dmax: int, p: int = DEFAULT_CHAR) 
 # reduced homology and local cohomology
 # ---------------------------------------------------------------------------
 
-def _reduced_homology(faces, p):
+def _reduced_homology(facets, p):
     """{k: dim H~_k} over F_p, nonzero dims only, of the complex whose faces
-    (sorted vertex tuples, the empty face included) are given."""
+    are every subset of some vertex bitmask in facets."""
+    faces = set()
+    for facet in facets:
+        sub = facet
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & facet
     levels = {}
     for f in faces:
-        levels.setdefault(len(f), []).append(f)
+        levels.setdefault(f.bit_count(), []).append(
+            tuple(k for k in range(f.bit_length()) if f >> k & 1))
     ranks = {}
     for size, src in levels.items():
         if size:
@@ -303,27 +313,6 @@ def _reduced_homology(faces, p):
     dims = {size - 1: len(level) - ranks.get(size, 0) - ranks.get(size + 1, 0)
             for size, level in levels.items()}
     return {k: h for k, h in dims.items() if h}
-
-
-def _faces_of(key):
-    """Faces (sorted vertex tuples) of the complex a memo key describes.
-
-    ("facets", masks): every subset of some vertex bitmask in masks.
-    ("avoid", r, masks): every subset of range(r) containing no mask in masks.
-    """
-    if key[0] == "facets":
-        faces = set()
-        for facet in key[1]:
-            sub = facet
-            while True:
-                faces.add(sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & facet
-    else:
-        _, r, masks = key
-        faces = {f for f in range(1 << r) if not any(v & f == v for v in masks)}
-    return [tuple(k for k in range(f.bit_length()) if f >> k & 1) for f in faces]
 
 
 def _strong_core(masks):
@@ -360,31 +349,31 @@ def _strong_core(masks):
             return frozenset(facets)
 
 
-# the distinct keys, and the strong-collapse cores of the facet keys.
-# coh-extremal over (x1^2) meets 79 keys in three variables (dmax 4 or 5),
-# 563 in four at dmax 2 and 8 325 at dmax 3, past the cap: 344 evicted keys
-# are computed again there, yet a cap of 1 << 14 ran no faster and peaked
-# 3 MB higher; the n = 6 Betti tables meet a few hundred
+# the distinct keys, cores included.  coh-extremal over (x1^2) meets 64 keys
+# in three variables (dmax 4 or 5), 474 in four at dmax 2 and 8 080 at dmax
+# 3, past the cap: 245 evicted keys are computed again there, yet a cap of
+# 1 << 14 ran no faster and peaked 3 MB higher; the n = 6 Betti tables meet
+# a few hundred
 @lru_cache(maxsize=1 << 12)
-def _homology(key, p):
-    """Reduced homology of the complex a key describes (see _faces_of), memoised.
+def _homology(facets, p):
+    """Reduced homology of the complex with these facet bitmasks, memoised.
 
-    Returns sorted (k, dim H~_k) pairs, nonzero dims only; a tuple, since
-    every caller with the same key shares it.  A miss on a facet key first
-    reduces the facets to their strong-collapse core (_strong_core) and,
-    if that changes them, answers with the core's memoised homology, so
-    the ranks are paid once per core and the memo holds the cores as well
-    as the keys.  A core that is one facet is a point (a simplex collapses
-    to a vertex) and needs no rank.  Degree-complex keys are taken as
-    they are.
+    facets is a frozenset of vertex bitmasks, the one kind of complex both
+    Koszul complexes and the duals of degree complexes arrive as.  Returns
+    sorted (k, dim H~_k) pairs, nonzero dims only; a tuple, since every
+    caller with the same facets shares it.  A miss first reduces the
+    facets to their strong-collapse core (_strong_core) and, if that
+    changes them, answers with the core's memoised homology, so the ranks
+    are paid once per core and the memo holds the cores as well as the
+    keys.  A core that is one facet is a point (a simplex collapses to a
+    vertex) and needs no rank.
     """
-    if key[0] == "facets":
-        core = _strong_core(key[1])
-        if core != key[1]:
-            return _homology(("facets", core), p)
-        if len(core) == 1 and 0 not in core:
-            return ()
-    return tuple(sorted(_reduced_homology(_faces_of(key), p).items()))
+    core = _strong_core(facets)
+    if core != facets:
+        return _homology(core, p)
+    if len(core) == 1 and 0 not in core:
+        return ()
+    return tuple(sorted(_reduced_homology(core, p).items()))
 
 
 @dataclass(frozen=True)
@@ -434,14 +423,20 @@ def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
     Works through reduced homology of degree complexes (Takayama 2005): a
     multidegree contributes through the set G of its negative coordinates
     and the values b of the others (the region), each below its largest
-    generator exponent.  A subset F of the region is a face iff it
-    contains none of the masks {i : g_i > b_i} of the generators g, and
-    the complex is memoised by that set of masks.  With above[i][v] the
-    bitset of generators with g_i > v, the masks are what _split leaves of
-    all generators by the rows above[i][b_i]; the boxes are built one
-    region coordinate at a time, so boxes with a common prefix share its
-    splits.  The homology dimensions are summed by (|G|, sum of b) first,
-    and each total degree in the window is a finite weighted sum of those.
+    generator exponent.  A subset F of the region is a face of the degree
+    complex D iff it contains none of the masks {t : g_t > b_t} of the
+    generators g, so D's Alexander dual on the r region vertices has the
+    complements {t : g_t <= b_t} as facets (Miller-Sturmfels, ch. 1 and 5),
+    the one kind of complex _homology takes.  With below[i][v] the bitset
+    of generators with g_i <= v, those facets are what _split leaves of all
+    generators by the rows below[i][b_i]; the boxes are built one region
+    coordinate at a time, so boxes with a common prefix share its splits.
+    A box with the whole region as a facet has x^b in I and a void D, and
+    is skipped; otherwise dim H~_k(D) = dim H~_{r-3-k} of the dual for
+    r >= 1, and with r = 0 the one box left is the zero ideal's, whose D
+    is {emptyset}.  The homology dimensions are summed by (|G|, sum of b)
+    first, and each total degree in the window is a finite weighted sum
+    of those.
     """
     p = check_characteristic(p)
     n = ideal.n
@@ -459,22 +454,26 @@ def local_coh_monomial(ideal: MonomialIdeal, i_range=None, window=None,
     if jmin > jmax:
         raise InvalidInputError("empty degree window")
     everyone = (1 << len(gens)) - 1
-    # above[i][v]: the generators with g_i > v, for v below the largest g_i
-    above = []
-    for i in range(n):
-        top = max((g[i] for g in gens), default=0)
-        above.append([everyone & ~at for at in _bitset_table(gens, i, top + 1)[1:]])
+    # below[i][v]: the generators with g_i <= v, for v below the largest g_i
+    below = [_bitset_table(gens, i, max((g[i] for g in gens), default=0) + 1)[1:]
+             for i in range(n)]
 
     sums = {}  # (|G|, box sum) -> {i: summed homology dims}
     for gbits in range(1 << n):
         glen = gbits.bit_count()
         region = [i for i in range(n) if not gbits >> i & 1]
+        r = len(region)
         boxes = [(0, {0: everyone} if everyone else {})]
         for t, i in enumerate(region):
             boxes = [(total + v, _split(parts, t, row))
-                     for total, parts in boxes for v, row in enumerate(above[i])]
+                     for total, parts in boxes for v, row in enumerate(below[i])]
         for total, parts in boxes:
-            homology = _homology(("avoid", len(region), frozenset(parts)), p)
+            if (1 << r) - 1 in parts:
+                continue
+            if r:
+                homology = [(r - 3 - k, h) for k, h in _homology(frozenset(parts), p)]
+            else:
+                homology = [(-1, 1)]
             if homology:
                 dims = sums.setdefault((glen, total), {})
                 for k, h in homology:

@@ -301,23 +301,22 @@ def _chain_ideal(base: MonomialIdeal, chain) -> MonomialIdeal:
     return MonomialIdeal(base.n, ideal.gens + above) if above else ideal
 
 
-def _sample_ideal_over(rng, base: MonomialIdeal, d: DistractionMatrix,
-                       dmax: int, p: int):
+def _sample_ideal_over(rng, base: MonomialIdeal, d: DistractionMatrix, dmax: int):
     """A homogeneous ideal containing the distracted base, plus its source.
 
     Returns (J, monomial source ideal or None): either the distraction of a
     random monomial ideal over the base, or the distracted base plus up to
-    two random homogeneous elements.
+    two random homogeneous elements, over d's field.
     """
     if rng.random() < 0.5:
         source = _chain_ideal(base, random_superideal_chain(rng, base, dmax))
         return distract_ideal(d, source), source
     extras = [
-        random_homogeneous_poly(rng, base.n, rng.randint(1, dmax), p)
+        random_homogeneous_poly(rng, base.n, rng.randint(1, dmax), d.p)
         for _ in range(rng.randint(1, 2))
     ]
     da = distract_ideal(d, base)
-    return Ideal(base.n, list(da.gens) + extras, p), None
+    return Ideal(base.n, list(da.gens) + extras, d.p), None
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +571,7 @@ def _require_samples(samples):
 
 def _distraction_pairs(report, n, samples, seed, dmax, p):
     """Seeded (monomial ideal, distraction, distracted ideal), counted on report."""
+    p = check_characteristic(p)
     if n < 1:
         raise InvalidInputError(f"sampled ideals need at least one variable, got n={n}")
     if dmax < 0:
@@ -585,7 +585,7 @@ def _distraction_pairs(report, n, samples, seed, dmax, p):
         yield ideal, d, distract_ideal(d, ideal)
 
 
-def _sampled_cases(report, base, d, samples, seed, dmax, p):
+def _sampled_cases(report, base, d, samples, seed, dmax):
     """Seeded (J, monomial source ideal or None, HF(J)) over the distracted base.
 
     Each sample is counted on report; see _sample_ideal_over for J, whose
@@ -596,7 +596,7 @@ def _sampled_cases(report, base, d, samples, seed, dmax, p):
     _require_samples(samples)
     rng = random.Random(seed)
     for _ in range(samples):
-        j, source = _sample_ideal_over(rng, base, d, dmax, p)
+        j, source = _sample_ideal_over(rng, base, d, dmax)
         report.cases_checked += 1
         yield j, source, groebner.hilbert_function(j, dmax)
 
@@ -717,6 +717,7 @@ def verify_coh_extremal(a, dmax: int, window=None,
     ideals are read off the first superideal with the same last piece by
     _coh_by_pieces.
     """
+    p = check_characteristic(p)
     base = base_ideal(a)
     n = base.n
     if window is None:
@@ -746,14 +747,14 @@ def verify_coh_extremal(a, dmax: int, window=None,
 
 
 def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
-                          samples: int = 100, seed: int = DEFAULT_SEED,
-                          p: int = DEFAULT_CHAR) -> VerificationReport:
+                          samples: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Hilbert functions over the distracted ring embed over the original ring.
 
     Samples ideals containing the distracted base (distractions of monomial
     superideals plus randomly fattened ones) and requires their quotient
     Hilbert functions to be admissible over the base; the reverse inclusion
-    is witnessed constructively by distracting embedded ideals.
+    is witnessed constructively by distracting embedded ideals.  The
+    sampled ideals live over d's field.
     """
     base = base_ideal(a)
     n = base.n
@@ -761,9 +762,9 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
     report = VerificationReport(
         theorem="distraction-hf-poset",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
-                "char": p, "distraction": d.to_json(), **_shakin_params(a)},
+                "char": d.p, "distraction": d.to_json(), **_shakin_params(a)},
     )
-    for j, source, h in _sampled_cases(report, base, d, samples, seed, dmax, p):
+    for j, source, h in _sampled_cases(report, base, d, samples, seed, dmax):
         embedded, err = _attempt(lex_embed, base, h, dmax)
         if err is not None:
             report.failures.append({
@@ -832,17 +833,17 @@ def verify_codistra_h0(n: int, samples: int = 100, dmax: int = 6,
 
 
 def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
-                              samples: int = 50, seed: int = DEFAULT_SEED,
-                              p: int = DEFAULT_CHAR) -> VerificationReport:
+                              samples: int = 50, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Extremality of the distraction-induced embedding on sampled ideals.
 
     For sampled ideals J containing the distracted base: Betti numbers are
     bounded by the embedded target (requires no pure powers, the stated
     hypothesis), and degree-0 local cohomology is bounded against both the
-    lex-embedded target and its distraction.
+    lex-embedded target and its distraction.  The sampled ideals and the
+    Betti numbers live over d's field.
     """
     base = base_ideal(a)
-    n = base.n
+    n, p = base.n, d.p
     _require_valid(d)
     report = VerificationReport(
         theorem="epsilon-d-extremal",
@@ -860,7 +861,7 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
         return dict(enumerate(groebner.h0_hilbert_function(ideal, dmax)))
 
     target_cache = {}
-    for j, _source, h in _sampled_cases(report, base, d, samples, seed, dmax, p):
+    for j, _source, h in _sampled_cases(report, base, d, samples, seed, dmax):
         witness = groebner.initial_ideal(j)
         if witness.gens not in target_cache:
             embedded, err = _attempt(stable_lex_embedding, base, witness)

@@ -374,6 +374,32 @@ def test_verify_kinds_end_cleanly_at_the_smallest_degrees(capsys, files, kind, b
             assert code == 2 and data["error"] == "invalid-input", data
 
 
+@pytest.mark.parametrize("extra", [[], ["--samples", "0"], ["--budget", "0"]],
+                         ids=["plain", "samples-0", "budget-0"])
+@pytest.mark.parametrize("kind", [kind for kind in _VERIFY_KINDS if kind != "macaulay-lex"])
+def test_verify_kinds_reject_a_non_prime_characteristic(capsys, files, kind, extra):
+    # every kind that reads --char rejects 4 before it samples or counts
+    # anything, so no sample count or budget can end the run first
+    code, data = run(capsys, "verify", kind, "--shakin", files["shakin_pl"], "--n", "2",
+                     "--distraction", files["distraction"], "--dmax", "3",
+                     "--char", "4", *extra)
+    assert code == 2 and data["error"] == "invalid-input", data
+
+
+@pytest.mark.parametrize("kind", ["distraction-hf", "epsilon-d-extremal"])
+def test_sampled_shakin_kinds_use_the_distractions_field(capsys, files, kind):
+    # without --char the sampled ideals and the report live over the
+    # distraction file's field, here 7
+    d7 = files["tmp"] / "d7.json"
+    d7.write_text(json.dumps({"n": 2, "char": 7,
+                              "rows": [[{"c": [1, 0]}, {"c": [1, 1]}], [{"c": [0, 1]}]]}))
+    for samples in ("1", "5"):
+        code, data = run(capsys, "verify", kind, "--shakin", files["shakin_pl"],
+                         "--distraction", str(d7), "--dmax", "3", "--samples", samples)
+        assert code == 0 and data["passed"], data
+        assert data["params"]["char"] == data["params"]["distraction"]["char"] == 7
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -281,7 +281,7 @@ def reduced_homology(facets, p=P):
     (vertex sets), from the kernel shared by Betti numbers and local
     cohomology."""
     masks = frozenset(sum(1 << v for v in f) for f in facets)
-    return dict(homology._homology(("facets", masks), p))
+    return dict(homology._homology(masks, p))
 
 
 def test_hollow_triangle():
@@ -345,7 +345,32 @@ def test_strong_core_keeps_homology(p):
         expected = brute_facet_homology(masks, p)
         assert pinned.get(masks, expected) == expected
         assert brute_facet_homology(core, p) == expected, (masks, core)
-        assert dict(homology._homology(("facets", masks), p)) == expected, (masks, core)
+        assert dict(homology._homology(masks, p)) == expected, (masks, core)
+
+
+def brute_avoid_homology(r, masks, p):
+    """brute_reduced_homology of the subsets of range(r) containing no mask."""
+    faces = [tuple(t for t in range(r) if f >> t & 1) for f in range(1 << r)
+             if not any(m & f == m for m in masks)]
+    return brute_reduced_homology(faces, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_alexander_dual_gives_the_degree_complex_homology(p):
+    # the complex of subsets of r vertices that contain no mask (a degree
+    # complex) has dim H~_k = dim H~_{r-3-k} of its Alexander dual, whose
+    # facets are the masks' complements; with no masks the complex is a
+    # simplex, and with the empty mask it is void
+    gen = random.Random(5)
+    cases = [(r, masks) for r in range(1, 6) for masks in (frozenset(), frozenset({0}))]
+    for _ in range(300):
+        r = gen.randint(1, 5)
+        cases.append((r, frozenset(gen.randrange(1 << r) for _ in range(gen.randint(1, 6)))))
+    homology._homology.cache_clear()
+    for r, masks in cases:
+        dual = frozenset(((1 << r) - 1) ^ m for m in masks)
+        shifted = {r - 3 - k: h for k, h in homology._homology(dual, p)}
+        assert shifted == brute_avoid_homology(r, masks, p), (r, masks)
 
 
 def test_strong_core_of_a_collapsible_complex_is_a_point(monkeypatch):
@@ -366,7 +391,7 @@ def test_strong_core_of_a_collapsible_complex_is_a_point(monkeypatch):
     for masks in complexes + cones:
         core = homology._strong_core(masks)
         assert len(core) == 1 and next(iter(core)).bit_count() == 1, (masks, core)
-        assert homology._homology(("facets", masks), 2) == ()
+        assert homology._homology(masks, 2) == ()
 
 
 # --- local cohomology --------------------------------------------------------------
@@ -431,11 +456,25 @@ def test_h0_with_no_variables():
 
 
 def test_local_coh_matches_per_subset_route():
-    for ideal, p in seeded_monomial_ideals():
+    edges = [(MonomialIdeal(n, gens), p) for n in range(4) for gens in ([], [(0,) * n])
+             for p in (2, P)]
+    for ideal, p in [*seeded_monomial_ideals(), *edges]:
         window = (-4, 6)
         table = local_coh_monomial(ideal, window=window, p=p)
         assert table.to_json() == brute_local_coh(ideal.gens, ideal.n, window, p), \
             (ideal.gens, p)
+
+
+def test_unit_ideal_local_coh_makes_no_homology_call(monkeypatch):
+    # every box of the unit ideal has x^b in I, so each degree complex is
+    # void and is skipped before the memo
+    def forbidden(*args):
+        raise AssertionError("_homology called for the unit ideal")
+
+    monkeypatch.setattr(homology, "_homology", forbidden)
+    for n in range(4):
+        table = local_coh_monomial(MonomialIdeal(n, [(0,) * n]), window=(-4, 6))
+        assert table.entries == () and table.unbounded_below == (), n
 
 
 def test_local_coh_respects_irange():

@@ -227,7 +227,7 @@ def test_sampled_sources_distract_to_the_sampled_ideal():
     rng = random.Random(8)
     sources = 0
     for _ in range(12):
-        j, source = verify._sample_ideal_over(rng, base, d, 4, P)
+        j, source = verify._sample_ideal_over(rng, base, d, 4)
         if source is not None:
             sources += 1
             assert base <= source
@@ -650,7 +650,7 @@ def test_epsilon_d_extremal_files_every_non_admissible_sample():
     report = verify_epsilon_d_extremal(base, d, 3, samples=150, seed=0)
     replay = verify.VerificationReport(theorem="replay", params={})
     witnesses = []
-    for j, _source, _h in verify._sampled_cases(replay, base, d, 150, 0, 3, P):
+    for j, _source, _h in verify._sampled_cases(replay, base, d, 150, 0, 3):
         witness = initial_ideal(j)
         _, err = verify._attempt(stable_lex_embedding, base, witness)
         if err is not None:
