@@ -20,7 +20,7 @@ from .errors import (
     NoLexIdealError,
     NotAdmissibleError,
 )
-from .groebner import DEFAULT_CHAR, Ideal
+from .groebner import DEFAULT_CHAR, Ideal, check_characteristic
 from .homology import koszul_betti, local_coh_monomial
 from .macaulay import lex_ideal_for_hf
 from .monomials import MonomialIdeal
@@ -328,6 +328,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "dmax", None) is not None and args.dmax < 0:
             raise InvalidInputError("dmax must be nonnegative")
+        # also on commands that work over no field and would ignore it
+        if getattr(args, "char", None) is not None:
+            check_characteristic(args.char)
         return args.func(args)
     except NotAdmissibleError as exc:
         _emit({"error": "not-admissible", "degree": exc.degree,

@@ -16,7 +16,7 @@ class NoLexIdealError(ValueError):
         super().__init__(message or f"not an O-sequence: violation at degree {degree}")
 
 
-class NotLexSegmentError(ValueError):
+class NotLexSegmentError(InvalidInputError):
     """A declared piece is not a lex segment in its subring."""
 
     def __init__(self, piece_index, message=None):
@@ -52,7 +52,7 @@ class ClosureError(NotAdmissibleError):
         )
 
 
-class InvalidFamilyError(ValueError):
+class InvalidFamilyError(InvalidInputError):
     """A gluing family violates the overlap agreement precondition."""
 
     def __init__(self, degree, message=None):

@@ -17,9 +17,11 @@ product is then one addition, divisibility one subtract-and-mask and an
 lcm a field-wise max.  The width is chosen per call from the input's
 largest degree; a term that outgrows it sets its field's guard bit, and
 the call starts again at double the width, so nothing wraps.  The input
-is packed once and only the result is unpacked.  The same division gives
-the action of each variable on the standard monomials, which homology's
-Koszul strands take (_variable_action).
+is packed once and only the result is unpacked.  _buchberger is the one
+route to a reduced basis; it unpacks each element with its lead term
+first.  The same division gives the action of each variable on the
+standard monomials, which _variable_action hands, with those monomials,
+to homology's Koszul strands.
 
 All public ideals are homogeneous by contract.  Elimination data is
 homogeneous in x (t is not counted): t*f and (1-t)*g are, and so is every
@@ -29,9 +31,10 @@ Degree-0 local cohomology of a general ideal comes from one saturation by
 a linear form (a variable, else a seeded generic form), read off a
 degrevlex initial ideal (Bayer-Stillman 1987) of the ideal with that form
 moved to x_n (by a swap of two variables or one shear of x_n), and
-certified by comparing Hilbert polynomials; saturate_maximal, the
-intersection of the per-variable saturations, is the fallback when no
-tried form certifies, and the tests' oracle.
+certified by comparing Hilbert polynomials through
+monomials.series_transform; saturate_maximal, the intersection of the
+per-variable saturations, is the fallback when no tried form certifies,
+and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import operator
 import random
 import re
 from functools import lru_cache, reduce
-from itertools import accumulate, zip_longest
 
 from . import monomials
 from .errors import InvalidInputError
@@ -105,7 +107,7 @@ def check_characteristic(p: int) -> int:
 class Poly:
     """A sparse polynomial: exponent tuple -> nonzero coefficient in F_p."""
 
-    __slots__ = ("n", "p", "terms", "_lead")
+    __slots__ = ("n", "p", "terms")
 
     def __init__(self, n, p, terms=None):
         self.n = n
@@ -116,7 +118,6 @@ class Poly:
             if c:
                 clean[tuple(exps)] = c
         self.terms = clean
-        self._lead = None  # (order, exponents, coefficient) of the last leading() call
 
     @classmethod
     def constant(cls, n, p, c):
@@ -140,12 +141,9 @@ class Poly:
         return len(degs) <= 1
 
     def leading(self, order: MonomialOrder):
-        """(exponents, coefficient) of the largest term; kept for the last
-        order asked, since the terms of a Poly never change."""
-        if self._lead is None or self._lead[0] is not order:
-            exps = max(self.terms, key=order.key)
-            self._lead = (order, exps, self.terms[exps])
-        return self._lead[1:]
+        """(exponents, coefficient) of the largest term under order."""
+        exps = max(self.terms, key=order.key)
+        return exps, self.terms[exps]
 
     def map_exponents(self, f):
         return Poly(self.n, self.p, {tuple(f(e)): c for e, c in self.terms.items()})
@@ -328,21 +326,27 @@ def _reduce(work, basis, pk, p):
     return rem
 
 
-def _variable_action(ideal, std):
-    """images[d][b][k]: the normal form of x_{k+1} * std[d][b] modulo the
-    reduced degrevlex basis of ideal, as (position in std[d + 1],
-    coefficient) pairs, for d < top = len(std) - 1.
+def _variable_action(ideal, top):
+    """The standard monomials of degrees 0..top and x_{k+1} acting on them.
 
-    std[d] lists the degree-d standard monomials.  They and the basis
-    elements of degree <= top, the only ones whose leads can divide a
-    product, are packed once, at a width that holds degree top: a
-    reduction keeps the degree of the product, so no field can outgrow
-    it.  A product that is itself standard takes its position straight
-    from std[d + 1]; every other distinct product is reduced once by
-    _reduce, and the terms of its remainder, standard monomials of the
-    same degree, are positioned the same way.
+    Returns (std, images): std[d] lists the degree-d standard monomials of
+    the reduced degrevlex basis in descending lex order, read off the
+    masks of the initial ideal, and images[d][b][k] is the normal form of
+    x_{k+1} * std[d][b] as (position in std[d + 1], coefficient) pairs,
+    for d < top.
+
+    The standard monomials and the basis elements of degree <= top, the
+    only ones whose leads can divide a product, are packed once, at a
+    width that holds degree top: a reduction keeps the degree of the
+    product, so no field can outgrow it.  A product that is itself
+    standard takes its position straight from std[d + 1]; every other
+    distinct product is reduced once by _reduce, and the terms of its
+    remainder, standard monomials of the same degree, are positioned the
+    same way.
     """
-    top = len(std) - 1
+    masks = monomials.degree_masks(initial_ideal(ideal), top)
+    std = [[m for t, m in enumerate(monomials.degree_monomials(ideal.n, d))
+            if not masks[d] >> t & 1] for d in range(top + 1)]
     p = ideal.p
     pk = _packing(DEGREVLEX, ideal.n, max(_MIN_WIDTH, top.bit_length()))
     basis = [_monic({pk.pack(e): c for e, c in g.terms.items()}, pk, p)
@@ -354,7 +358,7 @@ def _variable_action(ideal, std):
         for m in {s + w for s in here for w in pk.weights} - known.keys():
             known[m] = [(there[r], c) for r, c in _reduce({m: 1}, basis, pk, p)]
         images.append([[known[s + w] for w in pk.weights] for s in here])
-    return images
+    return std, images
 
 
 def normal_form(f: Poly, basis, order: MonomialOrder = DEGREVLEX) -> Poly:
@@ -439,33 +443,25 @@ def _interreduce(G, pk, p):
     return kept
 
 
-def _packed_basis(polys, order, kernel):
-    """The reduced basis of kernel(packed polys, packing, p), unpacked."""
-    polys = [f for f in polys if not f.is_zero]
-    if not polys:
-        return ()
-    n, p = polys[0].n, polys[0].p
-    pk, basis = _packed_run(order, polys,
-                            lambda pk, fs: _interreduce(kernel(fs, pk, p), pk, p))
-    return tuple(Poly(n, p, {pk.unpack(m): c for m, c in [(lead, 1), *tail]})
-                 for lead, tail in basis)
-
-
-def _reduce_basis(G, order: MonomialOrder):
-    """The reduced basis of a Groebner basis G, by decreasing lead, from
-    one _interreduce pass on packed monomials."""
-    return _packed_basis(G, order, lambda fs, pk, p: [_monic(f, pk, p) for f in fs])
-
-
 def _buchberger(gens, order: MonomialOrder):
-    """Reduced Groebner basis of gens, by decreasing lead.
+    """Reduced Groebner basis of gens, by decreasing lead: the one route to
+    a reduced basis.
 
     The input is packed once (_packed_run: fields wide enough for its
     degrees, widened and rerun on a guard-bit overflow), _groebner and
     _interreduce run on packed monomials, and only the reduced basis is
-    unpacked.
+    unpacked, each element with its lead term first and its tail after it
+    in decreasing order; initial_ideal and _variable_action read the lead
+    off that first term.
     """
-    return _packed_basis(gens, order, _groebner)
+    polys = [f for f in gens if not f.is_zero]
+    if not polys:
+        return ()
+    n, p = polys[0].n, polys[0].p
+    pk, basis = _packed_run(order, polys,
+                            lambda pk, fs: _interreduce(_groebner(fs, pk, p), pk, p))
+    return tuple(Poly(n, p, {pk.unpack(m): c for m, c in [(lead, 1), *tail]})
+                 for lead, tail in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +527,9 @@ class Ideal:
 
 
 def initial_ideal(ideal: Ideal) -> MonomialIdeal:
-    """Degrevlex leading terms of the reduced basis, as a monomial ideal."""
-    return MonomialIdeal(
-        ideal.n, [g.leading(DEGREVLEX)[0] for g in ideal.groebner_basis()]
-    )
+    """Degrevlex leading terms of the reduced basis, as a monomial ideal;
+    _buchberger puts each element's lead first."""
+    return MonomialIdeal(ideal.n, [next(iter(g.terms)) for g in ideal.groebner_basis()])
 
 
 def hilbert_function(ideal: Ideal, dmax: int):
@@ -572,7 +567,11 @@ def _shear_last(ideal: Ideal, head):
 
 
 def saturate_variable(ideal: Ideal, i: int) -> Ideal:
-    """(I : x_{i+1}^infinity) via content stripping on a reverse-lex basis."""
+    """(I : x_{i+1}^infinity) via content stripping on a reverse-lex basis.
+
+    The stripped basis already is a Groebner basis of the saturation, so
+    _buchberger's S-pairs all reduce to zero.
+    """
     if not 0 <= i < ideal.n:
         raise InvalidInputError("variable index out of range")
     swap = _permute_last(ideal, i)
@@ -583,7 +582,7 @@ def saturate_variable(ideal: Ideal, i: int) -> Ideal:
         if drop:
             g = g.map_exponents(lambda e: e[:-1] + (e[-1] - drop,))
         stripped.append(g)
-    stripped = _reduce_basis(stripped, DEGREVLEX)
+    stripped = _buchberger(stripped, DEGREVLEX)
     return Ideal(ideal.n, [swap(g) for g in stripped], ideal.p)
 
 
@@ -605,7 +604,12 @@ _ELIM_LAST = _ElimLastOrder()
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Intersection of homogeneous ideals via a single elimination variable."""
+    """Intersection of homogeneous ideals via a single elimination variable.
+
+    The t-free elements of the reduced elimination basis are kept as they
+    are: _ElimLastOrder is degrevlex on t-free monomials, so they already
+    are the reduced degrevlex basis of the intersection, by decreasing lead.
+    """
     if a.n != b.n or a.p != b.p:
         raise InvalidInputError("intersection needs matching rings")
     n, p = a.n, a.p
@@ -620,7 +624,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     basis = _buchberger(gens, _ELIM_LAST)
     kept = [Poly(n, p, {e[:-1]: c for e, c in g.terms.items()}) for g in basis
             if all(e[-1] == 0 for e in g.terms)]
-    return Ideal(n, _reduce_basis(kept, DEGREVLEX), p)
+    return Ideal(n, kept, p)
 
 
 def saturate_maximal(ideal: Ideal) -> Ideal:
@@ -671,8 +675,10 @@ def _h0_series(ideal: Ideal):
     exponent stripped (degrevlex, Bayer-Stillman 1987).  Always
     I <= I^sat <= I : l^infinity, and the quotient of the last two has no
     m-torsion, so it is zero iff A/I and A/C have the same Hilbert
-    polynomial: iff (1-t)^n divides N_I - N_C, N the Hilbert numerators.
-    The quotient is then the H^0 series.
+    polynomial: iff (1-t)^n divides diff = N_I - N_C, N the Hilbert
+    numerators, that is iff monomials.series_transform(diff, -n) vanishes
+    from index max(len(diff) - n, 0) on.  The quotient is then the H^0
+    series.
 
     l runs over x_n, on the ideal's own cached basis, then the other
     variables, with g the swap of x_k and x_n, which keeps gI as sparse as
@@ -694,24 +700,12 @@ def _h0_series(ideal: Ideal):
         if change is not None:
             lead = initial_ideal(Ideal(n, [change(g) for g in ideal.gens], p))
         stripped = MonomialIdeal(n, [g[:-1] + (0,) for g in lead.gens])
-        diff = [a - b for a, b in
-                zip_longest(target, monomials.hilbert_numerator(stripped), fillvalue=0)]
-        series = _divide_by_one_minus_t(diff, n)
-        if series is not None:
-            return series
+        diff = monomials._minus_shifted(target, monomials.hilbert_numerator(stripped), 0)
+        series = monomials.series_transform(diff, -n)
+        cut = max(len(diff) - n, 0)
+        if not any(series[cut:]):
+            return series[:cut]
     return None
-
-
-def _divide_by_one_minus_t(coeffs, k):
-    """Coefficients of c(t) / (1-t)^k, or None if (1-t)^k does not divide c(t).
-
-    Dividing by 1-t takes partial sums; the last one is c(1), which must be 0.
-    """
-    for _ in range(k):
-        coeffs = list(accumulate(coeffs))
-        if coeffs and coeffs.pop():
-            return None
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ comparison per generator and coordinate.  A general homogeneous ideal J
 takes the table of its initial ideal in(J), which differs only by
 consecutive cancellations (see koszul_betti), and ranks sparse Koszul
 strands of A/J only in the degrees where in(J) has an adjacent nonzero
-pair; x_k acts on their standard monomials through groebner's division
-kernel, the one Buchberger and normal_form run.  A Taylor-complex route
-is an independent oracle on monomial inputs.  Every boundary map and
-strand is built as sparse columns for _modmat.rank_mod, so memory
-follows the number of nonzero entries, not the matrix shape.
+pair; groebner._variable_action gives their standard monomials and x_k's
+action on them, through the division kernel Buchberger and normal_form
+run.  A Taylor-complex route is an independent oracle on monomial
+inputs.  Every boundary map and strand is built as sparse columns for
+_modmat.rank_mod, so memory follows the number of nonzero entries, not
+the matrix shape.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import groebner, monomials
 from ._modmat import rank_mod
 from .errors import InvalidInputError
 from .groebner import DEFAULT_CHAR, Ideal, check_characteristic
-from .monomials import MonomialIdeal, binom, degree_masks, degree_monomials
+from .monomials import MonomialIdeal, binom
 
 
 @dataclass(frozen=True)
@@ -135,36 +136,22 @@ def _koszul_monomial(ideal, dmax, p):
     return raw
 
 
-def _variable_images(ideal, top):
-    """The standard monomials of degrees 0..top and x_{k+1} acting on them.
-
-    Returns (std, images): std[d] lists the degree-d standard monomials of
-    the degrevlex basis in descending lex order, read off the masks of the
-    initial ideal, and images[d][b][k] is the normal form of
-    x_{k+1} * std[d][b] as (position in std[d + 1], coefficient) pairs,
-    for d < top, from groebner's division kernel (_variable_action).
-    """
-    masks = degree_masks(groebner.initial_ideal(ideal), top)
-    std = [[m for t, m in enumerate(degree_monomials(ideal.n, d)) if not masks[d] >> t & 1]
-           for d in range(top + 1)]
-    return std, groebner._variable_action(ideal, std)
-
-
 def _koszul_strands(ideal, degrees):
     """beta_{i,j}(A/I) for j in degrees, from the ranks of sparse Koszul strands.
 
     Only the strands of the given degrees are built, from the standard
     monomials up to the largest of them; degrees = range(dmax + 1) gives
-    the whole table, the oracle for koszul_betti.  x_k acts on the standard
-    monomials of a degrevlex basis through _variable_images, whose normal
-    forms come from groebner's packed reduction; each strand map is handed
-    to rank_mod as one {row: entry} dict per source basis element, holding
-    only its nonzero entries.
+    the whole table, the oracle for koszul_betti.  The standard monomials
+    of the degrevlex basis and x_k's action on them come from
+    groebner._variable_action, which reads them off the initial ideal and
+    reduces with groebner's packed division kernel; each strand map is
+    handed to rank_mod as one {row: entry} dict per source basis element,
+    holding only its nonzero entries.
     """
     n, p = ideal.n, ideal.p
     if not degrees:
         return {}
-    std, images = _variable_images(ideal, max(degrees))
+    std, images = groebner._variable_action(ideal, max(degrees))
     dims = [len(s) for s in std]
 
     subsets = [list(itertools.combinations(range(n), i)) for i in range(n + 2)]

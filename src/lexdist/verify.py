@@ -589,8 +589,11 @@ def _sampled_cases(report, base, d, samples, seed, dmax):
     """Seeded (J, monomial source ideal or None, HF(J)) over the distracted base.
 
     Each sample is counted on report; see _sample_ideal_over for J, whose
-    extra generators have degrees 1..dmax, so dmax must be at least 1.
+    extra generators have degrees 1..dmax, so dmax must be at least 1, and
+    draws over the base's variables, so it needs at least one.
     """
+    if base.n < 1:
+        raise InvalidInputError(f"sampled ideals need at least one variable, got n={base.n}")
     if dmax < 1:
         raise InvalidInputError(f"sampled ideals need dmax at least 1, got dmax={dmax}")
     _require_samples(samples)

@@ -351,39 +351,69 @@ def test_every_command_rejects_a_negative_dmax(capsys, files, argv):
 SWEEP_BASES = {"x1sq": {"n": 2, "gens": [[2, 0]]},
                "n0-zero": {"n": 0, "gens": []}, "n0-unit": {"n": 0, "gens": [[]]}}
 EXHAUSTIVE_KINDS = ("macaulay-lex", "betti-extremal", "coh-extremal")
+SAMPLED_SHAKIN_KINDS = ("distraction-hf", "epsilon-d-extremal")
 
 
 @pytest.mark.parametrize("dmax", ["0", "1"])
 @pytest.mark.parametrize("kind, base", [
     *((kind, "x1sq") for kind in _VERIFY_KINDS),
     *((kind, base) for kind in EXHAUSTIVE_KINDS for base in ("n0-zero", "n0-unit")),
+    *((kind, "n0-zero") for kind in SAMPLED_SHAKIN_KINDS),
 ])
 def test_verify_kinds_end_cleanly_at_the_smallest_degrees(capsys, files, kind, base, dmax):
     # each kind reads only its own options; every run ends in one JSON
-    # object and a documented exit code, never an uncaught exception
+    # object and a documented exit code, never an uncaught exception.  A
+    # base in no variables comes with a distraction in none, and leaves the
+    # sampled kinds nothing to draw from.
     path = files["tmp"] / f"{base}.json"
     path.write_text(json.dumps(SWEEP_BASES[base]))
+    distraction = files["distraction"]
+    if base != "x1sq":
+        distraction = files["tmp"] / "d0.json"
+        distraction.write_text(json.dumps({"n": 0, "rows": []}))
     for seed in ("1", "2"):
         code, data = run(capsys, "verify", kind, "--shakin", str(path), "--n", "2",
-                         "--distraction", files["distraction"], "--dmax", dmax,
+                         "--distraction", str(distraction), "--dmax", dmax,
                          "--samples", "20", "--seed", seed)
         assert isinstance(data, dict) and code in (0, 1, 2, 3), (code, data)
-        if base != "x1sq":
-            assert code == 0 and data["passed"], data
-        if dmax == "0" and kind in ("distraction-hf", "epsilon-d-extremal"):
+        if kind in SAMPLED_SHAKIN_KINDS and (dmax == "0" or base != "x1sq"):
             assert code == 2 and data["error"] == "invalid-input", data
+            if base != "x1sq":
+                assert data["message"] == "sampled ideals need at least one variable, got n=0"
+        elif base != "x1sq":
+            assert code == 0 and data["passed"], data
 
 
-@pytest.mark.parametrize("extra", [[], ["--samples", "0"], ["--budget", "0"]],
-                         ids=["plain", "samples-0", "budget-0"])
-@pytest.mark.parametrize("kind", [kind for kind in _VERIFY_KINDS if kind != "macaulay-lex"])
-def test_verify_kinds_reject_a_non_prime_characteristic(capsys, files, kind, extra):
-    # every kind that reads --char rejects 4 before it samples or counts
-    # anything, so no sample count or budget can end the run first
-    code, data = run(capsys, "verify", kind, "--shakin", files["shakin_pl"], "--n", "2",
-                     "--distraction", files["distraction"], "--dmax", "3",
-                     "--char", "4", *extra)
+@pytest.mark.parametrize("argv", [
+    "embed --shakin {piece} --hf [1,2,2]",
+    "verify macaulay-lex --shakin {piece} --dmax 2",
+], ids=lambda argv: argv.split()[argv.startswith("verify")])
+def test_a_non_lex_piece_is_invalid_input(capsys, files, argv):
+    # (x2^2) is no lex segment of K[x1, x2]: x1^2 > x2^2 is missing
+    piece = files["tmp"] / "piece.json"
+    piece.write_text(json.dumps({"n": 2, "pieces": [{"i": 2, "gens": [[0, 2]]}], "powers": []}))
+    code, data = run(capsys, *argv.format(piece=piece).split())
     assert code == 2 and data["error"] == "invalid-input", data
+    assert data["message"] == "piece in 2 variables is not a lex segment"
+
+
+CHAR_EXTRAS = {"plain": [], "samples-0": ["--samples", "0"], "budget-0": ["--budget", "0"]}
+VERIFY_ARGV = "verify {kind} --shakin {shakin_pl} --n 2 --distraction {distraction} --dmax 3"
+
+
+@pytest.mark.parametrize("argv, extra", [
+    *((VERIFY_ARGV.replace("{kind}", kind), extra) for kind in _VERIFY_KINDS for extra in CHAR_EXTRAS),
+    ("hilbert --ideal {mono} --dmax 3", "plain"),
+    ("polarize --ideal {mono}", "plain"),
+], ids=lambda v: v if v in CHAR_EXTRAS else v.split()[v.startswith("verify")])
+def test_verify_kinds_reject_a_non_prime_characteristic(capsys, files, argv, extra):
+    # every command that takes --char rejects 4 before it samples or counts
+    # anything, so no sample count or budget can end the run first; also
+    # where it works over no field (macaulay-lex, hilbert on a monomial
+    # ideal, polarize without a distraction)
+    code, data = run(capsys, *argv.format(**files).split(), "--char", "4", *CHAR_EXTRAS[extra])
+    assert code == 2 and data["error"] == "invalid-input", data
+    assert data["message"] == "characteristic 4 is not prime"
 
 
 @pytest.mark.parametrize("kind", ["distraction-hf", "epsilon-d-extremal"])

@@ -110,8 +110,7 @@ def test_normal_form_examples():
 
 
 def test_leading_term_follows_each_order():
-    # a Poly keeps its leading term between calls; asking under another
-    # order in between must not hand back the other order's term
+    # the leading term under each order asked, in any sequence of orders
     f = poly("x1*x3^2 + 2*x2^3", 3)
     for order, lead in ((DRL, ((0, 3, 0), 2)), (LEX, ((1, 0, 2), 1)), (DRL, ((0, 3, 0), 2))):
         assert f.leading(order) == lead
@@ -171,9 +170,10 @@ def test_buchberger_confluence(seed):
 
 
 def test_reduce_basis_of_a_padded_groebner_basis():
-    # one inter-reduction pass over a Groebner basis plus redundant members
-    # (monomial multiples and sums of members), shuffled, gives the reduced
-    # basis: monic, and no term beyond a lead divisible by any lead
+    # Buchberger over a Groebner basis plus redundant members (monomial
+    # multiples and sums of members), shuffled, as saturate_variable hands
+    # it a stripped basis, gives the reduced basis: monic, and no term
+    # beyond a lead divisible by any lead
     gen = random.Random(1511)
     for n in (2, 3, 4, 5):
         for p in (2, 3, P):
@@ -187,7 +187,7 @@ def test_reduce_basis_of_a_padded_groebner_basis():
                     x = monomials.variable(n, gen.randrange(n))
                     padded += [f.mul_term(x, gen.randrange(1, p)), f + g.scale(gen.randrange(p))]
                 gen.shuffle(padded)
-                reduced = groebner._reduce_basis(padded, DRL)
+                reduced = groebner._buchberger(padded, DRL)
                 assert [g.terms for g in reduced] == [g.terms for g in basis], ideal
                 leads = [g.leading(DRL)[0] for g in reduced]
                 for g, lead in zip(reduced, leads):
@@ -215,6 +215,34 @@ def _mixed_distracted_ideal(gen, n, p):
             g = g + f.mul_term(tuple(x), gen.randrange(p))
         gens.append(g)
     return ideal, gens
+
+
+def test_initial_ideal_is_the_ideal_of_the_leads():
+    # initial_ideal reads each lead off the first term of a reduced basis
+    # element; leading() takes the maximum over all terms
+    gen = random.Random(2718)
+    for p in (2, 3, P):
+        for n in (2, 3, 4):
+            for _ in range(3):
+                j = Ideal(n, _mixed_distracted_ideal(gen, n, p)[1], p)
+                leads = [g.leading(DRL)[0] for g in j.groebner_basis()]
+                assert initial_ideal(j) == MonomialIdeal(n, leads), j
+
+
+def test_intersection_basis_is_reduced_as_it_stands():
+    # the t-free elements of the elimination basis already are the reduced
+    # degrevlex basis: Buchberger returns them unchanged, term for term
+    gen = random.Random(4848)
+    general = 0
+    for p in (2, 3, P):
+        for n in (2, 3):
+            for _ in range(8):
+                a, b = (Ideal(n, _mixed_distracted_ideal(gen, n, p)[1], p) for _ in range(2))
+                kept = intersect(a, b).gens
+                assert [list(g.terms.items()) for g in groebner._buchberger(kept, DRL)] == \
+                    [list(g.terms.items()) for g in kept]
+                general += any(len(g.terms) > 1 for g in kept)
+    assert general >= 40, general  # 41 of the 48 pairs
 
 
 def test_packed_kernel_matches_tuple_oracle():

@@ -418,6 +418,42 @@ def test_extremal_with_base_generator_above_dmax(check):
     assert report.failures == []
 
 
+def _betti_extremal_per_ideal(base, dmax, p=P):
+    """verify_betti_extremal's report, one ideal at a time: (cases, failures)."""
+    cases, failures = 0, []
+    for ideal in enumerate_monomial_ideals_modulo(base, dmax):
+        cases += 1
+        try:
+            embedded = stable_lex_embedding(base, ideal)
+        except NotAdmissibleError as exc:
+            failures.append({"ideal": ideal.to_json(), "error": type(exc).__name__,
+                             "degree": exc.degree, "message": str(exc)})
+            continue
+        target = koszul_betti(embedded, dmax + 1, p).as_dict()
+        bad = [{"i": i, "j": j, "left": v, "right": target.get((i, j), 0)}
+               for (i, j), v in koszul_betti(ideal, dmax + 1, p).as_dict().items()
+               if v > target.get((i, j), 0)]
+        if bad:
+            failures.append({"ideal": ideal.to_json(), "embedded": embedded.to_json(),
+                             "hilbert_function": list(hilbert_function(ideal, dmax)),
+                             "violations": bad})
+    return cases, failures
+
+
+@pytest.mark.parametrize("base, cases, failed", [
+    (MonomialIdeal(4, [(2, 0, 0, 0)]), 717, 0),
+    (MonomialIdeal(4, [(0, 1, 1, 0)]), 758, 16),
+], ids=["x1sq", "x2x3"])
+def test_betti_extremal_in_four_variables_matches_the_per_ideal_loop(base, cases, failed):
+    # above three variables both tables come from koszul_betti, not from
+    # the graded pieces; (x2*x3), a raw base and no Shakin ideal, has 16
+    # superideals with no lex-embedding
+    report = verify_betti_extremal(base, 2)
+    assert (report.cases_checked, len(report.failures)) == (cases, failed)
+    assert report.passed == (failed == 0)
+    assert (cases, report.failures) == _betti_extremal_per_ideal(base, 2)
+
+
 def _module_memos():
     """Every lru_cache of a lexdist module, by qualified name."""
     memos = {}
