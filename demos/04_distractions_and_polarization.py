@@ -54,7 +54,7 @@ print("bar rows:", induce_bar(E).rows)
 result = polarize(I, D)
 print("polarized into", result.extended_n, "variables:", result.polarized)
 print("back:", result.specialize_to_original())
-print("distracted gens:", result.specialize_to_distraction(P))
+print("distracted gens:", result.specialize_to_distraction())
 
 # The polarized quotient has Hilbert series Hilb(A/I) / (1-z)^r:
 r = sum(result.block_sizes)

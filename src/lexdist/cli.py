@@ -1,8 +1,9 @@
 """Command-line interface with JSON input and output.
 
 Exit codes: 0 success or verification pass, 1 counterexample or
-inadmissible input function, 2 invalid input, 3 enumeration budget
-exceeded.  Output is deterministic for fixed arguments, inputs and seed.
+inadmissible input function, 2 invalid input (an unwritable --out
+included), 3 enumeration budget exceeded.  Output is deterministic for
+fixed arguments, inputs and seed.
 """
 
 from __future__ import annotations
@@ -325,6 +326,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    try:
+        return _run(args)
+    except OSError as exc:
+        # inputs are read through _load_json, so this is _emit failing to
+        # write --out; the error goes to stdout instead of that path again
+        if not getattr(args, "out", None):
+            raise
+        path, args.out = args.out, None
+        _emit({"error": "invalid-input", "message": f"cannot write {path}: {exc.strerror}"},
+              args)
+        return 2
+
+
+def _run(args) -> int:
+    """args.func's exit code, or the code of the error it raised, whose
+    payload is emitted."""
     try:
         if getattr(args, "dmax", None) is not None and args.dmax < 0:
             raise InvalidInputError("dmax must be nonnegative")

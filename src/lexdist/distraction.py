@@ -82,8 +82,11 @@ class DistractionMatrix:
         try:
             if p is None:
                 p = json_ints([data.get("char", DEFAULT_CHAR)], "char")[0]
-            return cls([[json_ints(e["c"], "coefficients") for e in row]
-                        for row in data["rows"]], p)
+            rows = data["rows"]
+            if "n" in data and json_ints([data["n"]], "n")[0] != len(rows):
+                raise InvalidInputError(
+                    f"distraction declares n={data['n']} but has {len(rows)} rows")
+            return cls([[json_ints(e["c"], "coefficients") for e in row] for row in rows], p)
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad distraction JSON: {exc}") from exc
 
@@ -203,7 +206,8 @@ class PolarizationResult:
     blocks X_{i1},...,X_{i r_i}.  specialization_x lists pairs
     (original index i, extended index of X_ij) encoding X_i - X_ij;
     specialization_l, present when a distraction was supplied, lists pairs
-    (coefficients of l_ij over the original ring, extended index of X_ij).
+    (coefficients of l_ij over the original ring, extended index of X_ij);
+    the coefficients lie in that distraction's field F_p, kept as _p.
     """
 
     extended_n: int
@@ -212,6 +216,7 @@ class PolarizationResult:
     specialization_x: tuple
     specialization_l: tuple | None = None
     _block_start: tuple = field(default=(), repr=False)
+    _p: int | None = field(default=None, repr=False)
 
     def block_index(self, i: int, j: int) -> int:
         return self._block_start[i] + j
@@ -228,11 +233,12 @@ class PolarizationResult:
             gens.append(tuple(e))
         return MonomialIdeal(n, gens)
 
-    def specialize_to_distraction(self, p=DEFAULT_CHAR):
-        """Substitute X_ij -> l_ij; recovers the distracted generators."""
+    def specialize_to_distraction(self):
+        """Substitute X_ij -> l_ij over the distraction's field; recovers the
+        distracted generators."""
         if self.specialization_l is None:
             raise InvalidInputError("no distraction was attached to this polarization")
-        n = len(self.block_sizes)
+        n, p = len(self.block_sizes), self._p
         forms = {idx: Poly.from_linear_form(coeffs, p)
                  for coeffs, idx in self.specialization_l}
         out = []
@@ -251,7 +257,8 @@ def polarize(ideal: MonomialIdeal, distraction: DistractionMatrix | None = None)
 
     r_i is the largest x_i exponent over the minimal generators; generator
     x^a becomes the product of X_ij over i and j <= a_i.  When a distraction
-    is supplied its entries fill the l_ij - X_ij specialization.
+    is supplied its entries fill the l_ij - X_ij specialization, over its
+    field.
     """
     n = ideal.n
     if distraction is not None and distraction.n != n:
@@ -287,6 +294,7 @@ def polarize(ideal: MonomialIdeal, distraction: DistractionMatrix | None = None)
         specialization_x=spec_x,
         specialization_l=spec_l,
         _block_start=tuple(starts),
+        _p=None if distraction is None else distraction.p,
     )
 
 

@@ -91,7 +91,10 @@ def shadow_table(n: int, d: int):
 
 
 def shadow_mask(n: int, d: int, mask: int) -> int:
-    """Bitmask of degree-(d+1) monomials divisible by some set bit of mask."""
+    """Bitmask of degree-(d+1) monomials divisible by some set bit of mask;
+    0 for an empty mask in any d, such as the piece below degree 0 (d = -1)."""
+    if not mask:
+        return 0
     table = shadow_table(n, d)
     out = 0
     while mask:
@@ -321,7 +324,7 @@ def degree_masks(ideal: MonomialIdeal, dmax: int):
     masks = []
     prev = 0
     for d in range(dmax + 1):
-        mask = shadow_mask(n, d - 1, prev) if d > 0 else 0
+        mask = shadow_mask(n, d - 1, prev)
         idx = degree_index(n, d)
         for g in gens_by_degree.get(d, ()):
             mask |= 1 << idx[g]
@@ -343,7 +346,7 @@ def masks_to_ideal(n: int, masks) -> MonomialIdeal:
     gens = []
     prev = 0
     for d, mask in enumerate(masks):
-        below = shadow_mask(n, d - 1, prev) if d > 0 else 0
+        below = shadow_mask(n, d - 1, prev)
         gens.extend(reversed(mask_to_monomials(n, d, mask & ~below)))
         prev = mask | below
     return MonomialIdeal._trusted(n, tuple(gens))
@@ -358,13 +361,16 @@ def standard_monomials(ideal: MonomialIdeal, d: int):
     return [m for i, m in enumerate(monos) if not mask >> i & 1]
 
 
+def piece_values(n: int, masks):
+    """Quotient Hilbert values dim S_d - |piece d| off graded pieces
+    (bitmasks over degree_monomials), one per degree from 0."""
+    return tuple(len(degree_monomials(n, d)) - mask.bit_count()
+                 for d, mask in enumerate(masks))
+
+
 def _hilbert_by_masks(ideal: MonomialIdeal, dmax: int):
     """Hilbert function by counting graded pieces; the tests' oracle."""
-    n = ideal.n
-    return tuple(
-        len(degree_monomials(n, d)) - mask.bit_count()
-        for d, mask in enumerate(degree_masks(ideal, dmax))
-    )
+    return piece_values(ideal.n, degree_masks(ideal, dmax))
 
 
 def hilbert_numerator(ideal: MonomialIdeal):

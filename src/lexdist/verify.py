@@ -4,10 +4,11 @@ The exhaustive checkers share one enumerator, _superideals, which builds
 every ideal over a base degree by degree together with its Hilbert
 function and graded pieces, so neither is recomputed per ideal, and one
 count of those ideals, _chain_counts, a DP over (graded piece, HF prefix)
-states that builds none of them.  Every exhaustive kind checks the exact
-count against its budget before it starts (_check_budget), and
-macaulay-lex, whose verdict depends only on the Hilbert function, checks
-each Hilbert function once off the count.  The extremality checkers
+states that builds none of them.  The count is the one budget check:
+every exhaustive kind runs it before the first ideal, and it stops at the
+first degree whose chain prefixes outnumber the budget.  macaulay-lex,
+whose verdict depends only on the Hilbert function, checks each Hilbert
+function once off the same count.  The extremality checkers
 read their per-ideal work off the enumeration: the embedding
 cache key and the target's series numerator (_piece_numerators, grown by
 one colon step from the piece with one generator fewer), in at most
@@ -47,6 +48,7 @@ from .monomials import (
     binom,
     degree_monomials,
     mask_to_monomials,
+    piece_values,
     series_transform,
     shadow_mask,
     shadow_table,
@@ -101,20 +103,21 @@ class VerificationReport:
 def _count_upper_bound(n, base_masks, dmax) -> int:
     """2 to the number of monomials of degree <= dmax that neither the base
     nor the shadow of the piece below forces: at least the number of
-    superideals.  It is the gate for the exact count of _check_budget and
-    the estimate BudgetExceededError reports."""
+    superideals.  It is the count_estimate of the BudgetExceededError that
+    _chain_counts raises, and is computed only then."""
     est = 1
     prev = 0
     for d in range(dmax + 1):
-        forced = (shadow_mask(n, d - 1, prev) if d else 0) | base_masks[d]
+        forced = shadow_mask(n, d - 1, prev) | base_masks[d]
         est <<= len(degree_monomials(n, d)) - forced.bit_count()
         prev = forced
     return est
 
 
-def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, estimate=None) -> dict:
+def _chain_counts(base: MonomialIdeal, dmax: int, budget=None) -> dict:
     """{Hilbert function up to dmax: number of superideals with it}, over
-    the ideals _superideals yields, without building one.
+    the ideals _superideals yields, without building one.  The one budget
+    check of the exhaustive kinds.
 
     A chain's future depends only on its current piece, so the states at
     degree d are the pieces, each with the number of chain prefixes that
@@ -124,9 +127,14 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, estimate=None) ->
     top - k, with f free monomials and top the value with none added.
     Every prefix extends to at least one ideal, so the number of prefixes
     through a degree is a lower bound on the total; given a budget, the DP
-    raises BudgetExceededError(budget, estimate) at the first degree whose
-    prefixes outnumber it, before it builds that degree's states.
+    raises BudgetExceededError(budget, _count_upper_bound(...)) at the
+    first degree whose prefixes outnumber it, before it builds that
+    degree's states.  A negative dmax or budget is invalid input.
     """
+    if dmax < 0:
+        raise InvalidInputError("dmax must be nonnegative")
+    if budget is not None and budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     states = {0: {(): 1}}  # piece at d - 1 -> {HF up to d - 1: prefixes}
@@ -136,13 +144,13 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, estimate=None) ->
         level = []
         prefixes = 0
         for prev, hfs in states.items():
-            forced = (shadow_mask(n, d - 1, prev) if d else 0) | base_masks[d]
+            forced = shadow_mask(n, d - 1, prev) | base_masks[d]
             free = ((1 << size) - 1) & ~forced
             level.append((hfs, forced, free))
             if budget is not None:
                 prefixes += sum(hfs.values()) << free.bit_count()
         if budget is not None and prefixes > budget:
-            raise BudgetExceededError(budget, estimate)
+            raise BudgetExceededError(budget, _count_upper_bound(n, base_masks, dmax))
         states = {}
         for hfs, forced, free in level:
             top = size - forced.bit_count()
@@ -170,22 +178,6 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, estimate=None) ->
     return counts
 
 
-def _check_budget(base: MonomialIdeal, dmax: int, budget):
-    """Reject a negative dmax or budget.  When _count_upper_bound exceeds
-    budget, count exactly: _chain_counts raises BudgetExceededError (with
-    the bound as its estimate) if more than budget ideals would be
-    enumerated over base, and its counts are returned.  Otherwise None.
-    """
-    if dmax < 0:
-        raise InvalidInputError("dmax must be nonnegative")
-    if budget is None:
-        return None
-    if budget < 0:
-        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
-    estimate = _count_upper_bound(base.n, monomials.degree_masks(base, dmax), dmax)
-    return _chain_counts(base, dmax, budget, estimate) if estimate > budget else None
-
-
 def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     """(ideal, Hilbert function up to dmax, graded pieces up to dmax) for
     every ideal generated by the base and monomials of degree <= dmax.
@@ -198,10 +190,11 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     degree_monomials) are appended with them, so ideals that share their
     lower pieces share that work.  Base generators above dmax lie in no
     piece and are added to every ideal at the end.  Ideals stream in
-    lexicographic order of the per-degree subsets.  The number of ideals
-    is checked against budget by _check_budget before any is yielded.
+    lexicographic order of the per-degree subsets.  Given a budget, or a
+    negative dmax, _chain_counts checks it before any ideal is yielded.
     """
-    _check_budget(base, dmax, budget)
+    if budget is not None or dmax < 0:
+        _chain_counts(base, dmax, budget)
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     above = tuple(g for g in base.gens if sum(g) > dmax)
@@ -212,7 +205,7 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
             yield ideal, hf, pieces
             return
         monos = degree_monomials(n, d)
-        below = shadow_mask(n, d - 1, pieces[-1]) if d else 0
+        below = shadow_mask(n, d - 1, pieces[-1] if pieces else 0)
         forced = below | base_masks[d]
         free = ((1 << len(monos)) - 1) & ~forced
         sub = 0
@@ -268,7 +261,7 @@ def random_superideal_chain(rng, base: MonomialIdeal, dmax: int):
     chain = []
     prev = 0
     for d in range(dmax + 1):
-        forced = (shadow_mask(n, d - 1, prev) if d else 0) | base_masks[d]
+        forced = shadow_mask(n, d - 1, prev) | base_masks[d]
         mask = forced
         density = rng.random() * 0.6
         for k in range(len(degree_monomials(n, d))):
@@ -450,8 +443,7 @@ def _betti_by_pieces(base, dmax):
     def table(ideal, h=None, pieces=None):
         if pieces is None:
             pieces = monomials.degree_masks(ideal, j_max)
-            h = tuple(len(degree_monomials(n, d)) - mask.bit_count()
-                      for d, mask in enumerate(pieces))
+            h = piece_values(n, pieces)
         else:  # a superideal: h_{dmax+1} off its last piece
             last = pieces[-1]
             h_next = nexts.get(last)
@@ -538,19 +530,20 @@ def _coh_by_pieces(dmax, window, p):
     return table
 
 
-def _embedded_cases(report, base, dmax, budget, invariant, numerator):
+def _embedded_cases(report, base, dmax, budget, invariant):
     """Every superideal of base with its lex-embedding, counted on report.
 
     Yields (ideal, HF up to dmax, graded pieces up to dmax, embedded ideal,
     invariant(embedded)).  The embedding depends on an ideal only through
     its Hilbert series, so it is cached by the series key (h, N_J), read
-    off the HF and the last piece through numerator, which is
+    off the HF and the last piece through its own
     _piece_numerators(base, dmax); a miss embeds from the N_I that the key
     gives.  Equal keys mean equal series numerators and conversely, so the
     cache hits are those of a cache keyed by the numerator.  An error
     payload also depends on the starting cutoff, so a failing ideal is
     filed on report.failures, uncached, and not yielded.
     """
+    numerator = _piece_numerators(base, dmax)
     cache = {}
     for ideal, h, pieces in _superideals(base, dmax, budget):
         report.cases_checked += 1
@@ -634,14 +627,13 @@ def verify_macaulay_lex(a, dmax: int, budget: int | None = DEFAULT_BUDGET) -> Ve
     )
     if not isinstance(a, ShakinIdeal):
         report.notes.append("base ideal not supplied as Shakin data; escape hatch")
-    counts = _check_budget(base, dmax, budget) or _chain_counts(base, dmax)
+    counts = _chain_counts(base, dmax, budget)
     failing = {}
     for h, count in counts.items():
         report.cases_checked += count
         masks, err = _attempt(embedded_masks, base, h, dmax)
         if err is None:
-            got = tuple(len(degree_monomials(n, d)) - mask.bit_count()
-                        for d, mask in enumerate(masks))
+            got = piece_values(n, masks)
             if got != h:
                 err = {"error": "hf-mismatch", "embedded_hf": got}
         if err is not None:
@@ -694,9 +686,8 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
         def betti(ideal, _h=None, _pieces=None):
             return koszul_betti(ideal, j_max, p).as_dict()
 
-    numerator = _piece_numerators(base, dmax)
     for ideal, h, pieces, embedded, target in _embedded_cases(
-            report, base, dmax, budget, betti, numerator):
+            report, base, dmax, budget, betti):
         bad = _exceeding(betti(ideal, h, pieces), target)
         if bad:
             payload = {
@@ -738,7 +729,7 @@ def verify_coh_extremal(a, dmax: int, window=None,
 
     table = _coh_by_pieces(dmax, window, p)
     for ideal, h, pieces, _embedded, target in _embedded_cases(
-            report, base, dmax, budget, coh, _piece_numerators(base, dmax)):
+            report, base, dmax, budget, coh):
         bad = _exceeding(table(ideal, h, pieces), target)
         if bad:
             report.failures.append({

@@ -125,6 +125,72 @@ def test_verify_reports_a_bad_base_first(capsys, files, argv):
     assert out["message"] == f"{files['neither']}: expected 'pieces'/'powers' or 'gens'"
 
 
+BAD_INPUTS = {
+    # id: (argv with {bad} for the file written from data, data, message)
+    "distraction-empty-row": ("distract --ideal {mono} --distraction {bad}",
+                              {"n": 2, "rows": [[], [{"c": [0, 1]}]]}, "row 1 is empty"),
+    "distraction-form-length": ("distract --ideal {mono} --distraction {bad}",
+                                {"n": 2, "rows": [[{"c": [1, 0, 0]}], [{"c": [0, 1]}]]},
+                                "linear form of wrong length"),
+    "distraction-zero-form": ("distract --ideal {mono} --distraction {bad}",
+                              {"n": 2, "rows": [[{"c": [0, 0]}], [{"c": [0, 1]}]]},
+                              "zero linear form in distraction"),
+    "distraction-no-rows": ("distract --ideal {mono} --distraction {bad}", {"n": 2},
+                            "bad distraction JSON: 'rows'"),
+    "distraction-n-not-rows": ("distract --ideal {mono} --distraction {bad}",
+                               {"n": 3, "rows": [[{"c": [1, 0]}], [{"c": [0, 1]}]]},
+                               "distraction declares n=3 but has 2 rows"),
+    "distract-other-n": ("distract --ideal {mono} --distraction {bad}",
+                         {"n": 1, "rows": [[{"c": [1]}]]}, "ambient mismatch"),
+    "polarize-other-n": ("polarize --ideal {mono} --distraction {bad}",
+                         {"n": 1, "rows": [[{"c": [1]}]]}, "distraction ambient mismatch"),
+    "polys-without-n": ("hilbert --ideal {bad} --dmax 2", {"polys": ["x1"]},
+                        "bad ideal JSON: 'n'"),
+    "poly-factor-y2": ("hilbert --ideal {bad} --dmax 2", {"n": 2, "polys": ["x1*y2"]},
+                       "bad monomial factor 'y2'"),
+    "piece-index": ("embed --shakin {bad} --hf [1,2,2]",
+                    {"n": 2, "pieces": [{"i": 3, "gens": [[2, 0, 0]]}], "powers": []},
+                    "piece index 3 out of range 1..2"),
+    "piece-without-gens": ("embed --shakin {bad} --hf [1,2,2]",
+                           {"n": 2, "pieces": [{"i": 1}], "powers": []},
+                           "bad Shakin ideal JSON: 'gens'"),
+    "power-0": ("verify macaulay-lex --shakin {bad} --dmax 2",
+                {"n": 2, "pieces": [], "powers": [0, 2]}, "pure power degrees must be positive"),
+    "embed-dmax-past-hf": ("embed --shakin {shakin} --hf [1,2,2] --dmax 3", None,
+                           "Hilbert function shorter than dmax+1"),
+    "lexify-negative-n": ("lexify --n -1 --hf [1]", None, "variable count must be nonnegative"),
+    "localcoh-polys": ("localcoh --ideal {bad}", {"n": 2, "polys": ["x1"]},
+                       "bad monomial ideal JSON: 'gens'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_input_checks_exit_2_with_their_message(capsys, files, case):
+    argv, data, message = BAD_INPUTS[case]
+    bad = files["tmp"] / "bad.json"
+    if data is not None:
+        bad.write_text(json.dumps(data))
+    code, out = run(capsys, *argv.format(bad=bad, **files).split())
+    assert (code, out) == (2, {"v": 1, "error": "invalid-input", "message": message})
+
+
+@pytest.mark.parametrize("argv", [
+    "lexify --n 2 --hf [1,2,3]",
+    "verify macaulay-lex --shakin {shakin} --dmax 2",
+    "verify macaulay-lex --shakin {shakin} --dmax 2 --budget 0",
+], ids=["lexify", "macaulay-lex", "macaulay-lex-over-budget"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_is_invalid_input_on_stdout(capsys, files, argv, where):
+    # exit 1 would read as a counterexample; the error is reported once, on
+    # stdout, also when the run itself ended in an error payload
+    out = files["tmp"] / "missing" / "x.json" if where == "missing-directory" else files["tmp"]
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    code, data = run(capsys, *argv.format(**files).split(), "--out", str(out))
+    assert (code, data) == (2, {"v": 1, "error": "invalid-input",
+                                "message": f"cannot write {out}: {reason}"})
+    assert not (files["tmp"] / "missing").exists()
+
+
 def test_lexify_rejects_values_that_are_not_a_list(capsys):
     code, out = run(capsys, "lexify", "--n", "2", "--hf", '{"values": 3}')
     assert code == 2 and out["error"] == "invalid-input", out

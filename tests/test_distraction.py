@@ -325,9 +325,20 @@ def test_polarize_specializations(rng):
         d = random_distraction(rng, n, P, columns=5)
         result = polarize(ideal, d)
         assert result.specialize_to_original() == ideal
-        got = [p.terms for p in result.specialize_to_distraction(P)]
+        got = [p.terms for p in result.specialize_to_distraction()]
         want = [p.terms for p in distract_ideal(d, ideal).gens]
         assert got == want
+
+
+def test_specialization_stays_in_the_distractions_field():
+    # x1*x2 goes to l_11*l_21 = (x1 + 3*x2)(2*x1 + x2), whose x1*x2
+    # coefficient 1 + 6 = 7 vanishes over F_7 and over no other prime field
+    d = DistractionMatrix([[[1, 3], [1, 5]], [[2, 1], [0, 1]]], 7)
+    ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
+    got = polarize(ideal, d).specialize_to_distraction()
+    want = distract_ideal(d, ideal).gens
+    assert [(p.p, p.terms) for p in got] == [(p.p, p.terms) for p in want]
+    assert format_poly(got[0]) == "2*x1^2 + 3*x2^2"
 
 
 def test_polarization_series_identity(rng):

@@ -152,10 +152,9 @@ def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
 def test_betti_by_pieces_reads_lex_targets_alone(base, dmax):
     # a target comes without pieces and is read off its own pieces up to
     # dmax + 1, where it can have generators that no superideal has
-    numerator = verify._piece_numerators(base, dmax)
     report = verify.VerificationReport("targets", {})
     targets = {embedded for *_, embedded, _ in verify._embedded_cases(
-        report, base, dmax, None, lambda embedded: None, numerator)}
+        report, base, dmax, None, lambda embedded: None)}
     table = verify._betti_by_pieces(base, dmax)
     for target in targets:
         got = table(target)
