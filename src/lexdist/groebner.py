@@ -713,12 +713,23 @@ def _h0_series(ideal: Ideal):
 # ---------------------------------------------------------------------------
 
 _NUM_RE = re.compile(r"^\d+$")
+# terms of factors joined by single '*'; the first term may carry a sign,
+# and '+', '-' or '+-' comes before each later one
+_TERM = r"[^+*-]+(?:\*[^+*-]+)*"
+_POLY_RE = re.compile(rf"(?:[+-]?{_TERM}(?:(?:\+-?|-){_TERM})*)?")
 
 
 def parse_poly(text: str, n: int, p: int = DEFAULT_CHAR) -> Poly:
-    """Parse "x1^2 + 3*x1*x2" into a polynomial over F_p."""
+    """Parse "x1^2 + 3*x1*x2" into a polynomial over F_p.
+
+    A sign or '*' with no factor after it, or a '*' with none before it,
+    is invalid input.
+    """
     p = check_characteristic(p)
-    text = text.replace(" ", "").replace("-", "+-")
+    text = text.replace(" ", "")
+    if not _POLY_RE.fullmatch(text):
+        raise InvalidInputError(f"bad polynomial {text!r}: a factor is missing")
+    text = text.replace("-", "+-")
     terms = {}
     for chunk in text.split("+"):
         if not chunk:

@@ -105,8 +105,15 @@ def shadow_mask(n: int, d: int, mask: int) -> int:
 
 
 def mask_to_monomials(n: int, d: int, mask: int):
+    """The degree-d monomials of a bitmask over degree_monomials, in
+    canonical (ascending-tuple) order: its set bits walked from the top."""
     monos = degree_monomials(n, d)
-    return [monos[i] for i in range(len(monos)) if mask >> i & 1]
+    out = []
+    while mask:
+        k = mask.bit_length() - 1
+        out.append(monos[k])
+        mask ^= 1 << k
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +345,16 @@ def masks_to_ideal(n: int, masks) -> MonomialIdeal:
 
     The shadow of the ideal's degree-(d-1) piece (prev) holds every degree-d
     monomial that a lower-degree generator divides, so the rest of the
-    degree-d mask are minimal generators.  Reversing the descending-lex
-    enumeration lists them in canonical order, so the ideal is built
-    without minimalising again.  The pieces need not be closed under
-    multiplication: prev also takes in the shadow.
+    degree-d mask are minimal generators.  mask_to_monomials lists them in
+    canonical order, so the ideal is built without minimalising again.  The
+    pieces need not be closed under multiplication: prev also takes in the
+    shadow.
     """
     gens = []
     prev = 0
     for d, mask in enumerate(masks):
         below = shadow_mask(n, d - 1, prev)
-        gens.extend(reversed(mask_to_monomials(n, d, mask & ~below)))
+        gens.extend(mask_to_monomials(n, d, mask & ~below))
         prev = mask | below
     return MonomialIdeal._trusted(n, tuple(gens))
 

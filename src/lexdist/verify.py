@@ -4,7 +4,8 @@ The exhaustive checkers share one enumerator, _superideals, which builds
 every ideal over a base degree by degree together with its Hilbert
 function and graded pieces, so neither is recomputed per ideal, and one
 count of those ideals, _chain_counts, a DP over (graded piece, HF prefix)
-states that builds none of them.  The count is the one budget check:
+states that builds none of them.  Both step from a piece to the pieces
+above it by one submask walk, _pieces.  The count is the one budget check:
 every exhaustive kind runs it before the first ideal, and it stops at the
 first degree whose chain prefixes outnumber the budget.  macaulay-lex,
 whose verdict depends only on the Hilbert function, checks each Hilbert
@@ -100,18 +101,17 @@ class VerificationReport:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _count_upper_bound(n, base_masks, dmax) -> int:
-    """2 to the number of monomials of degree <= dmax that neither the base
-    nor the shadow of the piece below forces: at least the number of
-    superideals.  It is the count_estimate of the BudgetExceededError that
-    _chain_counts raises, and is computed only then."""
-    est = 1
-    prev = 0
-    for d in range(dmax + 1):
-        forced = shadow_mask(n, d - 1, prev) | base_masks[d]
-        est <<= len(degree_monomials(n, d)) - forced.bit_count()
-        prev = forced
-    return est
+def _pieces(forced, size):
+    """Every degree-d piece (a bitmask over the size degree-d monomials)
+    that holds forced: forced plus each submask of the other monomials,
+    in ascending order of the submask."""
+    free = ((1 << size) - 1) & ~forced
+    sub = 0
+    while True:
+        yield forced | sub
+        if sub == free:
+            return
+        sub = (sub - free) & free  # the next larger submask of free
 
 
 def _chain_counts(base: MonomialIdeal, dmax: int, budget=None) -> dict:
@@ -121,15 +121,16 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None) -> dict:
 
     A chain's future depends only on its current piece, so the states at
     degree d are the pieces, each with the number of chain prefixes that
-    reach it per HF up to d, and a transition adds a submask of the free
-    monomials, as in _superideals.  At dmax only the number k of added
-    monomials matters: a state adds C(f, k) ideals to the HF ending in
-    top - k, with f free monomials and top the value with none added.
-    Every prefix extends to at least one ideal, so the number of prefixes
-    through a degree is a lower bound on the total; given a budget, the DP
-    raises BudgetExceededError(budget, _count_upper_bound(...)) at the
-    first degree whose prefixes outnumber it, before it builds that
-    degree's states.  A negative dmax or budget is invalid input.
+    reach it per HF up to d, and a transition is one of its _pieces, as in
+    _superideals.  At dmax only the number k of added monomials matters:
+    with f free monomials, a state adds C(f, k) ideals to the HF ending in
+    f - k.  Every prefix extends to at least one ideal, so the number of
+    prefixes through a degree is a lower bound on the total; given a
+    budget, the DP raises BudgetExceededError at the first degree whose
+    prefixes outnumber it, before it builds that degree's states.  Its
+    count_estimate is 2 to the base's Hilbert values summed up to dmax, the
+    number of subsets of the monomials outside the base: at least the
+    number of superideals.  A negative dmax or budget is invalid input.
     """
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
@@ -141,40 +142,31 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None) -> dict:
     counts = {}
     for d in range(dmax + 1):
         size = len(degree_monomials(n, d))
-        level = []
-        prefixes = 0
-        for prev, hfs in states.items():
-            forced = shadow_mask(n, d - 1, prev) | base_masks[d]
-            free = ((1 << size) - 1) & ~forced
-            level.append((hfs, forced, free))
-            if budget is not None:
-                prefixes += sum(hfs.values()) << free.bit_count()
-        if budget is not None and prefixes > budget:
-            raise BudgetExceededError(budget, _count_upper_bound(n, base_masks, dmax))
+        level = [(hfs, shadow_mask(n, d - 1, prev) | base_masks[d])
+                 for prev, hfs in states.items()]
+        if budget is not None:
+            prefixes = sum(sum(hfs.values()) << (size - forced.bit_count())
+                           for hfs, forced in level)
+            if prefixes > budget:
+                raise BudgetExceededError(budget, 1 << sum(piece_values(n, base_masks)))
         states = {}
-        for hfs, forced, free in level:
-            top = size - forced.bit_count()
+        for hfs, forced in level:
             if d == dmax:
-                f = free.bit_count()
-                ways = [(top - k, binom(f, k)) for k in range(f + 1)]
+                f = size - forced.bit_count()
+                ways = [(f - k, binom(f, k)) for k in range(f + 1)]
                 for h, count in hfs.items():
                     for v, way in ways:
                         key = h + (v,)
                         counts[key] = counts.get(key, 0) + count * way
                 continue
-            sub = 0
-            while True:
-                mask = forced | sub
+            for mask in _pieces(forced, size):
                 into = states.get(mask)
                 if into is None:
                     into = states[mask] = {}
-                v = (top - sub.bit_count(),)
+                v = (size - mask.bit_count(),)
                 for h, count in hfs.items():
                     key = h + v
                     into[key] = into.get(key, 0) + count
-                if sub == free:
-                    break
-                sub = (sub - free) & free  # the next larger submask of free
     return counts
 
 
@@ -182,15 +174,15 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     """(ideal, Hilbert function up to dmax, graded pieces up to dmax) for
     every ideal generated by the base and monomials of degree <= dmax.
 
-    At degree d a graded piece is the shadow of the piece below, the base
-    piece and any subset of the other degree-d monomials.  Its monomials
-    outside that shadow are the ideal's degree-d minimal generators;
-    appended in ascending lex order they keep the generators canonical.
-    The degree-d Hilbert value and the piece (as a bitmask over
-    degree_monomials) are appended with them, so ideals that share their
-    lower pieces share that work.  Base generators above dmax lie in no
-    piece and are added to every ideal at the end.  Ideals stream in
-    lexicographic order of the per-degree subsets.  Given a budget, or a
+    At degree d a graded piece is one of the _pieces holding the shadow of
+    the piece below and the base piece.  Its monomials outside that shadow
+    are the ideal's degree-d minimal generators; appended as
+    mask_to_monomials lists them, in canonical order, they keep the
+    generators canonical.  The degree-d Hilbert value and the piece (as a
+    bitmask over degree_monomials) are appended with them, so ideals that
+    share their lower pieces share that work.  Base generators above dmax
+    lie in no piece and are added to every ideal at the end.  Ideals stream
+    in lexicographic order of the per-degree subsets.  Given a budget, or a
     negative dmax, _chain_counts checks it before any ideal is yielded.
     """
     if budget is not None or dmax < 0:
@@ -204,24 +196,11 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
             ideal = MonomialIdeal(n, gens + above) if above else MonomialIdeal._trusted(n, gens)
             yield ideal, hf, pieces
             return
-        monos = degree_monomials(n, d)
+        size = len(degree_monomials(n, d))
         below = shadow_mask(n, d - 1, pieces[-1] if pieces else 0)
-        forced = below | base_masks[d]
-        free = ((1 << len(monos)) - 1) & ~forced
-        sub = 0
-        while True:
-            mask = forced | sub
-            fresh = []
-            new = mask & ~below
-            while new:
-                k = new.bit_length() - 1
-                fresh.append(monos[k])
-                new ^= 1 << k
-            yield from rec(d + 1, gens + tuple(fresh),
-                           hf + (len(monos) - mask.bit_count(),), pieces + (mask,))
-            if sub == free:
-                break
-            sub = (sub - free) & free  # the next larger submask of free
+        for mask in _pieces(below | base_masks[d], size):
+            yield from rec(d + 1, gens + tuple(mask_to_monomials(n, d, mask & ~below)),
+                           hf + (size - mask.bit_count(),), pieces + (mask,))
 
     yield from rec(0, (), (), ())
 

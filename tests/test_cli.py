@@ -148,6 +148,9 @@ BAD_INPUTS = {
                         "bad ideal JSON: 'n'"),
     "poly-factor-y2": ("hilbert --ideal {bad} --dmax 2", {"n": 2, "polys": ["x1*y2"]},
                        "bad monomial factor 'y2'"),
+    "poly-missing-factor": ("hilbert --ideal {bad} --dmax 2",
+                            {"n": 2, "polys": ["x1*x2 - -x1*x2"]},
+                            "bad polynomial 'x1*x2--x1*x2': a factor is missing"),
     "piece-index": ("embed --shakin {bad} --hf [1,2,2]",
                     {"n": 2, "pieces": [{"i": 3, "gens": [[2, 0, 0]]}], "powers": []},
                     "piece index 3 out of range 1..2"),
@@ -633,6 +636,33 @@ def test_pretty_rendering(capsys, files):
     out = capsys.readouterr().out
     assert code == 0
     assert "values:" in out
+
+
+def test_pretty_rendering_of_lists_of_lists(capsys, files):
+    ideal = files["tmp"] / "x1sq.json"
+    ideal.write_text(json.dumps({"n": 1, "gens": [[2]]}))
+    assert main(["polarize", "--ideal", str(ideal), "--pretty"]) == 0
+    assert capsys.readouterr().out == (
+        "block_sizes:\n"
+        "  - 2\n"
+        "extended_n: 3\n"
+        "polarized:\n"
+        "  gens:\n"
+        "    -\n"
+        "      - 0\n"
+        "      - 1\n"
+        "      - 1\n"
+        "  n: 3\n"
+        "specialization_l: None\n"
+        "specialization_x:\n"
+        "  -\n"
+        "    - 0\n"
+        "    - 1\n"
+        "  -\n"
+        "    - 0\n"
+        "    - 2\n"
+        "v: 1\n"
+    )
 
 
 def test_one_parser_serves_every_call(capsys, files):

@@ -65,6 +65,31 @@ def test_parse_and_format():
     assert poly("2", 2, 5).terms == {(0, 0): 2}
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("-x1", "6*x1"),
+    ("x1 - x2", "x1 + 6*x2"),
+    ("x1 + -x2", "x1 + 6*x2"),
+    ("-3*x1^2 - x2^2", "4*x1^2 + 6*x2^2"),
+])
+def test_parse_poly_reads_signs(text, expected):
+    assert format_poly(poly(text, 2, 7)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "x1*x2 - -x1*x2", "1 - -1", "3*-x1", "x1 -", "*x1", "x1*", "x1**x2", "x1 + + x2", "x1 +",
+])
+def test_parse_poly_rejects_a_missing_factor(text):
+    # each once parsed as a wrong polynomial, an empty factor read as 1
+    with pytest.raises(InvalidInputError) as err:
+        poly(text, 2, 7)
+    assert str(err.value) == f"bad polynomial {text.replace(' ', '')!r}: a factor is missing"
+
+
+def test_ideal_drops_zero_generators():
+    ideal = Ideal(2, [poly("x1 - x1"), poly("x2"), poly("0")], P)
+    assert [format_poly(g) for g in ideal.gens] == ["x2"]
+
+
 def test_poly_ring_ops():
     f, g = poly("x1 + x2"), poly("x1 - x2")
     assert (f * g).terms == poly("x1^2 - x2^2").terms

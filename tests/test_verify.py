@@ -283,7 +283,7 @@ EXHAUSTIVE_IDS = ["enumerate", "macaulay-lex", "betti-extremal", "coh-extremal"]
 def test_exhaustive_budgets_are_exact(check, base, dmax):
     # the estimate exceeds the count, so both budgets go to the exact count
     count = sum(1 for _ in verify._superideals(base, dmax))
-    estimate = verify._count_upper_bound(base.n, monomials.degree_masks(base, dmax), dmax)
+    estimate = 1 << sum(monomials.hilbert_function(base, dmax))
     assert estimate > count
     out = check(base, dmax, count)
     assert len(out) == count if isinstance(out, list) else out.cases_checked == count
@@ -380,6 +380,33 @@ def test_macaulay_lex_failures_match_the_per_ideal_loop(base, dmax):
     # the same payloads in the same order, key order included
     assert json.dumps(report.failures) == json.dumps(failures)
     assert report.notes[-1] == f"distinct Hilbert functions: {distinct}"
+
+
+def test_macaulay_lex_files_an_hf_mismatch(monkeypatch):
+    # embedded_masks never returns a wrong piece; one that does must be
+    # filed, against every ideal with that Hilbert function
+    a = shakin(2, pieces=[(1, [(2,)])])
+    base, dmax = a.total, 3
+    counts = verify._chain_counts(base, dmax)
+    wrong = max(h for h in counts if counts[h] > 1 and h[-1] < dmax + 1)
+    real = verify.embedded_masks
+
+    def short(base, values, dmax):
+        masks = real(base, values, dmax)
+        if values == wrong:
+            masks[-1] &= masks[-1] - 1  # drop its lowest monomial
+        return masks
+
+    monkeypatch.setattr(verify, "embedded_masks", short)
+    report = verify_macaulay_lex(a, dmax)
+    embedded_hf = [*wrong[:-1], wrong[-1] + 1]
+    ideals = [ideal.to_json() for ideal, h, _ in verify._superideals(base, dmax) if h == wrong]
+    assert len(ideals) == counts[wrong] > 1
+    assert report.cases_checked == sum(counts.values())
+    assert json.loads(json.dumps(report.failures)) == [
+        {"ideal": ideal, "hilbert_function": list(wrong), "error": "hf-mismatch",
+         "embedded_hf": embedded_hf}
+        for ideal in ideals]
 
 
 def test_embedded_ideal_occurs_and_passes():
