@@ -46,6 +46,10 @@ def _emit(data, args) -> None:
 def _render_pretty(data) -> str:
     lines = []
 
+    def scalar(v):
+        # null, true and false in their JSON spelling; the rest as str gives it
+        return json.dumps(v) if v is None or isinstance(v, bool) else v
+
     def walk(obj, indent=""):
         if isinstance(obj, dict):
             for k in sorted(obj):
@@ -54,14 +58,14 @@ def _render_pretty(data) -> str:
                     lines.append(f"{indent}{k}:")
                     walk(v, indent + "  ")
                 else:
-                    lines.append(f"{indent}{k}: {v}")
+                    lines.append(f"{indent}{k}: {scalar(v)}")
         elif isinstance(obj, list):
             for v in obj:
                 if isinstance(v, (dict, list)):
                     lines.append(f"{indent}-")
                     walk(v, indent + "  ")
                 else:
-                    lines.append(f"{indent}- {v}")
+                    lines.append(f"{indent}- {scalar(v)}")
 
     walk(data)
     return "\n".join(lines) + "\n"

@@ -7,6 +7,8 @@ is built by shakin.lex_embed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InternalContradictionError, InvalidInputError, NoLexIdealError
 from .monomials import MonomialIdeal, binom, degree_monomials
 from .shakin import lex_embed
@@ -34,6 +36,9 @@ def macaulay_rep(a: int, d: int):
     return rep
 
 
+# memoised: an O-sequence check asks for one bound per degree, and the
+# values repeat across the Hilbert functions of one run
+@lru_cache(maxsize=1 << 12)
 def macaulay_bound(a: int, d: int) -> int:
     """a^<d>: the largest degree-(d+1) value Macaulay's theorem allows after a."""
     return sum(binom(t + 1, i + 1) for t, i in macaulay_rep(a, d))

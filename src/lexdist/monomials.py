@@ -417,9 +417,7 @@ def _pivot_numerator(gens):
         num = _plus_generator(num, tangled[:j], m)
     for g in coprime:
         num = _minus_shifted(num, num, sum(g))
-    while num and not num[-1]:
-        num.pop()
-    return tuple(num)
+    return _trimmed(num)
 
 
 def _plus_generator(num, gens, m):
@@ -467,18 +465,39 @@ def hilbert_upto(ideal: MonomialIdeal, upto: int):
 
 
 def series_transform(values, r: int):
-    """Multiply a truncated series by (1-z)^r (r >= 0) or 1/(1-z)^|r| (r < 0)."""
-    values = tuple(values)
-    if r >= 0:
-        return tuple(
-            sum((-1) ** k * binom(r, k) * values[d - k] for k in range(0, min(r, d) + 1))
-            for d in range(len(values))
-        )
+    """Multiply a truncated series by (1-z)^r (r >= 0) or 1/(1-z)^|r| (r < 0).
+
+    Each factor is one pass: a difference for 1-z, a prefix sum for its
+    inverse.
+    """
     out = list(values)
-    for _ in range(-r):
-        for d in range(1, len(out)):
-            out[d] += out[d - 1]
+    for _ in range(abs(r)):
+        if r > 0:
+            for d in range(len(out) - 1, 0, -1):
+                out[d] -= out[d - 1]
+        else:
+            for d in range(1, len(out)):
+                out[d] += out[d - 1]
     return tuple(out)
+
+
+def tail_offset(n: int, h):
+    """(1-t)^n * sum_{d<c} (dim S_d - h_d) t^d for c = len(h) - 1, untrimmed.
+
+    Let I have quotient HF h up to c and agree from degree c on with its
+    tail, an ideal J that is zero below c.  Then N_I = N_J - tail_offset,
+    so either numerator (with h) gives the other.
+    """
+    deficit = [len(degree_monomials(n, d)) - v for d, v in enumerate(h[:-1])]
+    return series_transform(deficit + [0] * n, n)
+
+
+def _trimmed(coeffs):
+    """The coefficient list as a tuple without its trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end])
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,18 @@ Ideals of a quotient ring R = A/a are always represented by their
 pre-image in A containing a.  The lex-embedding sends the Hilbert function
 H of a quotient R/I to the ideal whose degree-d piece is the monomials of
 a plus the shortest descending-lex prefix reaching codimension H_d; on a
-Shakin quotient this is an ideal for every attainable H.
+Shakin quotient this is an ideal for every attainable H.  The degree-d
+piece thus depends only on (d, H_d), and one _embedding_table per base
+memoises it, together with the Hilbert-series numerator of each piece's
+ideal (its tail), off which the stable embedding tests its cutoffs.
+Every route to an embedding (embedded_masks, lex_embed,
+stable_lex_embedding, glue_ideals, macaulay.lex_ideal_for_hf and the
+checkers) reads that table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import (
@@ -21,6 +28,8 @@ from .errors import (
 )
 from .monomials import (
     MonomialIdeal,
+    _minus_shifted,
+    _trimmed,
     degree_masks,
     degree_monomials,
     hilbert_function,
@@ -30,6 +39,7 @@ from .monomials import (
     mask_to_monomials,
     masks_to_ideal,
     shadow_mask,
+    tail_offset,
     values_from_numerator,
 )
 
@@ -141,46 +151,88 @@ def base_ideal(a) -> MonomialIdeal:
     raise InvalidInputError(f"expected an ideal, got {type(a).__name__}")
 
 
+class _EmbeddingTable:
+    """The lex-embedding over one base, memoised by degree and Hilbert value.
+
+    pieces maps (d, H_d) to the embedded degree-d piece (a bitmask over
+    degree_monomials), or to the message of its NotAdmissibleError; only
+    values 0 <= H_d <= dim S_d are kept, so it holds at most dim S_d + 1
+    entries per degree.  tails maps (c, H_c) to N(J_c), the Hilbert-series
+    numerator of the ideal generated by the degree-c piece, which
+    _embed_series fills.
+    """
+
+    __slots__ = ("base", "base_masks", "pieces", "tails")
+
+    def __init__(self, base: MonomialIdeal):
+        self.base = base
+        self.base_masks = []
+        self.pieces = {}
+        self.tails = {}
+
+    def piece(self, d: int, h: int) -> int:
+        got = self.pieces.get((d, h))
+        if got is None:
+            n = self.base.n
+            total = len(degree_monomials(n, d))
+            if d >= len(self.base_masks):
+                self.base_masks = degree_masks(self.base, d)
+            mask = self.base_masks[d]
+            have = mask.bit_count()
+            target = total - h
+            if target < have or h < 0:
+                got = f"degree {d}: requested codimension {target}, base already has {have}"
+            else:
+                pos = 0
+                while have < target:
+                    if not mask >> pos & 1:
+                        have += 1
+                    pos += 1
+                got = mask | (1 << pos) - 1
+            if 0 <= h <= total:
+                self.pieces[d, h] = got
+        if type(got) is str:
+            raise NotAdmissibleError(d, got)
+        return got
+
+    def masks(self, values, dmax: int):
+        """The embedded pieces in degrees 0..dmax, as a new list; see
+        embedded_masks."""
+        n = self.base.n
+        masks = [self.piece(d, values[d]) for d in range(dmax + 1)]
+        for d in range(dmax):
+            stray = shadow_mask(n, d, masks[d]) & ~masks[d + 1]
+            if stray:
+                witness = mask_to_monomials(n, d + 1, stray & -stray)[0]
+                raise ClosureError(d + 1, witness)
+        return masks
+
+
+@lru_cache(maxsize=32)
+def _embedding_table(base: MonomialIdeal) -> _EmbeddingTable:
+    """The one _EmbeddingTable per base, for the few bases a process meets."""
+    return _EmbeddingTable(base)
+
+
 def embedded_masks(base: MonomialIdeal, values, dmax: int):
     """Graded pieces (as bitmasks) of the embedded ideal for quotient HF values.
 
-    Raises NotAdmissibleError when a degree cannot reach the requested
-    codimension, ClosureError when the degreewise spans fail to multiply
-    into each other (never silently repaired: on a Shakin base the latter
-    contradicts attainability of the Hilbert function).  Raises
-    InvalidInputError for dmax < 0: no ideal cut off there contains the
-    base.
+    The degree-d piece is the base piece plus the shortest descending-lex
+    run of other monomials reaching codimension H_d, so it depends only on
+    (d, H_d) and is read off the base's _embedding_table; the list is new
+    on every call.  Raises NotAdmissibleError (a new one each time) at the
+    first degree that cannot reach the requested codimension, then
+    ClosureError when the degreewise spans fail to multiply into each other
+    (never silently repaired: on a Shakin base the latter contradicts
+    attainability of the Hilbert function).  Raises InvalidInputError for
+    dmax < 0: no ideal cut off there contains the base.
     """
-    n = base.n
     values = tuple(values)
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
     if len(values) < dmax + 1:
         raise InvalidInputError("Hilbert function shorter than dmax+1")
-    amasks = degree_masks(base, dmax)
-    masks = []
-    for d in range(dmax + 1):
-        total = len(degree_monomials(n, d))
-        target = total - values[d]
-        mask = amasks[d]
-        have = mask.bit_count()
-        if target < have or target > total or values[d] < 0:
-            raise NotAdmissibleError(
-                d, f"degree {d}: requested codimension {target}, base already has {have}"
-            )
-        pos = 0
-        while have < target:
-            if not mask >> pos & 1:
-                have += 1
-            pos += 1
-        mask |= (1 << pos) - 1
-        masks.append(mask)
-    for d in range(dmax):
-        stray = shadow_mask(n, d, masks[d]) & ~masks[d + 1]
-        if stray:
-            witness = mask_to_monomials(n, d + 1, stray & -stray)[0]
-            raise ClosureError(d + 1, witness)
-    return masks
+    return _embedding_table(base).masks(values, dmax)
 
 
 def lex_embed(a, values, dmax: int | None = None) -> MonomialIdeal:
@@ -211,19 +263,49 @@ def stable_lex_embedding(a, ideal: MonomialIdeal) -> MonomialIdeal:
     base = base_ideal(a)
     if ideal.n != base.n:
         raise InvalidInputError("ambient mismatch")
-    return _embed_series(base, ideal, hilbert_numerator(ideal))
+    return _embed_series(base, ideal, hilbert_numerator(ideal))[0]
 
 
-def _embed_series(base: MonomialIdeal, ideal: MonomialIdeal, target) -> MonomialIdeal:
-    """stable_lex_embedding of an ideal whose series numerator target is known."""
+def _embed_series(base: MonomialIdeal, ideal: MonomialIdeal, target):
+    """stable_lex_embedding of an ideal whose series numerator target is
+    known, with its quotient HF and graded pieces up to the accepted cutoff.
+
+    A cutoff c is tested off its tail: the candidate L, generated by the
+    embedded pieces up to c, agrees from degree c on with J_c, the ideal of
+    its degree-c piece, so N_L = N(J_c) - tail_offset (monomials.tail_offset)
+    with N(J_c) memoised by (c, H_c) on the base's _embedding_table.  L is
+    built only when c is accepted or N(J_c) is missing, and then N(J_c)
+    comes from N_L, one pivot on L.  The starting cutoff and the error
+    order (NotAdmissibleError by degree, then ClosureError) are those of
+    embedded_masks at each cutoff.  L has the target's HF up to c, so the
+    next cutoff lies above c; one that does not raises
+    InternalContradictionError instead of looping.
+    """
+    n = base.n
+    table = _embedding_table(base)
     cutoff = max(ideal.max_degree(), base.max_degree(), 1)
     while True:
-        candidate = lex_embed(base, values_from_numerator(target, ideal.n, cutoff), cutoff)
-        got = hilbert_numerator(candidate)
+        values = values_from_numerator(target, n, cutoff)
+        masks = table.masks(values, cutoff)
+        offset = tail_offset(n, values)
+        key = cutoff, values[cutoff]
+        tail = table.tails.get(key)
+        candidate = None
+        if tail is None:
+            candidate = masks_to_ideal(n, masks)
+            got = hilbert_numerator(candidate)
+            table.tails[key] = _trimmed(_minus_shifted(got, [-c for c in offset], 0))
+        else:
+            got = _trimmed(_minus_shifted(tail, offset, 0))
         if got == target:
-            return candidate
+            if candidate is None:
+                candidate = masks_to_ideal(n, masks)
+            return candidate, values, masks
         pairs = zip_longest(got, target, fillvalue=0)
-        cutoff = next(d for d, (x, y) in enumerate(pairs) if x != y)
+        below, cutoff = cutoff, next(d for d, (x, y) in enumerate(pairs) if x != y)
+        if cutoff <= below:
+            raise InternalContradictionError(
+                f"embedding cut off at degree {below} differs from its target at {cutoff}")
 
 
 def is_admissible_hf(a, values, dmax: int | None = None) -> bool:

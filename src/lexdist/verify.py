@@ -3,22 +3,26 @@
 The exhaustive checkers share one enumerator, _superideals, which builds
 every ideal over a base degree by degree together with its Hilbert
 function and graded pieces, so neither is recomputed per ideal, and one
-count of those ideals, _chain_counts, a DP over (graded piece, HF prefix)
-states that builds none of them.  Both step from a piece to the pieces
+count of those ideals, _chain_counts, a DP over graded pieces that builds
+none of them: per HF prefix for macaulay-lex, per piece alone for the
+budget check of the other kinds.  Both step from a piece to the pieces
 above it by one submask walk, _pieces.  The count is the one budget check:
 every exhaustive kind runs it before the first ideal, and it stops at the
 first degree whose chain prefixes outnumber the budget.  macaulay-lex,
 whose verdict depends only on the Hilbert function, checks each Hilbert
-function once off the same count.  The extremality checkers
-read their per-ideal work off the enumeration: the embedding
-cache key and the target's series numerator (_piece_numerators, grown by
-one colon step from the piece with one generator fewer), in at most
-three variables the Betti tables of the ideal and of its lex target
-(_betti_by_pieces), and in any number of variables the ideal's local
-cohomology table, computed once per last piece (_coh_by_pieces).  Each
-checker replays deterministically from its recorded parameters and seed,
-counts the cases it examined and collects self-contained counterexample
-payloads.  A report passes iff it has no failures; observations that the
+function once off the same count.  The extremality checkers read their
+per-ideal work off the enumeration: the embedding cache key and the
+target's series numerator (_piece_numerators, grown by one colon step
+from the piece with one generator fewer), in at most three variables the
+Betti tables of the ideal and of its lex target (_betti_by_pieces), and
+in any number of variables the local cohomology tables of both, computed
+once per tail (_coh_by_pieces).  A tail is a (degree, piece) pair from
+which on the ideal agrees with the ideal of that piece and the base
+generators above it: dmax and the last piece for an enumerated ideal,
+and for a lex target the cutoff where shakin._embed_series accepted it
+and the piece there.  Each checker replays deterministically from its
+recorded parameters and seed, counts the cases it examined and collects
+self-contained counterexample payloads.  A report passes iff it has no failures; observations that the
 underlying statement does not claim (for instance Betti extremality in
 small characteristic with pure powers present) are classified as findings
 instead.
@@ -50,7 +54,6 @@ from .monomials import (
     degree_monomials,
     mask_to_monomials,
     piece_values,
-    series_transform,
     shadow_mask,
     shadow_table,
 )
@@ -114,10 +117,12 @@ def _pieces(forced, size):
         sub = (sub - free) & free  # the next larger submask of free
 
 
-def _chain_counts(base: MonomialIdeal, dmax: int, budget=None) -> dict:
+def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True) -> dict:
     """{Hilbert function up to dmax: number of superideals with it}, over
     the ideals _superideals yields, without building one.  The one budget
-    check of the exhaustive kinds.
+    check of the exhaustive kinds.  With by_hf false every HF is read as
+    (), so the result is {(): number of superideals} and the DP keeps one
+    count per piece instead of one per HF prefix.
 
     A chain's future depends only on its current piece, so the states at
     degree d are the pieces, each with the number of chain prefixes that
@@ -153,17 +158,18 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None) -> dict:
         for hfs, forced in level:
             if d == dmax:
                 f = size - forced.bit_count()
-                ways = [(f - k, binom(f, k)) for k in range(f + 1)]
+                ways = ([((f - k,), binom(f, k)) for k in range(f + 1)] if by_hf
+                        else [((), 1 << f)])
                 for h, count in hfs.items():
                     for v, way in ways:
-                        key = h + (v,)
+                        key = h + v
                         counts[key] = counts.get(key, 0) + count * way
                 continue
             for mask in _pieces(forced, size):
                 into = states.get(mask)
                 if into is None:
                     into = states[mask] = {}
-                v = (size - mask.bit_count(),)
+                v = (size - mask.bit_count(),) if by_hf else ()
                 for h, count in hfs.items():
                     key = h + v
                     into[key] = into.get(key, 0) + count
@@ -186,7 +192,7 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     negative dmax, _chain_counts checks it before any ideal is yielded.
     """
     if budget is not None or dmax < 0:
-        _chain_counts(base, dmax, budget)
+        _chain_counts(base, dmax, budget, by_hf=False)
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     above = tuple(g for g in base.gens if sum(g) > dmax)
@@ -362,9 +368,7 @@ def _piece_numerators(base, dmax):
             k = piece.bit_length() - 1
             num = monomials._plus_generator(
                 num, mask_to_monomials(n, dmax, piece ^ 1 << k) + above, monos[k])
-            while num and not num[-1]:
-                num.pop()
-            num = numerators[piece] = tuple(num)
+            num = numerators[piece] = monomials._trimmed(num)
         return num
 
     return numerator
@@ -373,15 +377,11 @@ def _piece_numerators(base, dmax):
 def _ideal_numerator(n, h, num):
     """N_I off the series key (h, N_J) of _piece_numerators.
 
-    J is zero below dmax = len(h) - 1, so
-    N_I = N_J - (1-t)^n * sum_{d<dmax} (dim S_d - h_d) t^d; the key
-    determines N_I and is determined by it.
+    J is zero below dmax = len(h) - 1 and agrees with I from there on, so
+    N_I = N_J - monomials.tail_offset(n, h); the key determines N_I and is
+    determined by it.
     """
-    deficit = [len(degree_monomials(n, d)) - v for d, v in enumerate(h[:-1])]
-    out = _minus_shifted(num, series_transform(deficit + [0] * n, n), 0)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return monomials._trimmed(_minus_shifted(num, monomials.tail_offset(n, h), 0))
 
 
 def _betti_by_pieces(base, dmax):
@@ -469,40 +469,46 @@ def _betti_by_pieces(base, dmax):
     return table
 
 
-def _coh_by_pieces(dmax, window, p):
+def _coh_by_pieces(window, p):
     """A function (ideal, h, pieces) -> {(i, j): dim H^i_m(A/I)_j} over the
-    window, nonzero values only in ascending (i, j), for a superideal I of
-    a base with HF h and graded pieces up to dmax, as _superideals yields
-    it.
+    window, nonzero values only in ascending (i, j), for a monomial ideal I
+    with HF h and graded pieces up to a degree c = len(pieces) - 1, keyed by
+    its tail (c, pieces[-1]).  The tail J is generated by the degree-c
+    piece and I's generators above c, and I agrees with J from degree c on.
+    Two kinds of ideal come in, over one base:
 
-    With J as in _piece_numerators, I/J has finite length, and a
-    submodule of finite length changes only H^0 (Brodmann-Sharp, ch. 2):
-    0 -> I/J -> A/J -> A/I -> 0 gives H^i(A/I) = H^i(A/J) for i >= 1 and
-    h^0(A/I)_j - h_j = h^0(A/J)_j - HF(A/J)_j for every j.  So
-    local_coh_monomial runs on the first superideal met with each last
-    piece, over Z/p, and every later one is read off it.  The memo keeps
-    per last piece the offsets h^0_j - h_j for 0 <= j < dmax in the window
+    - a superideal, as _superideals yields it: c = dmax, and J is as in
+      _piece_numerators, with the base generators above dmax;
+    - a lex target, as _embed_series returns it: c is the accepted cutoff,
+      at least the base's top degree, so J is generated by the piece alone.
+
+    I/J has finite length, and a submodule of finite length changes only
+    H^0 (Brodmann-Sharp, ch. 2): 0 -> I/J -> A/J -> A/I -> 0 gives
+    H^i(A/I) = H^i(A/J) for i >= 1 and h^0(A/I)_j - h_j = h^0(A/J)_j -
+    HF(A/J)_j for every j.  So local_coh_monomial runs on the first ideal
+    met with each tail, over Z/p, and every later one is read off it.  The
+    memo keeps per tail the offsets h^0_j - h_j for 0 <= j < c in the window
     and the other nonzero cells in ascending (i, j), for the life of the
-    function.  Last pieces with equal entries share one: over (x1^2) in
-    four variables at dmax 3, 65 536 last pieces have 321 distinct ones.
+    function.  Tails with equal entries share one: over (x1^2) in four
+    variables at dmax 3, 65 536 last pieces have 321 distinct ones.
     """
     jmin, jmax = window
-    low = range(max(jmin, 0), min(jmax, dmax - 1) + 1)
-    heads = [(0, j) for j in low]
     memo = {}
     shared = {}
 
     def table(ideal, h, pieces):
-        got = memo.get(pieces[-1])
+        c = len(pieces) - 1
+        low = range(max(jmin, 0), min(jmax, c - 1) + 1)
+        key = c, pieces[-1]
+        got = memo.get(key)
         if got is None:
             entries = local_coh_monomial(ideal, window=window, p=p).entries
             coh = dict(entries)
-            got = (tuple(coh.get(head, 0) - h[j] for head, j in zip(heads, low)),
-                   tuple((key, v) for key, v in entries if key[0] or key[1] not in low))
-            got = memo[pieces[-1]] = shared.setdefault(got, got)
+            got = (tuple(coh.get((0, j), 0) - h[j] for j in low),
+                   tuple((cell, v) for cell, v in entries if cell[0] or cell[1] not in low))
+            got = memo[key] = shared.setdefault(got, got)
         offsets, rest = got
-        out = {head: v for head, j, offset in zip(heads, low, offsets)
-               if (v := h[j] + offset)}
+        out = {(0, j): v for j, offset in zip(low, offsets) if (v := h[j] + offset)}
         out.update(rest)
         return out
 
@@ -513,12 +519,13 @@ def _embedded_cases(report, base, dmax, budget, invariant):
     """Every superideal of base with its lex-embedding, counted on report.
 
     Yields (ideal, HF up to dmax, graded pieces up to dmax, embedded ideal,
-    invariant(embedded)).  The embedding depends on an ideal only through
-    its Hilbert series, so it is cached by the series key (h, N_J), read
-    off the HF and the last piece through its own
-    _piece_numerators(base, dmax); a miss embeds from the N_I that the key
-    gives.  Equal keys mean equal series numerators and conversely, so the
-    cache hits are those of a cache keyed by the numerator.  An error
+    invariant(embedded ideal, its HF and graded pieces up to the accepted
+    cutoff)), the last three as _embed_series returns them.  The embedding
+    depends on an ideal only through its Hilbert series, so it is cached by
+    the series key (h, N_J), read off the HF and the last piece through its
+    own _piece_numerators(base, dmax); a miss embeds from the N_I that the
+    key gives.  Equal keys mean equal series numerators and conversely, so
+    the cache hits are those of a cache keyed by the numerator.  An error
     payload also depends on the starting cutoff, so a failing ideal is
     filed on report.failures, uncached, and not yielded.
     """
@@ -528,11 +535,11 @@ def _embedded_cases(report, base, dmax, budget, invariant):
         report.cases_checked += 1
         key = h, numerator(pieces[-1])
         if key not in cache:
-            embedded, err = _attempt(_embed_series, base, ideal, _ideal_numerator(base.n, *key))
+            embedding, err = _attempt(_embed_series, base, ideal, _ideal_numerator(base.n, *key))
             if err is not None:
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue
-            cache[key] = embedded, invariant(embedded)
+            cache[key] = embedding[0], invariant(*embedding)
         yield (ideal, h, pieces, *cache[key])
 
 
@@ -665,8 +672,11 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
         def betti(ideal, _h=None, _pieces=None):
             return koszul_betti(ideal, j_max, p).as_dict()
 
+    def target_betti(embedded, _h, _pieces):
+        return betti(embedded)
+
     for ideal, h, pieces, embedded, target in _embedded_cases(
-            report, base, dmax, budget, betti):
+            report, base, dmax, budget, target_betti):
         bad = _exceeding(betti(ideal, h, pieces), target)
         if bad:
             payload = {
@@ -685,10 +695,10 @@ def verify_coh_extremal(a, dmax: int, window=None,
     """Local cohomology Hilbert functions are maximized by the embedded ideal.
 
     Exhaustive over the superideals of enumerate_monomial_ideals_modulo;
-    all cohomological degrees are compared on the window.  The lex targets
-    go through local_coh_monomial, one per series key; the enumerated
-    ideals are read off the first superideal with the same last piece by
-    _coh_by_pieces.
+    all cohomological degrees are compared on the window.  Both sides go
+    through one _coh_by_pieces table, so local_coh_monomial runs once per
+    distinct tail: an enumerated ideal's (dmax, last piece), or a lex
+    target's (accepted cutoff, piece there) as _embed_series returns it.
     """
     p = check_characteristic(p)
     base = base_ideal(a)
@@ -703,12 +713,9 @@ def verify_coh_extremal(a, dmax: int, window=None,
                 "budget": budget, **_shakin_params(a)},
     )
 
-    def coh(ideal):
-        return local_coh_monomial(ideal, window=window, p=p).as_dict()
-
-    table = _coh_by_pieces(dmax, window, p)
+    table = _coh_by_pieces(window, p)
     for ideal, h, pieces, _embedded, target in _embedded_cases(
-            report, base, dmax, budget, coh):
+            report, base, dmax, budget, table):
         bad = _exceeding(table(ideal, h, pieces), target)
         if bad:
             report.failures.append({

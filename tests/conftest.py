@@ -274,6 +274,50 @@ def brute_local_coh(gens, n, window, p):
     }
 
 
+def oracle_embed_series(base, ideal, target):
+    """stable_lex_embedding of an ideal with series numerator target, by its
+    definition: (embedded ideal, accepted cutoff).
+
+    At each cutoff the Hilbert function up to it is embedded afresh, piece
+    by piece with no memo (the base's monomials plus the lex-largest
+    others), the pieces are checked for closure, and the full numerator of
+    the ideal they generate is compared with target; the first degree
+    where the two differ is the next cutoff.  Raises what embedding a
+    cutoff raises: NotAdmissibleError at the first degree that cannot
+    reach its codimension, else ClosureError at the first degree with a
+    product outside its piece, the lex-largest such product as witness.
+    """
+    from lexdist.errors import ClosureError, NotAdmissibleError
+    from lexdist.monomials import MonomialIdeal, hilbert_numerator, values_from_numerator
+
+    n = base.n
+    cutoff = max(ideal.max_degree(), base.max_degree(), 1)
+    while True:
+        values = values_from_numerator(target, n, cutoff)
+        pieces = []
+        for d in range(cutoff + 1):
+            monos = sorted(all_monomials(n, d), reverse=True)
+            inside = [m for m in monos if brute_in_ideal(base.gens, m)]
+            want = len(monos) - values[d]
+            if want < len(inside) or values[d] < 0:
+                raise NotAdmissibleError(
+                    d, f"degree {d}: requested codimension {want}, "
+                       f"base already has {len(inside)}")
+            others = [m for m in monos if m not in inside]
+            pieces.append(set(inside) | set(others[:want - len(inside)]))
+        for d in range(cutoff):
+            stray = [m for m in sorted(all_monomials(n, d + 1), reverse=True)
+                     if m not in pieces[d + 1] and brute_in_ideal(pieces[d], m)]
+            if stray:
+                raise ClosureError(d + 1, stray[0])
+        candidate = MonomialIdeal(n, [m for piece in pieces for m in piece])
+        got = hilbert_numerator(candidate)
+        if got == target:
+            return candidate, cutoff
+        pairs = itertools.zip_longest(got, target, fillvalue=0)
+        cutoff = next(d for d, (x, y) in enumerate(pairs) if x != y)
+
+
 @pytest.fixture
 def rng():
     import random

@@ -653,7 +653,7 @@ def test_pretty_rendering_of_lists_of_lists(capsys, files):
         "      - 1\n"
         "      - 1\n"
         "  n: 3\n"
-        "specialization_l: None\n"
+        "specialization_l: null\n"
         "specialization_x:\n"
         "  -\n"
         "    - 0\n"
@@ -663,6 +663,14 @@ def test_pretty_rendering_of_lists_of_lists(capsys, files):
         "    - 2\n"
         "v: 1\n"
     )
+
+
+def test_pretty_prints_json_scalars_in_json_spelling(capsys):
+    assert main(["verify", "codistra-h0", "--n", "2", "--dmax", "2", "--samples", "1",
+                 "--pretty"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "passed: true" in lines
+    assert not any(word in line for line in lines for word in ("None", "True", "False"))
 
 
 def test_one_parser_serves_every_call(capsys, files):

@@ -12,7 +12,7 @@ from lexdist.errors import (
     NotLexSegmentError,
 )
 from lexdist.macaulay import lex_ideal_for_hf
-from lexdist.monomials import MonomialIdeal, hilbert_function, hilbert_upto
+from lexdist.monomials import MonomialIdeal, hilbert_function, hilbert_numerator, hilbert_upto
 from lexdist.shakin import (
     ShakinIdeal,
     glue_ideals,
@@ -173,6 +173,47 @@ def test_degree_uniqueness_of_embedded_pieces():
     for d in range(5):
         if h1[d] == h2[d]:
             assert m1[d] == m2[d]
+
+
+def test_embedded_masks_are_a_new_list_each_call():
+    from lexdist.shakin import embedded_masks
+
+    a = shakin(3, pieces=[(1, [(2,)])])
+    values = hilbert_function(MonomialIdeal(3, [(2, 0, 0), (1, 1, 0)]), 4)
+    first = embedded_masks(a.total, values, 4)
+    want = list(first)
+    first[-1] = 0
+    first.append(1)
+    assert embedded_masks(a.total, values, 4) == want
+
+
+def test_a_memoised_verdict_raises_a_new_error_each_time():
+    from lexdist.shakin import embedded_masks
+
+    base = MonomialIdeal(2, [(1, 0)])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotAdmissibleError) as err:
+            embedded_masks(base, (1, 2), 1)
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert [(e.degree, str(e)) for e in errors] == [
+        (1, "degree 1: requested codimension 0, base already has 1")] * 2
+
+
+def test_a_cutoff_that_does_not_advance_is_a_typed_error(monkeypatch):
+    # a candidate has its target's HF up to its cutoff, so the next cutoff
+    # lies above; a wrong numerator must give a typed error, not a loop
+    # without end, and must not stay in the embedding table
+    base = MonomialIdeal(2, [(1, 0)])
+    target = hilbert_numerator(base)
+    monkeypatch.setattr(shakin_module, "hilbert_numerator", lambda ideal: (2,))
+    shakin_module._embedding_table.cache_clear()
+    try:
+        with pytest.raises(InternalContradictionError, match="cut off at degree 1"):
+            shakin_module._embed_series(base, base, target)
+    finally:
+        shakin_module._embedding_table.cache_clear()
 
 
 def test_stable_embedding_adds_late_generators():

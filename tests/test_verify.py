@@ -12,7 +12,9 @@ from collections import Counter
 import pytest
 
 import lexdist
+from conftest import oracle_embed_series
 from lexdist import groebner, monomials, verify
+from lexdist import shakin as shakin_module
 from lexdist.cli import main
 from lexdist.distraction import DistractionMatrix, distract_ideal, random_distraction
 from lexdist.errors import BudgetExceededError, InvalidInputError, NotAdmissibleError
@@ -154,7 +156,7 @@ def test_betti_by_pieces_reads_lex_targets_alone(base, dmax):
     # dmax + 1, where it can have generators that no superideal has
     report = verify.VerificationReport("targets", {})
     targets = {embedded for *_, embedded, _ in verify._embedded_cases(
-        report, base, dmax, None, lambda embedded: None)}
+        report, base, dmax, None, lambda embedded, h, pieces: None)}
     table = verify._betti_by_pieces(base, dmax)
     for target in targets:
         got = table(target)
@@ -192,6 +194,60 @@ def test_series_key_classes_are_the_numerator_classes(base, dmax):
         by_numerator.setdefault(num, set()).add(k)
     assert all(len(nums) == 1 for nums in by_key.values())
     assert all(len(keys) == 1 for keys in by_numerator.values())
+
+
+def _series_keys(base, dmax):
+    """(first ideal, N_I) per distinct series key over base, in enumeration order."""
+    numerator = verify._piece_numerators(base, dmax)
+    keys = {}
+    for ideal, h, pieces in verify._superideals(base, dmax):
+        keys.setdefault((h, numerator(pieces[-1])), ideal)
+    return [(ideal, verify._ideal_numerator(base.n, *key)) for key, ideal in keys.items()]
+
+
+def _embedding_or_error(embed, base, ideal, target):
+    try:
+        return embed(base, ideal, target)
+    except NotAdmissibleError as exc:
+        return type(exc).__name__, exc.degree, str(exc)
+
+
+# (base, dmax, series keys, failing keys, ClosureErrors above dmax + 1):
+# Shakin bases in three and four variables, the zero ideal, and three raw
+# bases, whose failing keys all raise ClosureError
+EMBEDDING_BASES = [
+    (MonomialIdeal(3, [(2, 0, 0)]), 4, 294, 0, 0),
+    (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 4, 150, 0, 0),
+    (MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 3)]), 4, 20, 0, 0),
+    (MonomialIdeal(4, [(2, 0, 0, 0)]), 2, 66, 0, 0),
+    (MonomialIdeal(2), 4, 44, 0, 0),
+    (MonomialIdeal(3, [(0, 1, 1)]), 3, 79, 15, 1),
+    (MonomialIdeal(3, [(0, 2, 0)]), 3, 80, 15, 1),
+    (MonomialIdeal(3, [(1, 0, 1), (0, 2, 0)]), 3, 34, 2, 0),
+]
+
+
+@pytest.mark.parametrize("base, dmax, keys, failing, above", EMBEDDING_BASES)
+def test_embed_series_matches_the_cutoff_loop(base, dmax, keys, failing, above):
+    # each series key gives the oracle's ideal with its HF and pieces up to
+    # the oracle's cutoff, or the oracle's (error class, degree, message);
+    # once from a cold table, once with every piece and tail memoised
+    cases = _series_keys(base, dmax)
+    want = [_embedding_or_error(oracle_embed_series, base, ideal, num) for ideal, num in cases]
+    errors = [w for w in want if isinstance(w[0], str)]
+    assert (len(cases), len(errors)) == (keys, failing)
+    assert {w[0] for w in errors} <= {"ClosureError"}
+    assert sum(w[1] > dmax + 1 for w in errors) == above
+    shakin_module._embedding_table.cache_clear()
+    for _ in range(2):
+        for (ideal, num), expected in zip(cases, want):
+            got = _embedding_or_error(verify._embed_series, base, ideal, num)
+            if isinstance(expected[0], str):
+                assert got == expected, ideal.gens
+            else:
+                embedded, cutoff = expected
+                assert got == (embedded, monomials.hilbert_upto(embedded, cutoff),
+                               monomials.degree_masks(embedded, cutoff)), ideal.gens
 
 
 @pytest.mark.parametrize("base, dmax", [
@@ -250,6 +306,28 @@ def test_chain_counts_match_the_enumeration(base, dmax):
     assert verify._chain_counts(base, dmax) == counts
     if base == X1CU:
         assert (sum(counts.values()), len(counts)) == (26946, 187)
+    assert verify._chain_counts(base, dmax, by_hf=False) == {(): sum(counts.values())}
+
+
+def test_the_piece_count_stops_where_the_hf_count_does(monkeypatch):
+    # both modes count the same prefixes per degree, so a budget stops them
+    # after the same pieces, with the same estimate
+    walked = []
+    real = verify._pieces
+
+    def spy(forced, size):
+        walked.append(size)
+        return real(forced, size)
+
+    monkeypatch.setattr(verify, "_pieces", spy)
+    for budget in (0, 3, 10, 100, 1000, 10 ** 4, 26945):
+        stops = []
+        for by_hf in (True, False):
+            walked.clear()
+            with pytest.raises(BudgetExceededError) as err:
+                verify._chain_counts(X1CU, 4, budget, by_hf)
+            stops.append((list(walked), err.value.count_estimate))
+        assert stops[0] == stops[1], budget
 
 
 def _count_built(monkeypatch):
@@ -504,15 +582,29 @@ def _spy_on(monkeypatch, name):
     return made
 
 
+def _coh_tails(base, dmax):
+    """The distinct (degree, piece) tails coh-extremal meets over base: each
+    superideal's (dmax, last piece), and each lex target's piece at its
+    cutoff, both found without the checker's route."""
+    tails = {(dmax, pieces[-1]) for _, _, pieces in verify._superideals(base, dmax)}
+    for ideal, num in _series_keys(base, dmax):
+        embedded, cutoff = oracle_embed_series(base, ideal, num)
+        tails.add((cutoff, monomials.degree_masks(embedded, cutoff)[cutoff]))
+    return tails
+
+
 def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
     # the homology memo holds complexes, the numerator memo colon
     # sub-ideals and the rest per-degree tables; none may grow with the
     # number of enumerated ideals.  The checkers' own memos live per call;
     # the series key's holds a numerator per distinct last piece and the
     # few smaller pieces that growing them one generator at a time meets,
-    # and coh-extremal's tables one entry per distinct last piece.
+    # and coh-extremal's tables one entry per distinct tail.  The base's
+    # embedding table holds at most dim S_d + 1 pieces per degree d up to
+    # the highest cutoff, and at most as many tails.
     memos = _module_memos()
-    assert {"lexdist.homology._homology", "lexdist.monomials._numerator"} <= set(memos)
+    assert {"lexdist.homology._homology", "lexdist.monomials._numerator",
+            "lexdist.shakin._embedding_table"} <= set(memos)
     made = _spy_on(monkeypatch, "_piece_numerators")
     tables = _spy_on(monkeypatch, "_coh_by_pieces")
     a = shakin(3, pieces=[(1, [(2,)])])
@@ -527,7 +619,14 @@ def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
         numerators = inspect.getclosurevars(made.pop()).nonlocals["numerators"]
         slack = len(monomials.degree_monomials(3, 4))
         assert lasts <= len(numerators) <= lasts + slack, check.__name__
-    assert len(inspect.getclosurevars(tables.pop()).nonlocals["memo"]) == lasts
+        embedding = shakin_module._embedding_table(a.total)
+        top = max(d for d, _ in embedding.pieces)
+        bound = sum(len(monomials.degree_monomials(3, d)) + 1 for d in range(top + 1))
+        assert len(embedding.pieces) <= bound, check.__name__
+        assert max(c for c, _ in embedding.tails) <= top
+        assert len(embedding.tails) <= bound, check.__name__
+    memo = inspect.getclosurevars(tables.pop()).nonlocals["memo"]
+    assert set(memo) == _coh_tails(a.total, 4)
 
 
 def test_coh_extremal_small():
@@ -570,7 +669,7 @@ def test_coh_by_pieces_matches_takayama(base, dmax, window, gcds):
     # every superideal, the zero ideal too, against its own Takayama table,
     # though the tables read it off the first superideal with its last piece
     window = window or (-(dmax + base.n), dmax)
-    tables = {p: verify._coh_by_pieces(dmax, window, p) for p in (2, P)}
+    tables = {p: verify._coh_by_pieces(window, p) for p in (2, P)}
     units = found = 0
     for ideal, h, pieces in verify._superideals(base, dmax):
         found += bool(ideal.gens) and sum(map(min, zip(*ideal.gens))) > 0
@@ -583,12 +682,11 @@ def test_coh_by_pieces_matches_takayama(base, dmax, window, gcds):
     assert (units, found) == (1, gcds)
 
 
-@pytest.mark.parametrize("a, dmax, cases", [
-    (shakin(4, pieces=[(1, [(2,)])]), 2, 717),
-    (MonomialIdeal(2), 3, 42),
+@pytest.mark.parametrize("a, dmax, cases, runs", [
+    (shakin(4, pieces=[(1, [(2,)])]), 2, 717, 533),  # 512 last pieces, 66 series keys
+    (MonomialIdeal(2), 3, 42, 25),  # 16 last pieces, 20 series keys
 ])
-def test_coh_extremal_runs_takayama_once_per_last_piece_and_series_key(monkeypatch, a, dmax,
-                                                                      cases):
+def test_coh_extremal_runs_takayama_once_per_tail(monkeypatch, a, dmax, cases, runs):
     seen = []
 
     def spy(ideal, **kwargs):
@@ -598,13 +696,34 @@ def test_coh_extremal_runs_takayama_once_per_last_piece_and_series_key(monkeypat
     monkeypatch.setattr(verify, "local_coh_monomial", spy)
     report = verify_coh_extremal(a, dmax)
     assert report.passed and report.cases_checked == cases
-    base = verify.base_ideal(a)
-    numerator = verify._piece_numerators(base, dmax)
-    lasts, keys = set(), set()
-    for _ideal, h, pieces in verify._superideals(base, dmax):
-        lasts.add(pieces[-1])
-        keys.add((h, numerator(pieces[-1])))
-    assert len(seen) == len(lasts) + len(keys)
+    assert len(seen) == len(_coh_tails(verify.base_ideal(a), dmax)) == runs
+
+
+@pytest.mark.parametrize("base, dmax, window", [
+    (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 4, None),
+    (MonomialIdeal(3, [(2, 0, 0)]), 3, (-12, 9)),
+    (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5)]), 3, None),  # cutoffs reach 5
+    (MonomialIdeal(3, [(0, 1, 1)]), 3, None),
+    (MonomialIdeal(4, [(2, 0, 0, 0)]), 2, None),
+    (MonomialIdeal(2, [(2, 0)]), 5, None),
+])
+def test_coh_targets_read_off_their_tails_match_takayama(base, dmax, window):
+    # the targets share the table with the superideals, in the checker's
+    # order; each is read off the first ideal met with its tail
+    window = window or (-(dmax + base.n), dmax)
+    table = verify._coh_by_pieces(window, P)
+    targets = {}
+    for ideal, h, pieces in verify._superideals(base, dmax):
+        table(ideal, h, pieces)
+        embedding = _embedding_or_error(verify._embed_series, base, ideal,
+                                        monomials.hilbert_numerator(ideal))
+        if not isinstance(embedding[0], str):
+            target = embedding[0]
+            got = table(*embedding)
+            want = local_coh_monomial(target, window=window, p=P).as_dict()
+            assert list(got.items()) == list(want.items()), target.gens
+            targets[target] = len(embedding[2]) - 1
+    assert targets and max(targets.values()) >= base.max_degree()
 
 
 # --- distraction statements ---------------------------------------------------------
