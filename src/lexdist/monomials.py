@@ -481,15 +481,15 @@ def series_transform(values, r: int):
     return tuple(out)
 
 
-def tail_offset(n: int, h):
-    """(1-t)^n * sum_{d<c} (dim S_d - h_d) t^d for c = len(h) - 1, untrimmed.
+def numerator_off_tail(n: int, h, tail):
+    """N_I off tail = N_J, for I with quotient HF h up to c = len(h) - 1.
 
-    Let I have quotient HF h up to c and agree from degree c on with its
-    tail, an ideal J that is zero below c.  Then N_I = N_J - tail_offset,
-    so either numerator (with h) gives the other.
+    J is I's tail: zero below c, and equal to I from degree c on.  Then
+    N_I = N_J - (1-t)^n * sum_{d<c} (dim S_d - h_d) t^d, returned trimmed;
+    with h, either numerator determines the other.
     """
     deficit = [len(degree_monomials(n, d)) - v for d, v in enumerate(h[:-1])]
-    return series_transform(deficit + [0] * n, n)
+    return _trimmed(_minus_shifted(tail, series_transform(deficit + [0] * n, n), 0))
 
 
 def _trimmed(coeffs):

@@ -6,11 +6,12 @@ H of a quotient R/I to the ideal whose degree-d piece is the monomials of
 a plus the shortest descending-lex prefix reaching codimension H_d; on a
 Shakin quotient this is an ideal for every attainable H.  The degree-d
 piece thus depends only on (d, H_d), and one _embedding_table per base
-memoises it, together with the Hilbert-series numerator of each piece's
-ideal (its tail), off which the stable embedding tests its cutoffs.
-Every route to an embedding (embedded_masks, lex_embed,
-stable_lex_embedding, glue_ideals, macaulay.lex_ideal_for_hf and the
-checkers) reads that table.
+memoises it, together with the Hilbert-series numerator of each tail, the
+ideal of a (degree, piece) pair and the base generators above it.  Off
+those numerators the stable embedding tests its cutoffs and the
+exhaustive checkers key their ideals' series.  Every route to an
+embedding (embedded_masks, lex_embed, stable_lex_embedding, glue_ideals,
+macaulay.lex_ideal_for_hf and the checkers) reads that table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .monomials import (
     MonomialIdeal,
-    _minus_shifted,
+    _plus_generator,
     _trimmed,
     degree_masks,
     degree_monomials,
@@ -38,8 +39,8 @@ from .monomials import (
     json_object,
     mask_to_monomials,
     masks_to_ideal,
+    numerator_off_tail,
     shadow_mask,
-    tail_offset,
     values_from_numerator,
 )
 
@@ -157,9 +158,8 @@ class _EmbeddingTable:
     pieces maps (d, H_d) to the embedded degree-d piece (a bitmask over
     degree_monomials), or to the message of its NotAdmissibleError; only
     values 0 <= H_d <= dim S_d are kept, so it holds at most dim S_d + 1
-    entries per degree.  tails maps (c, H_c) to N(J_c), the Hilbert-series
-    numerator of the ideal generated by the degree-c piece, which
-    _embed_series fills.
+    entries per degree.  tails maps (c, piece) to the numerator that
+    tail(c, piece) returns, for every piece it has met.
     """
 
     __slots__ = ("base", "base_masks", "pieces", "tails")
@@ -194,6 +194,43 @@ class _EmbeddingTable:
         if type(got) is str:
             raise NotAdmissibleError(d, got)
         return got
+
+    def tail(self, c: int, piece: int):
+        """N(J), the Hilbert-series numerator of the tail J generated by a
+        degree-c piece (a bitmask) and the base generators above c.
+
+        An ideal over the base with that piece in degree c and no
+        generators above c but the base's agrees with J from degree c on,
+        so N(J) and its HF up to c give its numerator
+        (monomials.numerator_off_tail).  A superideal's tail is (dmax, last
+        piece), and a lex target's is (cutoff, piece there), with no base
+        generator above, since a cutoff is at least the base's top degree.
+
+        N(J) is grown one generator at a time: with m the monomial of the
+        piece's highest bit and J' the tail of the piece without it,
+        N(J) = N(J') - t^c N(J' : m) (Bayer-Stillman 1992, Bigatti 1997),
+        one colon step through the memo monomials._numerator.  The empty
+        piece starts from the generators above c.  Every piece met on the
+        way down is memoised by (c, piece) with it.
+        """
+        num = self.tails.get((c, piece))
+        if num is not None:
+            return num
+        n = self.base.n
+        above = [g for g in self.base.gens if sum(g) > c]
+        if (c, 0) not in self.tails:
+            self.tails[c, 0] = hilbert_numerator(MonomialIdeal(n, above))
+        grown = []
+        while (c, piece) not in self.tails:
+            grown.append(piece)
+            piece ^= 1 << piece.bit_length() - 1
+        num = self.tails[c, piece]
+        monos = degree_monomials(n, c)
+        for piece in reversed(grown):
+            k = piece.bit_length() - 1
+            num = _plus_generator(num, mask_to_monomials(n, c, piece ^ 1 << k) + above, monos[k])
+            num = self.tails[c, piece] = _trimmed(num)
+        return num
 
     def masks(self, values, dmax: int):
         """The embedded pieces in degrees 0..dmax, as a new list; see
@@ -271,14 +308,13 @@ def _embed_series(base: MonomialIdeal, ideal: MonomialIdeal, target):
     known, with its quotient HF and graded pieces up to the accepted cutoff.
 
     A cutoff c is tested off its tail: the candidate L, generated by the
-    embedded pieces up to c, agrees from degree c on with J_c, the ideal of
-    its degree-c piece, so N_L = N(J_c) - tail_offset (monomials.tail_offset)
-    with N(J_c) memoised by (c, H_c) on the base's _embedding_table.  L is
-    built only when c is accepted or N(J_c) is missing, and then N(J_c)
-    comes from N_L, one pivot on L.  The starting cutoff and the error
-    order (NotAdmissibleError by degree, then ClosureError) are those of
-    embedded_masks at each cutoff.  L has the target's HF up to c, so the
-    next cutoff lies above c; one that does not raises
+    embedded pieces up to c, agrees from degree c on with the ideal of its
+    degree-c piece, and c is at least the base's top degree, so N_L is
+    monomials.numerator_off_tail of the base's _EmbeddingTable.tail(c,
+    piece).  L is built only when c is accepted.  The starting cutoff and
+    the error order (NotAdmissibleError by degree, then ClosureError) are
+    those of embedded_masks at each cutoff.  L has the target's HF up to c,
+    so the next cutoff lies above c; one that does not raises
     InternalContradictionError instead of looping.
     """
     n = base.n
@@ -287,20 +323,9 @@ def _embed_series(base: MonomialIdeal, ideal: MonomialIdeal, target):
     while True:
         values = values_from_numerator(target, n, cutoff)
         masks = table.masks(values, cutoff)
-        offset = tail_offset(n, values)
-        key = cutoff, values[cutoff]
-        tail = table.tails.get(key)
-        candidate = None
-        if tail is None:
-            candidate = masks_to_ideal(n, masks)
-            got = hilbert_numerator(candidate)
-            table.tails[key] = _trimmed(_minus_shifted(got, [-c for c in offset], 0))
-        else:
-            got = _trimmed(_minus_shifted(tail, offset, 0))
+        got = numerator_off_tail(n, values, table.tail(cutoff, masks[cutoff]))
         if got == target:
-            if candidate is None:
-                candidate = masks_to_ideal(n, masks)
-            return candidate, values, masks
+            return masks_to_ideal(n, masks), values, masks
         pairs = zip_longest(got, target, fillvalue=0)
         below, cutoff = cutoff, next(d for d, (x, y) in enumerate(pairs) if x != y)
         if cutoff <= below:

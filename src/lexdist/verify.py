@@ -12,8 +12,9 @@ first degree whose chain prefixes outnumber the budget.  macaulay-lex,
 whose verdict depends only on the Hilbert function, checks each Hilbert
 function once off the same count.  The extremality checkers read their
 per-ideal work off the enumeration: the embedding cache key and the
-target's series numerator (_piece_numerators, grown by one colon step
-from the piece with one generator fewer), in at most three variables the
+target's series numerator (the numerator of the ideal's tail, memoised on
+the base's shakin._EmbeddingTable, the one tail memo that the stable
+embedding tests its cutoffs with too), in at most three variables the
 Betti tables of the ideal and of its lex target (_betti_by_pieces), and
 in any number of variables the local cohomology tables of both, computed
 once per tail (_coh_by_pieces).  A tail is a (degree, piece) pair from
@@ -49,7 +50,6 @@ from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
 from .homology import koszul_betti, local_coh_monomial
 from .monomials import (
     MonomialIdeal,
-    _minus_shifted,
     binom,
     degree_monomials,
     mask_to_monomials,
@@ -60,6 +60,7 @@ from .monomials import (
 from .shakin import (
     ShakinIdeal,
     _embed_series,
+    _embedding_table,
     base_ideal,
     embedded_masks,
     lex_embed,
@@ -335,55 +336,6 @@ def _exceeding(left: dict, right: dict, keys=("i", "j")):
     return rows
 
 
-def _piece_numerators(base, dmax):
-    """A function piece -> the Hilbert-series numerator of J, where J is
-    generated by a degree-dmax piece (a bitmask) and the base generators
-    above dmax.
-
-    A superideal I of base with HF h up to dmax and that last piece agrees
-    with J from degree dmax on, so (h, N_J) is a key of I's Hilbert series
-    (see _ideal_numerator).  N_J is grown one generator at a time: with m
-    the monomial of the piece's highest bit and J' the ideal of the piece
-    without it, N_J = N_J' - t^dmax N(J' : m) (Bayer-Stillman 1992,
-    Bigatti 1997), one colon step through the memo monomials._numerator.
-    The empty piece starts from the generators above dmax.  Numerators are
-    memoised by piece for the life of the function, with every smaller
-    piece met on the way down.
-    """
-    n = base.n
-    above = [g for g in base.gens if sum(g) > dmax]
-    monos = degree_monomials(n, dmax)
-    numerators = {0: monomials.hilbert_numerator(MonomialIdeal(n, above))}
-
-    def numerator(piece):
-        num = numerators.get(piece)
-        if num is not None:
-            return num
-        grown = []
-        while piece not in numerators:
-            grown.append(piece)
-            piece ^= 1 << piece.bit_length() - 1
-        num = numerators[piece]
-        for piece in reversed(grown):
-            k = piece.bit_length() - 1
-            num = monomials._plus_generator(
-                num, mask_to_monomials(n, dmax, piece ^ 1 << k) + above, monos[k])
-            num = numerators[piece] = monomials._trimmed(num)
-        return num
-
-    return numerator
-
-
-def _ideal_numerator(n, h, num):
-    """N_I off the series key (h, N_J) of _piece_numerators.
-
-    J is zero below dmax = len(h) - 1 and agrees with I from there on, so
-    N_I = N_J - monomials.tail_offset(n, h); the key determines N_I and is
-    determined by it.
-    """
-    return monomials._trimmed(_minus_shifted(num, monomials.tail_offset(n, h), 0))
-
-
 def _betti_by_pieces(base, dmax):
     """A function (ideal, h=None, pieces=None) -> {(i, j): beta_{i,j}(A/I)}
     for j <= dmax + 1, nonzero values only in ascending (i, j), for a
@@ -478,7 +430,7 @@ def _coh_by_pieces(window, p):
     Two kinds of ideal come in, over one base:
 
     - a superideal, as _superideals yields it: c = dmax, and J is as in
-      _piece_numerators, with the base generators above dmax;
+      shakin._EmbeddingTable.tail, with the base generators above dmax;
     - a lex target, as _embed_series returns it: c is the accepted cutoff,
       at least the base's top degree, so J is generated by the piece alone.
 
@@ -522,20 +474,22 @@ def _embedded_cases(report, base, dmax, budget, invariant):
     invariant(embedded ideal, its HF and graded pieces up to the accepted
     cutoff)), the last three as _embed_series returns them.  The embedding
     depends on an ideal only through its Hilbert series, so it is cached by
-    the series key (h, N_J), read off the HF and the last piece through its
-    own _piece_numerators(base, dmax); a miss embeds from the N_I that the
-    key gives.  Equal keys mean equal series numerators and conversely, so
-    the cache hits are those of a cache keyed by the numerator.  An error
+    the series key (h, N_J), the HF and the numerator of the ideal's tail
+    J, read off its last piece by the base's _EmbeddingTable.tail(dmax,
+    piece); a miss embeds from N_I = monomials.numerator_off_tail(n, h,
+    N_J).  Equal keys mean equal series numerators and conversely, so the
+    cache hits are those of a cache keyed by the numerator.  An error
     payload also depends on the starting cutoff, so a failing ideal is
     filed on report.failures, uncached, and not yielded.
     """
-    numerator = _piece_numerators(base, dmax)
+    table = _embedding_table(base)
     cache = {}
     for ideal, h, pieces in _superideals(base, dmax, budget):
         report.cases_checked += 1
-        key = h, numerator(pieces[-1])
+        key = h, table.tail(dmax, pieces[-1])
         if key not in cache:
-            embedding, err = _attempt(_embed_series, base, ideal, _ideal_numerator(base.n, *key))
+            target = monomials.numerator_off_tail(base.n, *key)
+            embedding, err = _attempt(_embed_series, base, ideal, target)
             if err is not None:
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue

@@ -184,12 +184,12 @@ def test_betti_by_pieces_rejects_four_variables():
 
 @pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
 def test_series_key_classes_are_the_numerator_classes(base, dmax):
-    numerator = verify._piece_numerators(base, dmax)
+    table = shakin_module._embedding_table(base)
     by_key, by_numerator = {}, {}
     for ideal, h, pieces in verify._superideals(base, dmax):
-        k, num = (h, numerator(pieces[-1])), monomials.hilbert_numerator(ideal)
+        k, num = (h, table.tail(dmax, pieces[-1])), monomials.hilbert_numerator(ideal)
         # the key gives N_I, which the lex targets are embedded from
-        assert verify._ideal_numerator(base.n, *k) == num, ideal.gens
+        assert monomials.numerator_off_tail(base.n, *k) == num, ideal.gens
         by_key.setdefault(k, set()).add(num)
         by_numerator.setdefault(num, set()).add(k)
     assert all(len(nums) == 1 for nums in by_key.values())
@@ -198,11 +198,11 @@ def test_series_key_classes_are_the_numerator_classes(base, dmax):
 
 def _series_keys(base, dmax):
     """(first ideal, N_I) per distinct series key over base, in enumeration order."""
-    numerator = verify._piece_numerators(base, dmax)
+    table = shakin_module._embedding_table(base)
     keys = {}
     for ideal, h, pieces in verify._superideals(base, dmax):
-        keys.setdefault((h, numerator(pieces[-1])), ideal)
-    return [(ideal, verify._ideal_numerator(base.n, *key)) for key, ideal in keys.items()]
+        keys.setdefault((h, table.tail(dmax, pieces[-1])), ideal)
+    return [(ideal, monomials.numerator_off_tail(base.n, *key)) for key, ideal in keys.items()]
 
 
 def _embedding_or_error(embed, base, ideal, target):
@@ -255,16 +255,38 @@ def test_embed_series_matches_the_cutoff_loop(base, dmax, keys, failing, above):
     (MonomialIdeal(4, [(2, 0, 0, 0), (0, 0, 0, 4)]), 2),  # x4^4 lies above dmax
 ])
 def test_piece_numerators_match_hilbert_numerator(base, dmax):
-    # N_J grows one colon step per piece from whatever smaller piece is
-    # memoised; the reverse order reaches the memo from other pieces
+    # the embedding table's tail(c, piece) is N(J), J generated by the piece
+    # and the base generators above c: at dmax for the enumerated last
+    # pieces, and for the lex targets at every cutoff the embedding passes
+    # (no base generator above).  N(J) grows one colon step per piece from
+    # whatever smaller piece is memoised; the reverse order reaches the
+    # memo from other pieces, and every piece met on the way must hold its
+    # own N(J) too
     n = base.n
-    above = [g for g in base.gens if sum(g) > dmax]
-    lasts = list(dict.fromkeys(pieces[-1] for _, _, pieces in verify._superideals(base, dmax)))
-    for order in (lasts, lasts[::-1]):
-        numerator = verify._piece_numerators(base, dmax)
-        for piece in order:
-            j = MonomialIdeal(n, monomials.mask_to_monomials(n, dmax, piece) + above)
-            assert numerator(piece) == monomials.hilbert_numerator(j), j.gens
+    order = [(dmax, pieces[-1]) for _, _, pieces in verify._superideals(base, dmax)]
+    for ideal, num in _series_keys(base, dmax):
+        try:
+            embedded, cutoff = oracle_embed_series(base, ideal, num)
+        except NotAdmissibleError:
+            continue
+        # every cutoff the embedding passes lies between these two
+        start = max(ideal.max_degree(), base.max_degree(), 1)
+        masks = monomials.degree_masks(embedded, cutoff)
+        order += [(c, masks[c]) for c in range(start, cutoff + 1)]
+    order = list(dict.fromkeys(order))
+
+    def tail_ideal(c, piece):
+        above = [g for g in base.gens if sum(g) > c]
+        return MonomialIdeal(n, monomials.mask_to_monomials(n, c, piece) + above)
+
+    for walk in (order, order[::-1]):
+        shakin_module._embedding_table.cache_clear()
+        table = shakin_module._embedding_table(base)
+        for c, piece in walk:
+            j = tail_ideal(c, piece)
+            assert table.tail(c, piece) == monomials.hilbert_numerator(j), (c, j.gens)
+        for (c, piece), num in table.tails.items():
+            assert num == monomials.hilbert_numerator(tail_ideal(c, piece)), (c, piece)
 
 
 def test_enumeration_order_is_pinned():
@@ -596,16 +618,16 @@ def _coh_tails(base, dmax):
 def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
     # the homology memo holds complexes, the numerator memo colon
     # sub-ideals and the rest per-degree tables; none may grow with the
-    # number of enumerated ideals.  The checkers' own memos live per call;
-    # the series key's holds a numerator per distinct last piece and the
-    # few smaller pieces that growing them one generator at a time meets,
-    # and coh-extremal's tables one entry per distinct tail.  The base's
-    # embedding table holds at most dim S_d + 1 pieces per degree d up to
-    # the highest cutoff, and at most as many tails.
+    # number of enumerated ideals.  The base's embedding table holds at
+    # most dim S_d + 1 pieces per degree d up to the highest cutoff.  Its
+    # tails hold in degree dmax a numerator per distinct last piece and
+    # the few smaller pieces that growing them one generator at a time
+    # meets, and off dmax, where only the lex targets' cutoffs reach, at
+    # most as many entries as the pieces' bound.  coh-extremal's own memo
+    # lives per call and holds one entry per distinct tail.
     memos = _module_memos()
     assert {"lexdist.homology._homology", "lexdist.monomials._numerator",
             "lexdist.shakin._embedding_table"} <= set(memos)
-    made = _spy_on(monkeypatch, "_piece_numerators")
     tables = _spy_on(monkeypatch, "_coh_by_pieces")
     a = shakin(3, pieces=[(1, [(2,)])])
     lasts = len({pieces[-1] for _, _, pieces in verify._superideals(a.total, 4)})
@@ -616,15 +638,15 @@ def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
         assert report.passed and report.cases_checked == 3266
         sizes = {name: memo.cache_info().currsize for name, memo in memos.items()}
         assert all(size < 500 for size in sizes.values()), (check.__name__, sizes)
-        numerators = inspect.getclosurevars(made.pop()).nonlocals["numerators"]
-        slack = len(monomials.degree_monomials(3, 4))
-        assert lasts <= len(numerators) <= lasts + slack, check.__name__
         embedding = shakin_module._embedding_table(a.total)
         top = max(d for d, _ in embedding.pieces)
         bound = sum(len(monomials.degree_monomials(3, d)) + 1 for d in range(top + 1))
         assert len(embedding.pieces) <= bound, check.__name__
+        at_dmax = sum(c == 4 for c, _ in embedding.tails)
+        slack = len(monomials.degree_monomials(3, 4))
+        assert lasts <= at_dmax <= lasts + slack, check.__name__
         assert max(c for c, _ in embedding.tails) <= top
-        assert len(embedding.tails) <= bound, check.__name__
+        assert len(embedding.tails) - at_dmax <= bound, check.__name__
     memo = inspect.getclosurevars(tables.pop()).nonlocals["memo"]
     assert set(memo) == _coh_tails(a.total, 4)
 
