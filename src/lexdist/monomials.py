@@ -104,6 +104,17 @@ def shadow_mask(n: int, d: int, mask: int) -> int:
     return out
 
 
+def colon_mask(n: int, d: int, mask: int) -> int:
+    """Bitmask of the degree-d monomials u with x_i * u in mask, a bitmask
+    of degree-(d+1) monomials, for every i: the degree-d piece of (I : m)
+    for an ideal I whose degree-(d+1) piece is mask."""
+    out = 0
+    for k, up in enumerate(shadow_table(n, d)):
+        if not up & ~mask:
+            out |= 1 << k
+    return out
+
+
 def mask_to_monomials(n: int, d: int, mask: int):
     """The degree-d monomials of a bitmask over degree_monomials, in
     canonical (ascending-tuple) order: its set bits walked from the top."""

@@ -6,8 +6,10 @@ H of a quotient R/I to the ideal whose degree-d piece is the monomials of
 a plus the shortest descending-lex prefix reaching codimension H_d; on a
 Shakin quotient this is an ideal for every attainable H.  The degree-d
 piece thus depends only on (d, H_d), and one _embedding_table per base
-memoises it, together with the Hilbert-series numerator of each tail, the
-ideal of a (degree, piece) pair and the base generators above it.  Off
+memoises it, together with whether the pieces of (d, H_d) and
+(d + 1, H_{d+1}) close under multiplication, and the Hilbert-series
+numerator of each tail, the ideal of a (degree, piece) pair and the base
+generators above it.  Off
 those numerators the stable embedding tests its cutoffs and the
 exhaustive checkers key their ideals' series.  Every route to an
 embedding (embedded_masks, lex_embed, stable_lex_embedding, glue_ideals,
@@ -158,16 +160,19 @@ class _EmbeddingTable:
     pieces maps (d, H_d) to the embedded degree-d piece (a bitmask over
     degree_monomials), or to the message of its NotAdmissibleError; only
     values 0 <= H_d <= dim S_d are kept, so it holds at most dim S_d + 1
-    entries per degree.  tails maps (c, piece) to the numerator that
-    tail(c, piece) returns, for every piece it has met.
+    entries per degree.  closures maps (d, H_d, H_{d+1}), for two pieces
+    that exist, to the witness of the ClosureError into degree d + 1, or
+    to None.  tails maps a degree c to {piece: the numerator that tail(c,
+    piece) returns}, for every piece it has met.
     """
 
-    __slots__ = ("base", "base_masks", "pieces", "tails")
+    __slots__ = ("base", "base_masks", "pieces", "closures", "tails")
 
     def __init__(self, base: MonomialIdeal):
         self.base = base
         self.base_masks = []
         self.pieces = {}
+        self.closures = {}
         self.tails = {}
 
     def piece(self, d: int, h: int) -> int:
@@ -211,25 +216,28 @@ class _EmbeddingTable:
         N(J) = N(J') - t^c N(J' : m) (Bayer-Stillman 1992, Bigatti 1997),
         one colon step through the memo monomials._numerator.  The empty
         piece starts from the generators above c.  Every piece met on the
-        way down is memoised by (c, piece) with it.
+        way down is memoised in degree c with it.
         """
-        num = self.tails.get((c, piece))
+        tails = self.tails.get(c)
+        if tails is None:
+            tails = self.tails[c] = {}
+        num = tails.get(piece)
         if num is not None:
             return num
         n = self.base.n
         above = [g for g in self.base.gens if sum(g) > c]
-        if (c, 0) not in self.tails:
-            self.tails[c, 0] = hilbert_numerator(MonomialIdeal(n, above))
+        if 0 not in tails:
+            tails[0] = hilbert_numerator(MonomialIdeal(n, above))
         grown = []
-        while (c, piece) not in self.tails:
+        while piece not in tails:
             grown.append(piece)
             piece ^= 1 << piece.bit_length() - 1
-        num = self.tails[c, piece]
+        num = tails[piece]
         monos = degree_monomials(n, c)
         for piece in reversed(grown):
             k = piece.bit_length() - 1
             num = _plus_generator(num, mask_to_monomials(n, c, piece ^ 1 << k) + above, monos[k])
-            num = self.tails[c, piece] = _trimmed(num)
+            num = tails[piece] = _trimmed(num)
         return num
 
     def masks(self, values, dmax: int):
@@ -238,9 +246,13 @@ class _EmbeddingTable:
         n = self.base.n
         masks = [self.piece(d, values[d]) for d in range(dmax + 1)]
         for d in range(dmax):
-            stray = shadow_mask(n, d, masks[d]) & ~masks[d + 1]
-            if stray:
-                witness = mask_to_monomials(n, d + 1, stray & -stray)[0]
+            key = d, values[d], values[d + 1]
+            if key not in self.closures:
+                stray = shadow_mask(n, d, masks[d]) & ~masks[d + 1]
+                self.closures[key] = (mask_to_monomials(n, d + 1, stray & -stray)[0]
+                                      if stray else None)
+            witness = self.closures[key]
+            if witness is not None:
                 raise ClosureError(d + 1, witness)
         return masks
 
@@ -300,32 +312,36 @@ def stable_lex_embedding(a, ideal: MonomialIdeal) -> MonomialIdeal:
     base = base_ideal(a)
     if ideal.n != base.n:
         raise InvalidInputError("ambient mismatch")
-    return _embed_series(base, ideal, hilbert_numerator(ideal))[0]
+    _values, masks = _embed_series(base, ideal.max_degree(), hilbert_numerator(ideal))
+    return masks_to_ideal(base.n, masks)
 
 
-def _embed_series(base: MonomialIdeal, ideal: MonomialIdeal, target):
-    """stable_lex_embedding of an ideal whose series numerator target is
-    known, with its quotient HF and graded pieces up to the accepted cutoff.
+def _embed_series(base: MonomialIdeal, top: int, target):
+    """The quotient HF and graded pieces, up to the accepted cutoff, of the
+    stable_lex_embedding of an ideal whose top generator degree top and
+    series numerator target are known (nothing else of the ideal is read);
+    masks_to_ideal of the pieces is the embedded ideal.
 
     A cutoff c is tested off its tail: the candidate L, generated by the
     embedded pieces up to c, agrees from degree c on with the ideal of its
     degree-c piece, and c is at least the base's top degree, so N_L is
     monomials.numerator_off_tail of the base's _EmbeddingTable.tail(c,
-    piece).  L is built only when c is accepted.  The starting cutoff and
-    the error order (NotAdmissibleError by degree, then ClosureError) are
-    those of embedded_masks at each cutoff.  L has the target's HF up to c,
+    piece), and L is never built.  The starting cutoff is the larger of
+    top, the base's top degree and 1, and the error order
+    (NotAdmissibleError by degree, then ClosureError) is that of
+    embedded_masks at each cutoff.  L has the target's HF up to c,
     so the next cutoff lies above c; one that does not raises
     InternalContradictionError instead of looping.
     """
     n = base.n
     table = _embedding_table(base)
-    cutoff = max(ideal.max_degree(), base.max_degree(), 1)
+    cutoff = max(top, base.max_degree(), 1)
     while True:
         values = values_from_numerator(target, n, cutoff)
         masks = table.masks(values, cutoff)
         got = numerator_off_tail(n, values, table.tail(cutoff, masks[cutoff]))
         if got == target:
-            return masks_to_ideal(n, masks), values, masks
+            return values, masks
         pairs = zip_longest(got, target, fillvalue=0)
         below, cutoff = cutoff, next(d for d, (x, y) in enumerate(pairs) if x != y)
         if cutoff <= below:

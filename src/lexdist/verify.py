@@ -1,31 +1,40 @@
 """Verification harness: enumerators, samplers and per-statement checkers.
 
-The exhaustive checkers share one enumerator, _superideals, which builds
-every ideal over a base degree by degree together with its Hilbert
-function and graded pieces, so neither is recomputed per ideal, and one
-count of those ideals, _chain_counts, a DP over graded pieces that builds
-none of them: per HF prefix for macaulay-lex, per piece alone for the
-budget check of the other kinds.  Both step from a piece to the pieces
-above it by one submask walk, _pieces.  The count is the one budget check:
-every exhaustive kind runs it before the first ideal, and it stops at the
-first degree whose chain prefixes outnumber the budget.  macaulay-lex,
-whose verdict depends only on the Hilbert function, checks each Hilbert
-function once off the same count.  The extremality checkers read their
-per-ideal work off the enumeration: the embedding cache key and the
-target's series numerator (the numerator of the ideal's tail, memoised on
-the base's shakin._EmbeddingTable, the one tail memo that the stable
-embedding tests its cutoffs with too), in at most three variables the
-Betti tables of the ideal and of its lex target (_betti_by_pieces), and
-in any number of variables the local cohomology tables of both, computed
-once per tail (_coh_by_pieces).  A tail is a (degree, piece) pair from
-which on the ideal agrees with the ideal of that piece and the base
-generators above it: dmax and the last piece for an enumerated ideal,
-and for a lex target the cutoff where shakin._embed_series accepted it
-and the piece there.  Each checker replays deterministically from its
-recorded parameters and seed, counts the cases it examined and collects
-self-contained counterexample payloads.  A report passes iff it has no failures; observations that the
-underlying statement does not claim (for instance Betti extremality in
-small characteristic with pure powers present) are classified as findings
+The exhaustive kinds are decided on one DP over graded pieces,
+_chain_counts, which builds no ideal.  Its states at a degree are the
+pieces there, each with the number of chain prefixes that reach it per HF
+prefix (macaulay-lex), per piece alone (the budget check of
+enumerate_monomial_ideals_modulo), or per (last piece, HF) together with
+the first of those prefixes and a carry (the extremality checkers).  It is
+the one budget check: every exhaustive kind runs it before anything else,
+and it stops at the first degree whose chain prefixes outnumber the
+budget.  One enumerator, _superideals, builds every ideal over a base
+degree by degree with its Hilbert function and graded pieces.  It serves
+enumerate_monomial_ideals_modulo and is the filing path: a kind walks it
+only when the DP finds a failure, to file every failing ideal with its
+payload in enumeration order (and betti-extremal in more than three
+variables decides its run on it).  Both step from a piece to the pieces
+above it by one submask walk, _pieces.
+
+macaulay-lex's verdict depends only on the Hilbert function, so it checks
+each one once.  An extremality verdict depends on an ideal only through
+its final state (last piece, HF): its series key, the HF and the
+numerator of the ideal's tail, memoised on the base's
+shakin._EmbeddingTable (the one tail memo, with which the stable embedding
+tests its cutoffs too), whose first ideal in enumeration order fixes the
+lex target; in at most three variables its Betti cells, each a function of
+one transition between pieces (_BettiByPieces), of which a state carries
+the componentwise maximum; and in any number of variables its local
+cohomology table, computed once per tail (_coh_by_pieces).  A tail is a
+(degree, piece) pair from which on the ideal agrees with the ideal of that
+piece and the base generators above it: dmax and the last piece for an
+enumerated ideal, and for a lex target the cutoff where
+shakin._embed_series accepted it and the piece there.  Each checker
+replays deterministically from its recorded parameters and seed, counts
+the cases it examined and collects self-contained counterexample payloads.
+A report passes iff it has no failures; observations that the underlying
+statement does not claim (for instance Betti extremality in small
+characteristic with pure powers present) are classified as findings
 instead.
 """
 
@@ -51,11 +60,11 @@ from .homology import koszul_betti, local_coh_monomial
 from .monomials import (
     MonomialIdeal,
     binom,
+    colon_mask,
     degree_monomials,
     mask_to_monomials,
     piece_values,
     shadow_mask,
-    shadow_table,
 )
 from .shakin import (
     ShakinIdeal,
@@ -118,12 +127,14 @@ def _pieces(forced, size):
         sub = (sub - free) & free  # the next larger submask of free
 
 
-def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True) -> dict:
+def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True,
+                  by_last=False, cells=None) -> dict:
     """{Hilbert function up to dmax: number of superideals with it}, over
-    the ideals _superideals yields, without building one.  The one budget
-    check of the exhaustive kinds.  With by_hf false every HF is read as
-    (), so the result is {(): number of superideals} and the DP keeps one
-    count per piece instead of one per HF prefix.
+    the ideals _superideals yields, without building one.  The exhaustive
+    kinds' one driver and one budget check; _superideals is only their
+    filing path.  With by_hf false every HF is read as (), so the result is
+    {(): number of superideals} and the DP keeps one count per piece
+    instead of one per HF prefix.
 
     A chain's future depends only on its current piece, so the states at
     degree d are the pieces, each with the number of chain prefixes that
@@ -137,6 +148,21 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True) -> di
     count_estimate is 2 to the base's Hilbert values summed up to dmax, the
     number of subsets of the monomials outside the base: at least the
     number of superideals.  A negative dmax or budget is invalid input.
+
+    With by_last the DP walks into dmax too and returns its states there,
+    {last piece: {HF up to dmax: [count, first, top, carry]}}, one per
+    (last piece, HF) and so one per final state of the extremality
+    checkers.  first codes the state's first prefix in the enumeration
+    order of _superideals as one integer, its piece in degree 0 in the top
+    bits and each later piece below the one before, so that codes compare
+    as the prefixes come; top is that prefix's top generator degree (0 if
+    it has none).  carry starts as 0, and given cells, cells.step(d, low,
+    high, below, h, carry) takes it across each transition, from piece low
+    in degree d - 1, whose shadow is below, to high in degree d, with h the
+    HF up to d; states merge their carries by cells.merge, a componentwise
+    maximum.  Without cells the carry stays 0.  States share one object
+    per distinct HF and per distinct carry: over (x1^2) in three variables
+    at dmax 6, 48 595 final states have 1 094 HFs and 1 730 Betti carries.
     """
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
@@ -144,20 +170,24 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True) -> di
         raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
-    states = {0: {(): 1}}  # piece at d - 1 -> {HF up to d - 1: prefixes}
+    # piece at d - 1 -> {HF up to d - 1: prefixes, or [prefixes, first, top, carry]}
+    states = {0: {(): [1, 0, 0, 0] if by_last else 1}}
     counts = {}
+    hfs_met, carries_met = {}, {}
     for d in range(dmax + 1):
         size = len(degree_monomials(n, d))
-        level = [(hfs, shadow_mask(n, d - 1, prev) | base_masks[d])
-                 for prev, hfs in states.items()]
+        level = [(prev, hfs, shadow_mask(n, d - 1, prev)) for prev, hfs in states.items()]
         if budget is not None:
-            prefixes = sum(sum(hfs.values()) << (size - forced.bit_count())
-                           for hfs, forced in level)
+            prefixes = sum(
+                (sum(got[0] for got in hfs.values()) if by_last else sum(hfs.values()))
+                << (size - (below | base_masks[d]).bit_count())
+                for _prev, hfs, below in level)
             if prefixes > budget:
                 raise BudgetExceededError(budget, 1 << sum(piece_values(n, base_masks)))
         states = {}
-        for hfs, forced in level:
-            if d == dmax:
+        for prev, hfs, below in level:
+            forced = below | base_masks[d]
+            if d == dmax and not by_last:
                 f = size - forced.bit_count()
                 ways = ([((f - k,), binom(f, k)) for k in range(f + 1)] if by_hf
                         else [((), 1 << f)])
@@ -171,10 +201,31 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True) -> di
                 if into is None:
                     into = states[mask] = {}
                 v = (size - mask.bit_count(),) if by_hf else ()
-                for h, count in hfs.items():
+                if not by_last:
+                    for h, count in hfs.items():
+                        key = h + v
+                        into[key] = into.get(key, 0) + count
+                    continue
+                grows = mask != below  # a generator in degree d
+                for h, (count, first, top, carry) in hfs.items():
                     key = h + v
-                    into[key] = into.get(key, 0) + count
-    return counts
+                    first = first << size | mask
+                    if grows:
+                        top = d
+                    if cells is not None:
+                        carry = cells.step(d, prev, mask, below, key, carry)
+                    got = into.get(key)
+                    if got is None:
+                        into[hfs_met.setdefault(key, key)] = [
+                            count, first, top, carries_met.setdefault(carry, carry)]
+                        continue
+                    got[0] += count
+                    if first < got[1]:
+                        got[1], got[2] = first, top
+                    if carry != got[3]:
+                        carry = cells.merge(carry, got[3])
+                        got[3] = carries_met.setdefault(carry, carry)
+    return states if by_last else counts
 
 
 def _superideals(base: MonomialIdeal, dmax: int, budget=None):
@@ -336,127 +387,194 @@ def _exceeding(left: dict, right: dict, keys=("i", "j")):
     return rows
 
 
-def _betti_by_pieces(base, dmax):
-    """A function (ideal, h=None, pieces=None) -> {(i, j): beta_{i,j}(A/I)}
-    for j <= dmax + 1, nonzero values only in ascending (i, j), for a
-    monomial ideal I in at most three variables.  A superideal of base
-    comes with its HF h and graded pieces up to dmax, as _superideals
-    yields it; any other ideal, such as a lex target, which can have
-    generators in degree dmax + 1, comes alone and is read off its own
-    degree_masks and HF up to dmax + 1.
+class _BettiByPieces:
+    """Graded Betti numbers beta_{i,j}(A/I) for j <= dmax + 1 of monomial
+    ideals I over one base in at most three variables, read off their
+    graded pieces one transition at a time.  A transition goes from piece
+    low in degree d - 1, whose shadow is below, to piece high in degree d:
 
-    - beta_{0,0} = 1, and the unit ideal has the empty table.
-    - beta_{1,j} counts the degree-j minimal generators.
+    - beta_{1,d} = |high minus below|, the degree-d minimal generators.
     - For n = 3, beta_{3,j} = dim Soc(A/I)_{j-3}, since
-      Tor_n(A/I, K) = (0 :_{A/I} m)(-n): the standard monomials u of that
-      degree with every x_k u in the next piece.
-    - For n >= 2 and j >= 2 (below that it is zero), beta_{2,j} is what
-      is left of sum_i (-1)^i beta_{i,j} = sum_k (-1)^k C(n, k) h_{j-k},
-      where a superideal's h_{dmax+1} = dim S_{dmax+1} - |shadow(piece
-      dmax) | base piece dmax+1|.
+      Tor_n(A/I, K) = (0 :_{A/I} m)(-n): the standard monomials u of
+      degree d - 1 with every x_k u in high, so the transition into d
+      gives beta_{3,d+2}.  It is 0 for n < 3.
+    - beta_{2,d} is what is left of sum_i (-1)^i beta_{i,d} =
+      sum_k (-1)^k C(n, k) h_{d-k}: that Euler term plus beta_{1,d} plus
+      beta_{3,d}, which is 0 for n < 2 and for d = 1.
+
+    So every cell depends on one transition and the HF.  step takes a
+    carry across a transition: one integer of fields `width` bits wide,
+    field 0 and 1 the pending socle values beta_{3,d} and beta_{3,d+1},
+    field 3j + i - 2 the cell beta_{i,j} for j >= 1, each below
+    2^(width - 1), since beta_{i,j} <= C(n, i) dim S_{j-i} (Koszul).  The
+    top bit of each field stays clear for merge, the componentwise maximum
+    that the piece-state DP keeps over many prefixes, done on all fields at
+    once: subtracting b from a with every top bit set leaves a field's top
+    bit set iff a >= b there.  cells folds step over the chain of an ideal
+    with HF h and graded pieces up to a degree c whose generators above c
+    are the base's: a superideal, c = dmax, as _superideals yields it, or a
+    lex target, c its accepted cutoff, as _embed_series returns it.  Above
+    c the pieces are the shadows plus the base pieces (above, for c =
+    dmax).  Its result and final's hold the cells alone, field 3j + i - 4
+    for beta_{i,j}, and exceeds compares two of them field by field.
+    Calling the object gives the table {(i, j): beta_{i,j}}, beta_{0,0} = 1
+    and nonzero values only, in ascending (i, j), of an ideal with its HF
+    and pieces or of one alone, read off its own degree_masks; the unit
+    ideal has the empty table.
 
     None of these depends on the characteristic: upper Koszul complexes on
     at most three vertices have no torsion.  Socle dimensions are memoised
-    by (degree, pair of pieces) and a superideal's h_{dmax+1} by its last
-    piece, for the life of the function.
+    by (degree, pair of pieces) and above by its piece, for the life of
+    the object.
     """
-    n = base.n
-    if n > 3:
-        raise InvalidInputError(f"Betti tables by pieces need n <= 3, got n={n}")
-    j_max = dmax + 1
-    top = monomials.degree_masks(base, j_max)[j_max]
-    size = len(degree_monomials(n, j_max))
-    # the coefficients of (1-t)^n, padded to four; c_k multiplies h_{j-k}
-    c0, c1, c2, c3 = [(-1) ** k * binom(n, k) for k in range(4)]
-    socles = {}
-    nexts = {}
 
-    def table(ideal, h=None, pieces=None):
+    def __init__(self, base, dmax):
+        n = base.n
+        if n > 3:
+            raise InvalidInputError(f"Betti tables by pieces need n <= 3, got n={n}")
+        self.n, self.dmax = n, dmax
+        self.base_masks = monomials.degree_masks(base, dmax + 1)
+        self.sizes = [len(degree_monomials(n, d)) for d in range(dmax + 2)]
+        # the coefficients of (1-t)^n, padded to four; c_k multiplies h_{d-k}
+        self.coeffs = [(-1) ** k * binom(n, k) for k in range(4)]
+        self.width = w = (3 * self.sizes[-1]).bit_length() + 1
+        self.field = (1 << w - 1) - 1
+        tops = sum(1 << k * w for k in range(3 * dmax + 5)) << w - 1
+        self.tops, self.cell_tops = tops, tops >> 2 * w
+        self.socles = {}
+        self.aboves = {}
+
+    def socle(self, d, low, high):
+        """dim Soc(A/I)_d for pieces low in degree d and high in d + 1."""
+        key = d, low, high
+        dim = self.socles.get(key)
+        if dim is None:
+            dim = self.socles[key] = (colon_mask(self.n, d, high) & ~low).bit_count()
+        return dim
+
+    def step(self, d, low, high, below, h, carry):
+        """carry across the transition into high in degree d; h is the HF
+        up to d."""
+        w = self.width
+        socle = self.socle(d - 1, low, high) if self.n == 3 and 0 < d < self.dmax else 0
+        if not d:
+            return carry >> w | socle << w
+        pending = carry & self.field
+        gens = (high & ~below).bit_count()
+        c0, c1, c2, c3 = self.coeffs
+        euler = c0 * h[d] + c1 * h[d - 1]
+        if d >= 2:
+            euler += c2 * h[d - 2]
+        if d >= 3:
+            euler += c3 * h[d - 3]
+        cells = (gens | (euler + gens + pending) << w | pending << 2 * w) << (3 * d - 1) * w
+        return carry >> 2 * w << 2 * w | cells | carry >> w & self.field | socle << w
+
+    def merge(self, a, b):
+        """The componentwise maximum of two carries, or of two cells."""
+        tops = (a | self.tops) - b & self.tops
+        keep = tops - (tops >> self.width - 1)
+        return a & keep | b & ~keep
+
+    def exceeds(self, cells, bound):
+        """Whether some cell of cells exceeds that of bound."""
+        return (bound | self.cell_tops) - cells & self.cell_tops != self.cell_tops
+
+    def above(self, piece):
+        """(shadow, piece in dmax + 1, its Hilbert value) after piece in
+        dmax, with no generator above dmax but the base's."""
+        got = self.aboves.get(piece)
+        if got is None:
+            below = shadow_mask(self.n, self.dmax, piece)
+            high = below | self.base_masks[-1]
+            got = self.aboves[piece] = below, high, self.sizes[-1] - high.bit_count()
+        return got
+
+    def final(self, piece, h, carry):
+        """The cells of a superideal with last piece piece, HF h up to dmax
+        and carry there, or their componentwise maximum over many."""
+        below, high, value = self.above(piece)
+        return self.step(self.dmax + 1, piece, high, below, h + (value,), carry) >> 2 * self.width
+
+    def cells(self, h, pieces):
+        """The cells of an ideal with HF h and graded pieces up to a degree
+        c and no generator above c but the base's."""
+        h, pieces = list(h[:self.dmax + 2]), list(pieces[:self.dmax + 2])
+        for d in range(len(pieces), self.dmax + 2):
+            high = shadow_mask(self.n, d - 1, pieces[-1]) | self.base_masks[d]
+            pieces.append(high)
+            h.append(self.sizes[d] - high.bit_count())
+        carry, low, below = 0, 0, 0
+        for d, high in enumerate(pieces):
+            carry = self.step(d, low, high, below, h, carry)
+            low, below = high, shadow_mask(self.n, d, high)
+        return carry >> 2 * self.width
+
+    def __call__(self, ideal, h=None, pieces=None):
         if pieces is None:
-            pieces = monomials.degree_masks(ideal, j_max)
-            h = piece_values(n, pieces)
-        else:  # a superideal: h_{dmax+1} off its last piece
-            last = pieces[-1]
-            h_next = nexts.get(last)
-            if h_next is None:
-                h_next = nexts[last] = size - (shadow_mask(n, dmax, last) | top).bit_count()
-            h += (h_next,)
+            pieces = monomials.degree_masks(ideal, self.dmax + 1)
+            h = piece_values(self.n, pieces)
         if pieces[0]:
             return {}
-        gens = [0] * (j_max + 1)
-        for g in ideal.gens:  # in ascending degree
-            j = sum(g)
-            if j > j_max:
-                break
-            gens[j] += 1
-        # raw gains its rows in ascending (i, j) order, as koszul_betti's
-        # tables list them
+        cells = self.cells(h, pieces)
         raw = {(0, 0): 1}
-        for j, count in enumerate(gens):
-            if count:
-                raw[1, j] = count
-        if n < 2:
-            return raw
-        socle = [0] * (j_max + 1)  # socle[j] = dim Soc(A/I)_{j-3}
-        if n == 3:
-            for d in range(dmax - 1):
-                low, high = pieces[d], pieces[d + 1]
-                dim = socles.get((d, low, high))
-                if dim is None:
-                    dim = socles[d, low, high] = sum(
-                        1 for k, up in enumerate(shadow_table(n, d))
-                        if not low >> k & 1 and not up & ~high)
-                socle[d + 3] = dim
-        h = (0, 0, 0) + h  # h[j + 3] = h_j
-        for j in range(2, j_max + 1):
-            beta = (c0 * h[j + 3] + c1 * h[j + 2] + c2 * h[j + 1] + c3 * h[j]
-                    + gens[j] + socle[j])
-            if beta:
-                raw[2, j] = beta
-        for j in range(3, j_max + 1):
-            if socle[j]:
-                raw[3, j] = socle[j]
+        for i in (1, 2, 3):
+            for j in range(1, self.dmax + 2):
+                if v := cells >> (3 * j + i - 4) * self.width & self.field:
+                    raw[i, j] = v
         return raw
 
-    return table
 
+def _coh_by_pieces(base, window, p):
+    """A function (h, piece) -> {(i, j): dim H^i_m(A/I)_j} over the window,
+    nonzero values only in ascending (i, j), for a monomial ideal I over
+    base with HF h up to a degree c = len(h) - 1 that agrees from degree c
+    on with its tail J, the ideal generated by piece (a bitmask over the
+    degree-c monomials) and the base generators above c.  Two kinds of
+    ideal come in:
 
-def _coh_by_pieces(window, p):
-    """A function (ideal, h, pieces) -> {(i, j): dim H^i_m(A/I)_j} over the
-    window, nonzero values only in ascending (i, j), for a monomial ideal I
-    with HF h and graded pieces up to a degree c = len(pieces) - 1, keyed by
-    its tail (c, pieces[-1]).  The tail J is generated by the degree-c
-    piece and I's generators above c, and I agrees with J from degree c on.
-    Two kinds of ideal come in, over one base:
-
-    - a superideal, as _superideals yields it: c = dmax, and J is as in
-      shakin._EmbeddingTable.tail, with the base generators above dmax;
+    - a superideal, as _superideals yields it or as the piece-state DP
+      reaches it: c = dmax and piece is its last piece;
     - a lex target, as _embed_series returns it: c is the accepted cutoff,
       at least the base's top degree, so J is generated by the piece alone.
 
-    I/J has finite length, and a submodule of finite length changes only
-    H^0 (Brodmann-Sharp, ch. 2): 0 -> I/J -> A/J -> A/I -> 0 gives
-    H^i(A/I) = H^i(A/J) for i >= 1 and h^0(A/I)_j - h_j = h^0(A/J)_j -
-    HF(A/J)_j for every j.  So local_coh_monomial runs on the first ideal
-    met with each tail, over Z/p, and every later one is read off it.  The
-    memo keeps per tail the offsets h^0_j - h_j for 0 <= j < c in the window
-    and the other nonzero cells in ascending (i, j), for the life of the
-    function.  Tails with equal entries share one: over (x1^2) in four
+    Local cohomology runs on K, the largest ideal that agrees with J from
+    degree c on: its degree-d piece for d < c holds the u with u * S_{c-d}
+    inside the piece, one colon_mask step per degree down from c.  Every
+    such ideal, I among them, lies in K with a quotient of finite length,
+    and a module of finite length changes only H^0 (Brodmann-Sharp, ch.
+    2): 0 -> K/I -> A/I -> A/K -> 0 gives H^i(A/I) = H^i(A/K) for i >= 1
+    and h^0(A/I)_j - h_j = h^0(A/K)_j - HF(A/K)_j for every j.  So
+    local_coh_monomial runs once per tail (c, piece), on K over Z/p, whose
+    generators lie low, and every ideal with that tail is read off it.  The
+    memo keeps per tail the offsets h^0_j - h_j for 0 <= j < c in the
+    window and the other nonzero cells in ascending (i, j), for the life of
+    the function.  Tails with equal entries share one: over (x1^2) in four
     variables at dmax 3, 65 536 last pieces have 321 distinct ones.
     """
     jmin, jmax = window
+    n = base.n
     memo = {}
     shared = {}
 
-    def table(ideal, h, pieces):
-        c = len(pieces) - 1
+    def table(h, piece):
+        c = len(h) - 1
         low = range(max(jmin, 0), min(jmax, c - 1) + 1)
-        key = c, pieces[-1]
+        key = c, piece
         got = memo.get(key)
         if got is None:
-            entries = local_coh_monomial(ideal, window=window, p=p).entries
+            pieces = [piece]
+            for d in range(c - 1, -1, -1):
+                pieces.append(colon_mask(n, d, pieces[-1]))
+            pieces.reverse()
+            largest = monomials.masks_to_ideal(n, pieces)
+            above = tuple(g for g in base.gens if sum(g) > c)
+            if above:
+                largest = MonomialIdeal(n, largest.gens + above)
+            entries = local_coh_monomial(largest, window=window, p=p).entries
             coh = dict(entries)
-            got = (tuple(coh.get((0, j), 0) - h[j] for j in low),
+            values = piece_values(n, pieces)
+            got = (tuple(coh.get((0, j), 0) - values[j] for j in low),
                    tuple((cell, v) for cell, v in entries if cell[0] or cell[1] not in low))
             got = memo[key] = shared.setdefault(got, got)
         offsets, rest = got
@@ -468,19 +586,23 @@ def _coh_by_pieces(window, p):
 
 
 def _embedded_cases(report, base, dmax, budget, invariant):
-    """Every superideal of base with its lex-embedding, counted on report.
+    """Every superideal of base with its lex-embedding, counted on report:
+    the per-ideal loop that files the failures of the extremality
+    checkers, and in more than three variables decides betti-extremal.
 
     Yields (ideal, HF up to dmax, graded pieces up to dmax, embedded ideal,
     invariant(embedded ideal, its HF and graded pieces up to the accepted
-    cutoff)), the last three as _embed_series returns them.  The embedding
-    depends on an ideal only through its Hilbert series, so it is cached by
-    the series key (h, N_J), the HF and the numerator of the ideal's tail
-    J, read off its last piece by the base's _EmbeddingTable.tail(dmax,
-    piece); a miss embeds from N_I = monomials.numerator_off_tail(n, h,
-    N_J).  Equal keys mean equal series numerators and conversely, so the
-    cache hits are those of a cache keyed by the numerator.  An error
-    payload also depends on the starting cutoff, so a failing ideal is
-    filed on report.failures, uncached, and not yielded.
+    cutoff)), the last two as _embed_series returns them.  The embedding
+    depends on an ideal only through its Hilbert series and its top
+    generator degree, where the cutoffs start, so it is cached by the
+    series key (h, N_J) of the first ideal met with it: the HF and the
+    numerator of the ideal's tail J, read off its last piece by the base's
+    _EmbeddingTable.tail(dmax, piece); a miss embeds from N_I =
+    monomials.numerator_off_tail(n, h, N_J).  Equal keys mean equal series
+    numerators and conversely, so the cache hits are those of a cache keyed
+    by the numerator.  An error payload also depends on the starting
+    cutoff, so a failing ideal is filed on report.failures, uncached, and
+    not yielded.
     """
     table = _embedding_table(base)
     cache = {}
@@ -489,12 +611,53 @@ def _embedded_cases(report, base, dmax, budget, invariant):
         key = h, table.tail(dmax, pieces[-1])
         if key not in cache:
             target = monomials.numerator_off_tail(base.n, *key)
-            embedding, err = _attempt(_embed_series, base, ideal, target)
+            embedding, err = _attempt(_embed_series, base, ideal.max_degree(), target)
             if err is not None:
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue
-            cache[key] = embedding[0], invariant(*embedding)
+            embedded = monomials.masks_to_ideal(base.n, embedding[1])
+            cache[key] = embedded, invariant(embedded, *embedding)
         yield (ideal, h, pieces, *cache[key])
+
+
+def _decided_on_pieces(base, dmax, budget, cells, target, exceeds):
+    """The number of superideals of base if none of them fails, else None;
+    decided on the piece-state DP of _chain_counts, which builds no ideal.
+
+    A final state (last piece, HF h) holds ideals with one series key (h,
+    N_J) as in _embedded_cases, and carries the componentwise maximum of
+    their cells, given cells.  Each key is embedded once, from the top
+    generator degree of its first ideal in enumeration order, the one whose
+    embedding the per-ideal loop caches, and target(HF, graded pieces) is
+    read off the embedding as _embed_series returns it.  The run fails iff
+    some key has no embedding or some state exceeds(last piece, h, carry,
+    target of its key), so on None the caller files the failures off the
+    per-ideal loop.
+    """
+    table = _embedding_table(base)
+    states = _chain_counts(base, dmax, budget, by_last=True, cells=cells)
+    total = 0
+    firsts = {}  # series key -> (first, top) of its first ideal
+    for last, hfs in states.items():
+        tail = table.tail(dmax, last)
+        for h, (count, first, top, _carry) in hfs.items():
+            total += count
+            got = firsts.get((h, tail))
+            if got is None or first < got[0]:
+                firsts[h, tail] = first, top
+    targets = {}
+    for key, (_first, top) in firsts.items():
+        embedding, err = _attempt(_embed_series, base, top,
+                                  monomials.numerator_off_tail(base.n, *key))
+        if err is not None:
+            return None
+        targets[key] = target(*embedding)
+    for last, hfs in states.items():
+        tail = table.tail(dmax, last)
+        for h, (_count, _first, _top, carry) in hfs.items():
+            if exceeds(last, h, carry, targets[h, tail]):
+                return None
+    return total
 
 
 def _require_samples(samples):
@@ -596,12 +759,16 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
 
     Exhaustive over the superideals of enumerate_monomial_ideals_modulo;
     tables compared for all homological degrees and j <= dmax + 1.  In at
-    most three variables both the enumerated ideals' and the lex targets'
-    tables are read off their graded pieces by _betti_by_pieces, which
-    never sees p, so p is checked first; in more, koszul_betti computes
-    both.  With pure powers present and small characteristic the
-    statement is an open expectation, so violations are classified as
-    findings rather than failures.
+    most three variables every cell depends on one transition between
+    graded pieces (_BettiByPieces, which never sees p, so p is checked
+    first), so the run is decided on the piece-state DP without building
+    an ideal: each final state carries the componentwise maximum of its
+    ideals' cells, compared with the lex target of its series key.  Only
+    if some state fails is the per-ideal loop (_embedded_cases) walked, to
+    file the failures; in more variables that loop decides the run, with
+    koszul_betti on both sides.  With pure powers present and small
+    characteristic the statement is an open expectation, so violations are
+    classified as findings rather than failures.
     """
     p = check_characteristic(p)
     base = base_ideal(a)
@@ -621,16 +788,20 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
         )
 
     if n <= 3:
-        betti = _betti_by_pieces(base, dmax)
+        betti = _BettiByPieces(base, dmax)
+        cases = _decided_on_pieces(
+            base, dmax, budget, betti, betti.cells,
+            lambda last, h, carry, want: betti.exceeds(betti.final(last, h, carry), want))
+        if cases is not None:
+            report.cases_checked = cases
+            return report
+        budget = None  # checked by the DP
     else:
-        def betti(ideal, _h=None, _pieces=None):
+        def betti(ideal, _h, _pieces):
             return koszul_betti(ideal, j_max, p).as_dict()
 
-    def target_betti(embedded, _h, _pieces):
-        return betti(embedded)
-
     for ideal, h, pieces, embedded, target in _embedded_cases(
-            report, base, dmax, budget, target_betti):
+            report, base, dmax, budget, betti):
         bad = _exceeding(betti(ideal, h, pieces), target)
         if bad:
             payload = {
@@ -653,6 +824,10 @@ def verify_coh_extremal(a, dmax: int, window=None,
     through one _coh_by_pieces table, so local_coh_monomial runs once per
     distinct tail: an enumerated ideal's (dmax, last piece), or a lex
     target's (accepted cutoff, piece there) as _embed_series returns it.
+    An ideal's table depends only on its final state (last piece, HF), so
+    the run is decided on the piece-state DP without building an ideal;
+    only if some state fails is the per-ideal loop (_embedded_cases)
+    walked, to file the failures.
     """
     p = check_characteristic(p)
     base = base_ideal(a)
@@ -667,10 +842,20 @@ def verify_coh_extremal(a, dmax: int, window=None,
                 "budget": budget, **_shakin_params(a)},
     )
 
-    table = _coh_by_pieces(window, p)
+    table = _coh_by_pieces(base, window, p)
+
+    def target_coh(values, masks):
+        return table(values, masks[-1])
+
+    cases = _decided_on_pieces(
+        base, dmax, budget, None, target_coh,
+        lambda last, h, _carry, want: _exceeding(table(h, last), want))
+    if cases is not None:
+        report.cases_checked = cases
+        return report
     for ideal, h, pieces, _embedded, target in _embedded_cases(
-            report, base, dmax, budget, table):
-        bad = _exceeding(table(ideal, h, pieces), target)
+            report, base, dmax, None, lambda _embedded, *embedding: target_coh(*embedding)):
+        bad = _exceeding(table(h, pieces[-1]), target)
         if bad:
             report.failures.append({
                 "ideal": ideal.to_json(),

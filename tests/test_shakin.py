@@ -201,6 +201,30 @@ def test_a_memoised_verdict_raises_a_new_error_each_time():
         (1, "degree 1: requested codimension 0, base already has 1")] * 2
 
 
+def test_a_memoised_closure_verdict_raises_a_new_error_each_time():
+    # the closure verdict is memoised by (d, H_d, H_{d+1}); each call still
+    # raises a ClosureError of its own with the same witness, and a value
+    # that no piece reaches comes first, even in a higher degree
+    from lexdist.shakin import embedded_masks
+
+    base = MonomialIdeal(2, [(0, 2)])
+    values = hilbert_function(MonomialIdeal(2, [(0, 2), (1, 1)]), 3)
+    shakin_module._embedding_table.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ClosureError) as err:
+            embedded_masks(base, values, 3)
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert [(e.degree, e.witness, str(e)) for e in errors] == [
+        (3, (2, 1), "embedded spans not an ideal: degree-3 witness (2, 1)")] * 2
+    assert shakin_module._embedding_table(base).closures == {
+        (0, 1, 2): None, (1, 2, 1): None, (2, 1, 1): (2, 1)}
+    with pytest.raises(NotAdmissibleError) as err:
+        embedded_masks(base, values + (-1,), 4)
+    assert type(err.value) is NotAdmissibleError and err.value.degree == 4
+
+
 def test_a_cutoff_that_does_not_advance_is_a_typed_error(monkeypatch):
     # a candidate has its target's HF up to its cutoff, so the next cutoff
     # lies above; a wrong numerator must give a typed error, not a loop
@@ -211,7 +235,7 @@ def test_a_cutoff_that_does_not_advance_is_a_typed_error(monkeypatch):
     shakin_module._embedding_table.cache_clear()
     try:
         with pytest.raises(InternalContradictionError, match="cut off at degree 1"):
-            shakin_module._embed_series(base, base, target)
+            shakin_module._embed_series(base, base.max_degree(), target)
     finally:
         shakin_module._embedding_table.cache_clear()
 

@@ -136,7 +136,7 @@ PINNED_ENUMERATIONS = [
 
 @pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
 def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
-    table = verify._betti_by_pieces(base, dmax)
+    table = verify._BettiByPieces(base, dmax)
     units = 0
     for ideal, h, pieces in verify._superideals(base, dmax):
         got = table(ideal, h, pieces)
@@ -157,7 +157,7 @@ def test_betti_by_pieces_reads_lex_targets_alone(base, dmax):
     report = verify.VerificationReport("targets", {})
     targets = {embedded for *_, embedded, _ in verify._embedded_cases(
         report, base, dmax, None, lambda embedded, h, pieces: None)}
-    table = verify._betti_by_pieces(base, dmax)
+    table = verify._BettiByPieces(base, dmax)
     for target in targets:
         got = table(target)
         for p in (2, P):
@@ -179,7 +179,7 @@ def test_betti_extremal_reads_both_sides_off_pieces(monkeypatch):
 
 def test_betti_by_pieces_rejects_four_variables():
     with pytest.raises(InvalidInputError):
-        verify._betti_by_pieces(MonomialIdeal(4, [(2, 0, 0, 0)]), 2)
+        verify._BettiByPieces(MonomialIdeal(4, [(2, 0, 0, 0)]), 2)
 
 
 @pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
@@ -212,6 +212,13 @@ def _embedding_or_error(embed, base, ideal, target):
         return type(exc).__name__, exc.degree, str(exc)
 
 
+def _embed_series(base, ideal, target):
+    """verify's route to an ideal's embedding, which reads only its top
+    degree: (embedded ideal, its HF and pieces up to the accepted cutoff)."""
+    values, masks = verify._embed_series(base, ideal.max_degree(), target)
+    return monomials.masks_to_ideal(base.n, masks), values, masks
+
+
 # (base, dmax, series keys, failing keys, ClosureErrors above dmax + 1):
 # Shakin bases in three and four variables, the zero ideal, and three raw
 # bases, whose failing keys all raise ClosureError
@@ -241,7 +248,7 @@ def test_embed_series_matches_the_cutoff_loop(base, dmax, keys, failing, above):
     shakin_module._embedding_table.cache_clear()
     for _ in range(2):
         for (ideal, num), expected in zip(cases, want):
-            got = _embedding_or_error(verify._embed_series, base, ideal, num)
+            got = _embedding_or_error(_embed_series, base, ideal, num)
             if isinstance(expected[0], str):
                 assert got == expected, ideal.gens
             else:
@@ -285,8 +292,9 @@ def test_piece_numerators_match_hilbert_numerator(base, dmax):
         for c, piece in walk:
             j = tail_ideal(c, piece)
             assert table.tail(c, piece) == monomials.hilbert_numerator(j), (c, j.gens)
-        for (c, piece), num in table.tails.items():
-            assert num == monomials.hilbert_numerator(tail_ideal(c, piece)), (c, piece)
+        for c, nums in table.tails.items():
+            for piece, num in nums.items():
+                assert num == monomials.hilbert_numerator(tail_ideal(c, piece)), (c, piece)
 
 
 def test_enumeration_order_is_pinned():
@@ -544,26 +552,45 @@ def test_extremal_with_base_generator_above_dmax(check):
     assert report.failures == []
 
 
-def _betti_extremal_per_ideal(base, dmax, p=P):
-    """verify_betti_extremal's report, one ideal at a time: (cases, failures)."""
-    cases, failures = 0, []
+def _extremal_per_ideal(base, dmax, table, embedded=True):
+    """An extremality checker's report, one ideal at a time, with table
+    computing an ideal's invariant from scratch: (cases, failure payloads),
+    each with the embedded ideal if embedded."""
+    cases, failures, wants = 0, [], {}
     for ideal in enumerate_monomial_ideals_modulo(base, dmax):
         cases += 1
         try:
-            embedded = stable_lex_embedding(base, ideal)
+            target = stable_lex_embedding(base, ideal)
         except NotAdmissibleError as exc:
             failures.append({"ideal": ideal.to_json(), "error": type(exc).__name__,
                              "degree": exc.degree, "message": str(exc)})
             continue
-        target = koszul_betti(embedded, dmax + 1, p).as_dict()
-        bad = [{"i": i, "j": j, "left": v, "right": target.get((i, j), 0)}
-               for (i, j), v in koszul_betti(ideal, dmax + 1, p).as_dict().items()
-               if v > target.get((i, j), 0)]
+        if target not in wants:
+            wants[target] = table(target)
+        want = wants[target]
+        bad = [{"i": i, "j": j, "left": v, "right": want.get((i, j), 0)}
+               for (i, j), v in table(ideal).items() if v > want.get((i, j), 0)]
         if bad:
-            failures.append({"ideal": ideal.to_json(), "embedded": embedded.to_json(),
+            failures.append({"ideal": ideal.to_json(),
+                             **({"embedded": target.to_json()} if embedded else {}),
                              "hilbert_function": list(hilbert_function(ideal, dmax)),
                              "violations": bad})
     return cases, failures
+
+
+def _betti_extremal_per_ideal(base, dmax, p=P):
+    """verify_betti_extremal's report, one ideal at a time: (cases, failures)."""
+    return _extremal_per_ideal(base, dmax,
+                               lambda ideal: koszul_betti(ideal, dmax + 1, p).as_dict())
+
+
+def _coh_extremal_per_ideal(base, dmax, p=P):
+    """verify_coh_extremal's report over the default window, one ideal at a
+    time: (cases, failures)."""
+    window = (-(dmax + base.n), dmax)
+    return _extremal_per_ideal(
+        base, dmax, lambda ideal: local_coh_monomial(ideal, window=window, p=p).as_dict(),
+        embedded=False)
 
 
 @pytest.mark.parametrize("base, cases, failed", [
@@ -578,6 +605,155 @@ def test_betti_extremal_in_four_variables_matches_the_per_ideal_loop(base, cases
     assert (report.cases_checked, len(report.failures)) == (cases, failed)
     assert report.passed == (failed == 0)
     assert (cases, report.failures) == _betti_extremal_per_ideal(base, 2)
+
+
+# (base, dmax, p, cases, ClosureErrors, betti-extremal's violations,
+# coh-extremal's violations): Shakin bases that pass, one with x2^4 above
+# dmax, and pure powers at p = 2, where a violation would be a finding;
+# then the raw bases (x2*x3), (x2^2), (x1*x3, x2^2) and (x3^2), no Shakin
+# ideals, whose superideals without a lex-embedding fail with ClosureError
+EXTREMAL_ORACLE_CASES = [
+    (shakin(3, pieces=[(1, [(2,)])]), 4, P, 3266, 0, 0, 0),
+    (shakin(3, pieces=[(1, [(2,)])], powers=(2, 3)), 4, P, 706, 0, 0, 0),
+    (shakin(2, powers=(3, 4)), 3, P, 28, 0, 0, 0),
+    (shakin(3, pieces=[(1, [(2,)])], powers=(2, 3)), 3, 2, 239, 0, 0, 0),
+    (shakin(3, powers=(2, 2, 2)), 3, 2, 20, 0, 0, 0),
+    (MonomialIdeal(3, [(0, 1, 1)]), 3, P, 490, 56, 150, 46),
+    (MonomialIdeal(3, [(0, 2, 0)]), 3, P, 400, 28, 75, 26),
+    (MonomialIdeal(3, [(1, 0, 1), (0, 2, 0)]), 3, P, 98, 4, 14, 0),
+    (MonomialIdeal(3, [(0, 0, 2)]), 3, P, 400, 156, 67, 0),
+]
+EXTREMAL_ORACLE_IDS = ["x1sq", "x1sq-x2cu", "powers-3-4", "x1sq-x2cu-p2", "powers-2-2-2-p2",
+                       "x2x3", "x2sq", "x1x3-x2sq", "x3sq"]
+
+
+@pytest.mark.parametrize("a, dmax, p, cases, errors, betti, coh", EXTREMAL_ORACLE_CASES,
+                         ids=EXTREMAL_ORACLE_IDS)
+@pytest.mark.parametrize("kind", ["betti", "coh"])
+def test_extremal_failures_match_the_per_ideal_loop(kind, a, dmax, p, cases, errors, betti, coh):
+    # the piece-state DP decides the run and the per-ideal loop files its
+    # failures: the same payloads in the same order, key order included,
+    # as an oracle that embeds and tabulates every ideal from scratch
+    base = verify.base_ideal(a)
+    if kind == "betti":
+        report = verify_betti_extremal(a, dmax, p=p)
+        want = _betti_extremal_per_ideal(base, dmax, p)
+        violations = betti
+    else:
+        report = verify_coh_extremal(a, dmax, p=p)
+        want = _coh_extremal_per_ideal(base, dmax, p)
+        violations = coh
+    # with pure powers below characteristic 0 a violation is a finding
+    findings = kind == "betti" and p < P and a.has_pure_powers
+    rows, others = ((report.findings, report.failures) if findings
+                    else (report.failures, report.findings))
+    assert report.cases_checked == want[0] == cases
+    assert json.dumps(rows) == json.dumps(want[1]) and others == []
+    assert [row.get("error") for row in rows].count("ClosureError") == errors
+    assert sum("violations" in row for row in rows) == violations
+
+
+@pytest.mark.parametrize("kind", ["betti", "coh"])
+def test_extremal_violations_without_embedding_errors_match_the_per_ideal_loop(
+        monkeypatch, kind):
+    # no small base has violations but no ClosureError, so every lex target
+    # is swapped for the base ideal itself, in the checker and in the
+    # oracle's stable_lex_embedding alike: then only the DP's comparison of
+    # the cells can send the run to the per-ideal loop
+    real = shakin_module._embed_series
+
+    def base_pieces(base, top, target):
+        masks = monomials.degree_masks(base, len(real(base, top, target)[1]) - 1)
+        return monomials.piece_values(base.n, masks), masks
+
+    monkeypatch.setattr(shakin_module, "_embed_series", base_pieces)
+    monkeypatch.setattr(verify, "_embed_series", base_pieces)
+    a = shakin(3, pieces=[(1, [(2,)])])
+    if kind == "betti":
+        report, want = verify_betti_extremal(a, 3), _betti_extremal_per_ideal(a.total, 3)
+    else:
+        report, want = verify_coh_extremal(a, 3), _coh_extremal_per_ideal(a.total, 3)
+    assert report.cases_checked == want[0] == 400
+    assert json.dumps(report.failures) == json.dumps(want[1])
+    assert len(want[1]) > 100 and all("violations" in row for row in want[1])
+
+
+@pytest.mark.parametrize("base, dmax", [
+    (MonomialIdeal(2, [(0, 2)]), 3),
+    (MonomialIdeal(3, [(0, 1, 1)]), 3),
+], ids=["y2", "x2x3"])
+def test_each_series_key_is_embedded_from_its_first_ideal(monkeypatch, base, dmax):
+    # over these raw bases some series keys embed to another cutoff from a
+    # later ideal's top degree than from the first one's, where the
+    # per-ideal loop embeds and caches; the DP must start there too
+    table = shakin_module._embedding_table(base)
+    firsts, tops = {}, {}
+    for ideal, h, pieces in verify._superideals(base, dmax):
+        num = monomials.numerator_off_tail(base.n, h, table.tail(dmax, pieces[-1]))
+        firsts.setdefault(num, ideal.max_degree())
+        tops.setdefault(num, set()).add(ideal.max_degree())
+    real = verify._embed_series
+    calls, cutoffs = {}, set()
+
+    def spy(base, top, target):
+        calls[target] = top
+        for other in tops[target]:
+            try:
+                cutoffs.add((target, len(real(base, other, target)[1])))
+            except NotAdmissibleError:
+                cutoffs.add((target, None))
+        try:
+            return real(base, top, target)
+        except NotAdmissibleError:
+            return None, None  # go on to the next key
+
+    monkeypatch.setattr(verify, "_embed_series", spy)
+    assert verify._decided_on_pieces(base, dmax, None, None, lambda values, masks: None,
+                                     lambda *args: False) == sum(
+        1 for _ in verify._superideals(base, dmax))
+    assert calls == firsts
+    assert len(cutoffs) > len(firsts)
+
+
+@pytest.mark.parametrize("check", [verify_betti_extremal, verify_coh_extremal])
+def test_extremal_passes_walk_no_ideal_and_embed_each_series_key_once(monkeypatch, check):
+    def fail(*args, **kwargs):
+        raise AssertionError("_superideals called")
+
+    a = shakin(3, pieces=[(1, [(2,)])])
+    keys = len(_series_keys(a.total, 4))
+    monkeypatch.setattr(verify, "_superideals", fail)
+    embedded = _spy_on(monkeypatch, "_embed_series")
+    report = check(a, 4)
+    assert report.passed and report.cases_checked == 3266
+    assert len(embedded) == keys == 294
+
+
+@pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
+def test_last_piece_states_match_the_enumeration(base, dmax):
+    # one state per (last piece, HF): its number of ideals, the first of
+    # them in enumeration order (its pieces coded from degree 0 on, and its
+    # top generator degree up to dmax) and the componentwise maximum of
+    # their Betti cells
+    betti = verify._BettiByPieces(base, dmax)
+
+    def fields(cells):
+        return [cells >> k * betti.width & betti.field for k in range(3 * dmax + 3)]
+
+    want = {}
+    for ideal, h, pieces in verify._superideals(base, dmax):
+        first = 0
+        for d, piece in enumerate(pieces):
+            first = first << len(degree_monomials(base.n, d)) | piece
+        top = max((sum(g) for g in ideal.gens if sum(g) <= dmax), default=0)
+        cells = fields(betti.cells(h, pieces))
+        got = want.setdefault((pieces[-1], h), [0, first, top, cells])
+        got[0] += 1
+        got[3] = list(map(max, got[3], cells))
+    states = verify._chain_counts(base, dmax, by_last=True, cells=betti)
+    assert {(last, h): [count, first, top, fields(betti.final(last, h, carry))]
+            for last, hfs in states.items()
+            for h, (count, first, top, carry) in hfs.items()} == want
 
 
 def _module_memos():
@@ -642,11 +818,11 @@ def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
         top = max(d for d, _ in embedding.pieces)
         bound = sum(len(monomials.degree_monomials(3, d)) + 1 for d in range(top + 1))
         assert len(embedding.pieces) <= bound, check.__name__
-        at_dmax = sum(c == 4 for c, _ in embedding.tails)
+        at_dmax = len(embedding.tails[4])
         slack = len(monomials.degree_monomials(3, 4))
         assert lasts <= at_dmax <= lasts + slack, check.__name__
-        assert max(c for c, _ in embedding.tails) <= top
-        assert len(embedding.tails) - at_dmax <= bound, check.__name__
+        assert max(embedding.tails) <= top
+        assert sum(map(len, embedding.tails.values())) - at_dmax <= bound, check.__name__
     memo = inspect.getclosurevars(tables.pop()).nonlocals["memo"]
     assert set(memo) == _coh_tails(a.total, 4)
 
@@ -689,14 +865,14 @@ COH_ENUMERATIONS = [
 @pytest.mark.parametrize("base, dmax, window, gcds", COH_ENUMERATIONS)
 def test_coh_by_pieces_matches_takayama(base, dmax, window, gcds):
     # every superideal, the zero ideal too, against its own Takayama table,
-    # though the tables read it off the first superideal with its last piece
+    # though the tables read it off the largest ideal with its tail
     window = window or (-(dmax + base.n), dmax)
-    tables = {p: verify._coh_by_pieces(window, p) for p in (2, P)}
+    tables = {p: verify._coh_by_pieces(base, window, p) for p in (2, P)}
     units = found = 0
     for ideal, h, pieces in verify._superideals(base, dmax):
         found += bool(ideal.gens) and sum(map(min, zip(*ideal.gens))) > 0
         for p, table in tables.items():
-            got = table(ideal, h, pieces)
+            got = table(h, pieces[-1])
             units += p == P and got == {}
             # also in the (i, j) order that failure payloads show
             want = local_coh_monomial(ideal, window=window, p=p).as_dict()
@@ -731,17 +907,17 @@ def test_coh_extremal_runs_takayama_once_per_tail(monkeypatch, a, dmax, cases, r
 ])
 def test_coh_targets_read_off_their_tails_match_takayama(base, dmax, window):
     # the targets share the table with the superideals, in the checker's
-    # order; each is read off the first ideal met with its tail
+    # order; each is read off the largest ideal with its tail
     window = window or (-(dmax + base.n), dmax)
-    table = verify._coh_by_pieces(window, P)
+    table = verify._coh_by_pieces(base, window, P)
     targets = {}
     for ideal, h, pieces in verify._superideals(base, dmax):
-        table(ideal, h, pieces)
-        embedding = _embedding_or_error(verify._embed_series, base, ideal,
+        table(h, pieces[-1])
+        embedding = _embedding_or_error(_embed_series, base, ideal,
                                         monomials.hilbert_numerator(ideal))
         if not isinstance(embedding[0], str):
             target = embedding[0]
-            got = table(*embedding)
+            got = table(embedding[1], embedding[2][-1])
             want = local_coh_monomial(target, window=window, p=P).as_dict()
             assert list(got.items()) == list(want.items()), target.gens
             targets[target] = len(embedding[2]) - 1
