@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import groebner, monomials, verify
-from .distraction import DistractionMatrix, distract_ideal, polarize
+from .distraction import DistractionMatrix, distract_ideal, polarize, require_distraction
 from .errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -162,7 +162,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_distract(args) -> int:
     ideal = MonomialIdeal.from_json(_load_json(args.ideal))
-    d = _load_distraction(args.distraction, args.char)
+    d = require_distraction(_load_distraction(args.distraction, args.char))
     out = distract_ideal(d, ideal)
     _emit(out.to_json(), args)
     return 0

@@ -6,6 +6,13 @@ selection spans the linear forms.  Validity depends on the working prime
 field: the same matrix may be singular in another characteristic.  The
 selection search runs on _modmat.reduce_row, the elimination step of
 rank_mod.
+
+Distraction runs on packed monomials, one int of fixed-width exponent
+fields, so a product of monomials is one addition (_distract): each call
+builds every row's prefix products l_{i,1}...l_{i,a} once, multiplies the
+at most n of them that a generator needs, and unpacks each term once.
+distract_ideal runs it on the minimal generators, apply_distraction on
+one monomial.
 """
 
 from __future__ import annotations
@@ -142,22 +149,74 @@ def validate_distraction(d: DistractionMatrix):
     return (False, witness) if witness else (True, None)
 
 
+def require_distraction(d: DistractionMatrix) -> DistractionMatrix:
+    """d, after raising InvalidInputError with the witness selection unless
+    validate_distraction accepts it."""
+    ok, witness = validate_distraction(d)
+    if not ok:
+        raise InvalidInputError(f"invalid distraction, witness {witness}")
+    return d
+
+
+def _times(f, g, p):
+    """The product of two packed {monomial: coefficient} dicts over F_p."""
+    out = {}
+    get = out.get
+    for m, c in f.items():
+        for q, e in g.items():
+            q += m
+            out[q] = get(q, 0) + c * e
+    return {m: r for m, c in out.items() if (r := c % p)}
+
+
+def _distract(d: DistractionMatrix, gens):
+    """The distractions of the exponent vectors gens, in order.
+
+    Monomials are packed into one int of n fields, each wide enough for
+    the largest degree in gens, which bounds every exponent of every
+    product, so a product of monomials is one addition and never carries.
+    Row i's prefix products l_{i,1}...l_{i,a} are built once, up to the
+    largest a_i in gens, and each generator multiplies its at most n row
+    products; each term is unpacked once.
+    """
+    n, p = d.n, d.p
+    width = max(1, max(map(sum, gens), default=0).bit_length())
+    shifts = range(0, n * width, width)
+    prefixes = []
+    for i, top in enumerate(map(max, zip(*gens))):
+        level = {0: 1}
+        row = [level]
+        for j in range(top):
+            form = {1 << at: c for at, c in zip(shifts, d.entry(i, j)) if c}
+            level = _times(level, form, p)
+            row.append(level)
+        prefixes.append(row)
+    ones = (1 << width) - 1
+    out = []
+    for g in gens:
+        f = None
+        for row, a in zip(prefixes, g):
+            if a:
+                f = row[a] if f is None else _times(f, row[a], p)
+        out.append(Poly(n, p, {tuple(m >> at & ones for at in shifts): c
+                               for m, c in (f or {0: 1}).items()}))
+    return out
+
+
 def apply_distraction(d: DistractionMatrix, m) -> Poly:
     """The distraction of a monomial: product of the first a_i entries of row i."""
     if len(m) != d.n:
         raise InvalidInputError("monomial length mismatch")
-    out = Poly.constant(d.n, d.p, 1)
-    for i, a in enumerate(m):
-        for j in range(a):
-            out = out * Poly.from_linear_form(d.entry(i, j), d.p)
-    return out
+    if min(m, default=0) < 0:
+        raise InvalidInputError("monomial exponents must be nonnegative")
+    return _distract(d, [tuple(m)])[0]
 
 
 def distract_ideal(d: DistractionMatrix, ideal: MonomialIdeal) -> Ideal:
     """The ideal generated by the distractions of the minimal generators."""
     if ideal.n != d.n:
         raise InvalidInputError("ambient mismatch")
-    return Ideal(d.n, [apply_distraction(d, g) for g in ideal.gens], d.p)
+    return Ideal(d.n, _distract(d, ideal.gens), d.p)
 
 
 def induce_bar(d: DistractionMatrix) -> DistractionMatrix:

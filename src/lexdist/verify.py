@@ -48,7 +48,7 @@ from .distraction import (
     DistractionMatrix,
     distract_ideal,
     random_distraction,
-    validate_distraction,
+    require_distraction,
 )
 from .errors import (
     BudgetExceededError,
@@ -331,22 +331,38 @@ def _chain_ideal(base: MonomialIdeal, chain) -> MonomialIdeal:
     return MonomialIdeal(base.n, ideal.gens + above) if above else ideal
 
 
-def _sample_ideal_over(rng, base: MonomialIdeal, d: DistractionMatrix, dmax: int):
+class _Distractions(dict):
+    """distract_ideal(d, ideal) memoised by the monomial ideal, for one run.
+
+    A repeated ideal gets the same Ideal back, which carries its cached
+    Groebner basis, so it is distracted and run through Buchberger once.
+    """
+
+    def __init__(self, d: DistractionMatrix):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, ideal):
+        self[ideal] = out = distract_ideal(self.d, ideal)
+        return out
+
+
+def _sample_ideal_over(rng, base: MonomialIdeal, distracted: _Distractions, dmax: int):
     """A homogeneous ideal containing the distracted base, plus its source.
 
     Returns (J, monomial source ideal or None): either the distraction of a
     random monomial ideal over the base, or the distracted base plus up to
-    two random homogeneous elements, over d's field.
+    two random homogeneous elements, over the distraction's field.
     """
     if rng.random() < 0.5:
         source = _chain_ideal(base, random_superideal_chain(rng, base, dmax))
-        return distract_ideal(d, source), source
+        return distracted[source], source
+    p = distracted.d.p
     extras = [
-        random_homogeneous_poly(rng, base.n, rng.randint(1, dmax), d.p)
+        random_homogeneous_poly(rng, base.n, rng.randint(1, dmax), p)
         for _ in range(rng.randint(1, 2))
     ]
-    da = distract_ideal(d, base)
-    return Ideal(base.n, list(da.gens) + extras, d.p), None
+    return Ideal(base.n, list(distracted[base].gens) + extras, p), None
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +379,6 @@ def _attempt(fn, *args):
             "degree": exc.degree,
             "message": str(exc),
         }
-
-
-def _require_valid(d: DistractionMatrix):
-    """Raise InvalidInputError, with the witness, unless d is a distraction."""
-    ok, witness = validate_distraction(d)
-    if not ok:
-        raise InvalidInputError(f"invalid distraction, witness {witness}")
 
 
 def _exceeding(left: dict, right: dict, keys=("i", "j")):
@@ -681,12 +690,13 @@ def _distraction_pairs(report, n, samples, seed, dmax, p):
         yield ideal, d, distract_ideal(d, ideal)
 
 
-def _sampled_cases(report, base, d, samples, seed, dmax):
+def _sampled_cases(report, base, distracted, samples, seed, dmax):
     """Seeded (J, monomial source ideal or None, HF(J)) over the distracted base.
 
-    Each sample is counted on report; see _sample_ideal_over for J, whose
-    extra generators have degrees 1..dmax, so dmax must be at least 1, and
-    draws over the base's variables, so it needs at least one.
+    distracted is the run's _Distractions memo.  Each sample is counted on
+    report; see _sample_ideal_over for J, whose extra generators have
+    degrees 1..dmax, so dmax must be at least 1, and draws over the base's
+    variables, so it needs at least one.
     """
     if base.n < 1:
         raise InvalidInputError(f"sampled ideals need at least one variable, got n={base.n}")
@@ -695,7 +705,7 @@ def _sampled_cases(report, base, d, samples, seed, dmax):
     _require_samples(samples)
     rng = random.Random(seed)
     for _ in range(samples):
-        j, source = _sample_ideal_over(rng, base, d, dmax)
+        j, source = _sample_ideal_over(rng, base, distracted, dmax)
         report.cases_checked += 1
         yield j, source, groebner.hilbert_function(j, dmax)
 
@@ -873,17 +883,19 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
     superideals plus randomly fattened ones) and requires their quotient
     Hilbert functions to be admissible over the base; the reverse inclusion
     is witnessed constructively by distracting embedded ideals.  The
-    sampled ideals live over d's field.
+    sampled ideals live over d's field.  Each monomial ideal, sampled
+    source or embedded one, is distracted once per run (_Distractions).
     """
     base = base_ideal(a)
     n = base.n
-    _require_valid(d)
+    require_distraction(d)
     report = VerificationReport(
         theorem="distraction-hf-poset",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
                 "char": d.p, "distraction": d.to_json(), **_shakin_params(a)},
     )
-    for j, source, h in _sampled_cases(report, base, d, samples, seed, dmax):
+    distracted = _Distractions(d)
+    for j, source, h in _sampled_cases(report, base, distracted, samples, seed, dmax):
         embedded, err = _attempt(lex_embed, base, h, dmax)
         if err is not None:
             report.failures.append({
@@ -894,7 +906,7 @@ def verify_distraction_hf(a, d: DistractionMatrix, dmax: int,
             continue
         if source is not None:
             # reverse inclusion: the embedded ideal distracts to the same HF
-            back = groebner.hilbert_function(distract_ideal(d, embedded), dmax)
+            back = groebner.hilbert_function(distracted[embedded], dmax)
             report.cases_checked += 1
             if back != h:
                 report.failures.append({
@@ -959,11 +971,12 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
     bounded by the embedded target (requires no pure powers, the stated
     hypothesis), and degree-0 local cohomology is bounded against both the
     lex-embedded target and its distraction.  The sampled ideals and the
-    Betti numbers live over d's field.
+    Betti numbers live over d's field.  Each monomial ideal, sampled source
+    or lex target, is distracted once per run (_Distractions).
     """
     base = base_ideal(a)
     n, p = base.n, d.p
-    _require_valid(d)
+    require_distraction(d)
     report = VerificationReport(
         theorem="epsilon-d-extremal",
         params={"n": n, "dmax": dmax, "samples": samples, "seed": seed,
@@ -979,15 +992,16 @@ def verify_epsilon_d_extremal(a, d: DistractionMatrix, dmax: int,
     def h0(ideal):
         return dict(enumerate(groebner.h0_hilbert_function(ideal, dmax)))
 
+    distracted = _Distractions(d)
     target_cache = {}
-    for j, _source, h in _sampled_cases(report, base, d, samples, seed, dmax):
+    for j, _source, h in _sampled_cases(report, base, distracted, samples, seed, dmax):
         witness = groebner.initial_ideal(j)
         if witness.gens not in target_cache:
             embedded, err = _attempt(stable_lex_embedding, base, witness)
             target = None if err is not None else {
                 "betti": koszul_betti(embedded, dmax, p).as_dict() if betti_mode else None,
                 "h0_vs_embedded": h0(embedded),
-                "h0_vs_distracted_embedded": h0(distract_ideal(d, embedded)),
+                "h0_vs_distracted_embedded": h0(distracted[embedded]),
             }
             target_cache[witness.gens] = target, err
         target, err = target_cache[witness.gens]

@@ -202,6 +202,18 @@ def brute_validate_distraction(rows, p):
     return True, None
 
 
+def naive_distract(d, m):
+    """The distraction of the monomial m as the product of its linear forms,
+    one Poly.from_linear_form factor l_{i,j} at a time (j <= a_i)."""
+    from lexdist.groebner import Poly
+
+    out = Poly.constant(d.n, d.p, 1)
+    for i, a in enumerate(m):
+        for j in range(a):
+            out = out * Poly.from_linear_form(d.entry(i, j), d.p)
+    return out
+
+
 def brute_reduced_homology(faces, p):
     """{k: dim H~_k} over F_p, nonzero dims only, of the complex with these
     faces (sorted vertex tuples, the empty face included)."""

@@ -288,6 +288,16 @@ def test_distract(capsys, files):
     assert data["polys"] == ["x1*x2", "x1^2 + x1*x2"]
 
 
+def test_distract_rejects_a_matrix_that_is_not_a_distraction(capsys, files):
+    # the selection (x2, x2) of rows [x1, x2] and [x2] spans one form only
+    bad = files["tmp"] / "singular.json"
+    bad.write_text(json.dumps({"n": 2, "char": 5,
+                               "rows": [[{"c": [1, 0]}, {"c": [0, 1]}], [{"c": [0, 1]}]]}))
+    code, data = run(capsys, "distract", "--ideal", files["mono"], "--distraction", str(bad))
+    assert code == 2 and data["error"] == "invalid-input"
+    assert data["message"] == "invalid distraction, witness [(0, 1), (1, 0)]"
+
+
 def test_polarize(capsys, files):
     code, data = run(capsys, "polarize", "--ideal", files["mono"])
     assert code == 0

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import brute_validate_distraction
+from conftest import LARGE_P, brute_validate_distraction, naive_distract
 from lexdist import _modmat, distraction
 from lexdist.distraction import (
     DistractionMatrix,
@@ -225,6 +225,35 @@ def test_apply_distraction_examples():
     assert apply_distraction(d, (0, 0)).terms == {(0, 0): 1}
     assert format_poly(apply_distraction(d, (2, 0))) == "x1^2 + x1*x2"
     assert format_poly(apply_distraction(d, (1, 1))) == "x1*x2"
+
+
+@pytest.mark.parametrize("p", [2, 3, P, LARGE_P])
+def test_packed_distraction_matches_the_factor_product(p):
+    # dense entries, as user files may give them, and rows of one to three
+    # listed entries under generators of degree up to 6, so many exponents
+    # reach past a row's list into its repeated tail
+    rng = random.Random(p)
+    for n in range(1, 7):
+        for _ in range(6):
+            rows = []
+            for _ in range(n):
+                row = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+                rows.append([e if any(e) else [1] + e[1:] for e in row])
+            d = DistractionMatrix(rows, p)
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                exps = [0] * n
+                for _ in range(rng.randint(1, 6)):
+                    exps[rng.randrange(n)] += 1
+                gens.append(tuple(exps))
+            ideal = MonomialIdeal(n, gens)
+            want = [naive_distract(d, g).terms for g in ideal.gens]
+            assert [g.terms for g in distract_ideal(d, ideal).gens] == want
+            assert [apply_distraction(d, g).terms for g in ideal.gens] == want
+        d = DistractionMatrix(rows, p)
+        unit = MonomialIdeal(n, [(0,) * n])
+        assert [g.terms for g in distract_ideal(d, unit).gens] == [{(0,) * n: 1}]
+        assert distract_ideal(d, MonomialIdeal(n)).gens == ()
 
 
 def test_distract_ideal_identity():

@@ -51,6 +51,8 @@ BAD_CALLS = {
     "macaulay-rep-negative": (lambda: macaulay_rep(-1, 2), "need a >= 0 and d >= 1"),
     "distraction-monomial-length": (lambda: apply_distraction(DistractionMatrix.identity(2), (1,)),
                                     "monomial length mismatch"),
+    "distraction-monomial-negative": (lambda: apply_distraction(DistractionMatrix.identity(2), (-1, 2)),
+                                      "monomial exponents must be nonnegative"),
     "induce-bar-no-variables": (lambda: induce_bar(DistractionMatrix([])), "nothing to slice off"),
     "specialize-without-distraction": (lambda: polarize(X1SQ).specialize_to_distraction(),
                                        "no distraction was attached to this polarization"),

@@ -34,3 +34,31 @@ def test_betti_invariance_block_checks_clean(tmp_path, monkeypatch):
     block.run()
     assert block.rc == 0 and block.check() == []
     assert len(block.capture.tables) == 2 * block.ops == 10
+
+
+def test_codistra_block_checks_clean(tmp_path, monkeypatch):
+    # the block captures one random_distraction per sample
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    import workloads
+
+    block = workloads.CodistraBlock("codistra-h0", 5, 6, 12345)
+    block.prepare(str(tmp_path))
+    block.run()
+    assert block.rc == 0 and block.check() == []
+    assert len(block.capture.distractions) == block.ops == 5
+
+
+def test_distraction_hf_block_checks_clean(tmp_path, monkeypatch):
+    # the report must count at least one case per sample
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    import random
+
+    import workloads
+
+    rows = workloads.seeded_distraction(random.Random(12345), 3, 6)
+    block = workloads.SampledShakinBlock("distraction-hf", "distraction-hf",
+                                         workloads.X1SQ_X2CU, rows, 12, 5, 12345)
+    block.prepare(str(tmp_path))
+    block.run()
+    assert block.rc == 0 and block.check() == []
+    assert block.report()["cases_checked"] >= block.ops == 12

@@ -312,12 +312,34 @@ def test_sampled_sources_distract_to_the_sampled_ideal():
     rng = random.Random(8)
     sources = 0
     for _ in range(12):
-        j, source = verify._sample_ideal_over(rng, base, d, 4)
+        j, source = verify._sample_ideal_over(rng, base, verify._Distractions(d), 4)
         if source is not None:
             sources += 1
             assert base <= source
             assert hf_general(j, 4) == hilbert_function(source, 4)
     assert 0 < sources < 12
+
+
+@pytest.mark.parametrize("check", [verify_distraction_hf, verify_epsilon_d_extremal])
+def test_sampled_kinds_run_buchberger_once_per_distinct_ideal(check, monkeypatch):
+    base = MonomialIdeal(2, [(2, 0)])
+    d = random_distraction(random.Random(3), 2, P, columns=5)
+    replay = verify.VerificationReport(theorem="replay", params={})
+    sources = [source for _, source, _ in
+               verify._sampled_cases(replay, base, verify._Distractions(d), 30, 5, 3)
+               if source is not None]
+    assert len(set(sources)) < len(sources)  # the sampled sources repeat
+    inputs = []
+    buchberger = groebner._buchberger
+
+    def counted(gens, order):
+        inputs.append((order, tuple(frozenset(g.terms.items()) for g in gens)))
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    report = check(base, d, 3, samples=30, seed=5)
+    assert report.cases_checked >= 30
+    assert inputs and len(inputs) == len(set(inputs))
 
 
 def test_enumerate_budget_error():
@@ -1029,7 +1051,7 @@ def test_epsilon_d_extremal_files_every_non_admissible_sample():
     report = verify_epsilon_d_extremal(base, d, 3, samples=150, seed=0)
     replay = verify.VerificationReport(theorem="replay", params={})
     witnesses = []
-    for j, _source, _h in verify._sampled_cases(replay, base, d, 150, 0, 3):
+    for j, _source, _h in verify._sampled_cases(replay, base, verify._Distractions(d), 150, 0, 3):
         witness = initial_ideal(j)
         _, err = verify._attempt(stable_lex_embedding, base, witness)
         if err is not None:
