@@ -2,10 +2,12 @@
 
 The exhaustive kinds are decided on one DP over graded pieces,
 _chain_counts, which builds no ideal.  Its states at a degree are the
-pieces there, each with the number of chain prefixes that reach it per HF
-prefix (macaulay-lex), per piece alone (the budget check of
-enumerate_monomial_ideals_modulo), or per (last piece, HF) together with
-the first of those prefixes and a carry (the extremality checkers).  It is
+pairs (piece there, HF prefix), each with the number of chain prefixes
+that reach it (macaulay-lex and the budget check) and, for the extremality
+checkers, a carry and the top generator degree of its first prefix.  Those
+are listed in the enumeration order of their first prefixes: walking each
+state in that order and its next pieces ascending meets a state first from
+its first parent, so the order holds by induction from degree 0.  It is
 the one budget check: every exhaustive kind runs it before anything else,
 and it stops at the first degree whose chain prefixes outnumber the
 budget.  One enumerator, _superideals, builds every ideal over a base
@@ -18,17 +20,17 @@ above it by one submask walk, _pieces.
 
 macaulay-lex's verdict depends only on the Hilbert function, so it checks
 each one once.  An extremality verdict depends on an ideal only through
-its final state (last piece, HF): its series key, the HF and the
-numerator of the ideal's tail, memoised on the base's
-shakin._EmbeddingTable (the one tail memo, with which the stable embedding
-tests its cutoffs too), whose first ideal in enumeration order fixes the
-lex target; in at most three variables its Betti cells, each a function of
-one transition between pieces (_BettiByPieces), of which a state carries
-the componentwise maximum; and in any number of variables its local
-cohomology table, computed once per tail (_coh_by_pieces).  A tail is a
-(degree, piece) pair from which on the ideal agrees with the ideal of that
-piece and the base generators above it: dmax and the last piece for an
-enumerated ideal, and for a lex target the cutoff where
+its final state (last piece, HF): its series key, the HF and the numerator
+of the ideal's tail, memoised on the base's shakin._EmbeddingTable (the
+one tail memo, with which the stable embedding tests its cutoffs too),
+whose first ideal in enumeration order, in its first final state, fixes
+the lex target; in at most three variables its Betti cells, each a
+function of one transition between pieces (_BettiByPieces), of which a
+state carries the componentwise maximum; and in any number of variables
+its local cohomology table, computed once per tail (_coh_by_pieces).  A
+tail is a (degree, piece) pair from which on the ideal agrees with the
+ideal of that piece and the base generators above it: dmax and the last
+piece for an enumerated ideal, and for a lex target the cutoff where
 shakin._embed_series accepted it and the piece there.  Each checker
 replays deterministically from its recorded parameters and seed, counts
 the cases it examined and collects self-contained counterexample payloads.
@@ -127,42 +129,45 @@ def _pieces(forced, size):
         sub = (sub - free) & free  # the next larger submask of free
 
 
-def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True,
-                  by_last=False, cells=None) -> dict:
+def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_last=False,
+                  cells=None) -> dict | list:
     """{Hilbert function up to dmax: number of superideals with it}, over
     the ideals _superideals yields, without building one.  The exhaustive
     kinds' one driver and one budget check; _superideals is only their
-    filing path.  With by_hf false every HF is read as (), so the result is
-    {(): number of superideals} and the DP keeps one count per piece
-    instead of one per HF prefix.
+    filing path.
 
     A chain's future depends only on its current piece, so the states at
-    degree d are the pieces, each with the number of chain prefixes that
-    reach it per HF up to d, and a transition is one of its _pieces, as in
-    _superideals.  At dmax only the number k of added monomials matters:
-    with f free monomials, a state adds C(f, k) ideals to the HF ending in
-    f - k.  Every prefix extends to at least one ideal, so the number of
-    prefixes through a degree is a lower bound on the total; given a
-    budget, the DP raises BudgetExceededError at the first degree whose
-    prefixes outnumber it, before it builds that degree's states.  Its
-    count_estimate is 2 to the base's Hilbert values summed up to dmax, the
-    number of subsets of the monomials outside the base: at least the
-    number of superideals.  A negative dmax or budget is invalid input.
+    degree d are the pairs (piece, HF up to d), kept per piece, each with
+    the number of chain prefixes that reach it, and a transition is one of
+    its _pieces, as in _superideals.  At dmax only the number k of added
+    monomials matters: with f free monomials, a state adds C(f, k) ideals
+    to the HF ending in f - k.  Every prefix extends to at least one ideal,
+    so the number of prefixes through a degree is a lower bound on the
+    total; given a budget, the DP raises BudgetExceededError at the first
+    degree whose prefixes outnumber it, before it builds that degree's
+    states.  Its count_estimate is 2 to the base's Hilbert values summed up
+    to dmax, the number of subsets of the monomials outside the base: at
+    least the number of superideals.  A negative dmax or budget is invalid
+    input.
 
     With by_last the DP walks into dmax too and returns its states there,
-    {last piece: {HF up to dmax: [count, first, top, carry]}}, one per
-    (last piece, HF) and so one per final state of the extremality
-    checkers.  first codes the state's first prefix in the enumeration
-    order of _superideals as one integer, its piece in degree 0 in the top
-    bits and each later piece below the one before, so that codes compare
-    as the prefixes come; top is that prefix's top generator degree (0 if
-    it has none).  carry starts as 0, and given cells, cells.step(d, low,
-    high, below, h, carry) takes it across each transition, from piece low
-    in degree d - 1, whose shadow is below, to high in degree d, with h the
-    HF up to d; states merge their carries by cells.merge, a componentwise
-    maximum.  Without cells the carry stays 0.  States share one object
-    per distinct HF and per distinct carry: over (x1^2) in three variables
-    at dmax 6, 48 595 final states have 1 094 HFs and 1 730 Betti carries.
+    one per final state of the extremality checkers, as a list of [count,
+    top, carry, last piece, HF up to dmax] in the enumeration order of
+    their first ideals.  Each degree's states are listed in the order of
+    their first prefixes: the states of degree d - 1 are walked in that
+    order and each one's _pieces ascending, so a state is met first from
+    the first prefix that reaches it, its first parent's first prefix
+    followed by its piece, and by induction from the one state below
+    degree 0 the order of first meeting is that of the first prefixes.
+    top is the first prefix's top generator degree (0 if it has none), set
+    when the state is met first.  carry starts as 0, and given cells,
+    cells.step(d, low, high, below, h, carry) takes it across each
+    transition, from piece low in degree d - 1, whose shadow is below, to
+    high in degree d, with h the HF up to d; states merge their carries by
+    cells.merge, a componentwise maximum.  Without cells the carry stays 0.
+    States share one object per distinct piece, HF and carry: over (x1^2)
+    in three variables at dmax 6, 48 595 final states have 8 192 last
+    pieces, 1 094 HFs and 1 730 Betti carries.
     """
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
@@ -170,62 +175,67 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_hf=True,
         raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
-    # piece at d - 1 -> {HF up to d - 1: prefixes, or [prefixes, first, top, carry]}
-    states = {0: {(): [1, 0, 0, 0] if by_last else 1}}
-    counts = {}
-    hfs_met, carries_met = {}, {}
+    # piece at d - 1 -> {HF up to d - 1: prefixes, or a state [prefixes, top,
+    # carry, piece, HF]}; order holds the states in the enumeration order of
+    # their first prefixes
+    states = {0: {(): [1, 0, 0, 0, ()] if by_last else 1}}
+    order = list(states[0].values())
+    masks_met, hfs_met, carries_met = {}, {}, {}
     for d in range(dmax + 1):
         size = len(degree_monomials(n, d))
-        level = [(prev, hfs, shadow_mask(n, d - 1, prev)) for prev, hfs in states.items()]
+        below = {prev: shadow_mask(n, d - 1, prev) for prev in states}
         if budget is not None:
             prefixes = sum(
                 (sum(got[0] for got in hfs.values()) if by_last else sum(hfs.values()))
-                << (size - (below | base_masks[d]).bit_count())
-                for _prev, hfs, below in level)
+                << (size - (below[prev] | base_masks[d]).bit_count())
+                for prev, hfs in states.items())
             if prefixes > budget:
                 raise BudgetExceededError(budget, 1 << sum(piece_values(n, base_masks)))
-        states = {}
-        for prev, hfs, below in level:
-            forced = below | base_masks[d]
-            if d == dmax and not by_last:
-                f = size - forced.bit_count()
-                ways = ([((f - k,), binom(f, k)) for k in range(f + 1)] if by_hf
-                        else [((), 1 << f)])
-                for h, count in hfs.items():
-                    for v, way in ways:
+        if d == dmax and not by_last:
+            counts = {}
+            for prev, hfs in states.items():
+                f = size - (below[prev] | base_masks[d]).bit_count()
+                for k in range(f + 1):
+                    v, way = (f - k,), binom(f, k)
+                    for h, count in hfs.items():
                         key = h + v
                         counts[key] = counts.get(key, 0) + count * way
-                continue
-            for mask in _pieces(forced, size):
-                into = states.get(mask)
-                if into is None:
-                    into = states[mask] = {}
-                v = (size - mask.bit_count(),) if by_hf else ()
-                if not by_last:
+            return counts
+        values = [(size - k,) for k in range(size + 1)]  # at k: a k-monomial piece's HF value
+        level, states = states, {}
+        if not by_last:
+            for prev, hfs in level.items():
+                for mask in _pieces(below[prev] | base_masks[d], size):
+                    into = states.get(mask)
+                    if into is None:
+                        into = states[mask] = {}
+                    v = values[mask.bit_count()]
                     for h, count in hfs.items():
                         key = h + v
                         into[key] = into.get(key, 0) + count
+            continue
+        walk, order = order, []
+        for count, top, carry, prev, h in walk:
+            shadow = below[prev]
+            for mask in _pieces(shadow | base_masks[d], size):
+                into = states.get(mask)
+                if into is None:
+                    into = states[mask] = {}
+                key = h + values[mask.bit_count()]
+                got = carry if cells is None else cells.step(d, prev, mask, shadow, key, carry)
+                state = into.get(key)
+                if state is None:
+                    key = hfs_met.setdefault(key, key)
+                    into[key] = state = [
+                        count, d if mask != shadow else top,  # a generator in degree d
+                        carries_met.setdefault(got, got), masks_met.setdefault(mask, mask), key]
+                    order.append(state)
                     continue
-                grows = mask != below  # a generator in degree d
-                for h, (count, first, top, carry) in hfs.items():
-                    key = h + v
-                    first = first << size | mask
-                    if grows:
-                        top = d
-                    if cells is not None:
-                        carry = cells.step(d, prev, mask, below, key, carry)
-                    got = into.get(key)
-                    if got is None:
-                        into[hfs_met.setdefault(key, key)] = [
-                            count, first, top, carries_met.setdefault(carry, carry)]
-                        continue
-                    got[0] += count
-                    if first < got[1]:
-                        got[1], got[2] = first, top
-                    if carry != got[3]:
-                        carry = cells.merge(carry, got[3])
-                        got[3] = carries_met.setdefault(carry, carry)
-    return states if by_last else counts
+                state[0] += count
+                if got != state[2]:
+                    got = cells.merge(got, state[2])
+                    state[2] = carries_met.setdefault(got, got)
+    return order
 
 
 def _superideals(base: MonomialIdeal, dmax: int, budget=None):
@@ -241,10 +251,11 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     share their lower pieces share that work.  Base generators above dmax
     lie in no piece and are added to every ideal at the end.  Ideals stream
     in lexicographic order of the per-degree subsets.  Given a budget, or a
-    negative dmax, _chain_counts checks it before any ideal is yielded.
+    negative dmax, _chain_counts checks it before any ideal is yielded, on
+    the same prefix counts with which it counts the HFs.
     """
     if budget is not None or dmax < 0:
-        _chain_counts(base, dmax, budget, by_hf=False)
+        _chain_counts(base, dmax, budget)
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     above = tuple(g for g in base.gens if sum(g) > dmax)
@@ -635,37 +646,30 @@ def _decided_on_pieces(base, dmax, budget, cells, target, exceeds):
 
     A final state (last piece, HF h) holds ideals with one series key (h,
     N_J) as in _embedded_cases, and carries the componentwise maximum of
-    their cells, given cells.  Each key is embedded once, from the top
-    generator degree of its first ideal in enumeration order, the one whose
-    embedding the per-ideal loop caches, and target(HF, graded pieces) is
-    read off the embedding as _embed_series returns it.  The run fails iff
-    some key has no embedding or some state exceeds(last piece, h, carry,
-    target of its key), so on None the caller files the failures off the
-    per-ideal loop.
+    their cells, given cells.  The states come in the enumeration order of
+    their first ideals, so the first state of a key holds its first ideal,
+    the one whose embedding the per-ideal loop caches: the key is embedded
+    there, once, from that state's top generator degree, and target(HF,
+    graded pieces) is read off the embedding as _embed_series returns it.
+    The run fails iff some key has no embedding or some state exceeds(last
+    piece, h, carry, target of its key); the first failing state ends the
+    walk, and on None the caller files the failures off the per-ideal loop.
     """
     table = _embedding_table(base)
-    states = _chain_counts(base, dmax, budget, by_last=True, cells=cells)
     total = 0
-    firsts = {}  # series key -> (first, top) of its first ideal
-    for last, hfs in states.items():
-        tail = table.tail(dmax, last)
-        for h, (count, first, top, _carry) in hfs.items():
-            total += count
-            got = firsts.get((h, tail))
-            if got is None or first < got[0]:
-                firsts[h, tail] = first, top
     targets = {}
-    for key, (_first, top) in firsts.items():
-        embedding, err = _attempt(_embed_series, base, top,
-                                  monomials.numerator_off_tail(base.n, *key))
-        if err is not None:
-            return None
-        targets[key] = target(*embedding)
-    for last, hfs in states.items():
-        tail = table.tail(dmax, last)
-        for h, (_count, _first, _top, carry) in hfs.items():
-            if exceeds(last, h, carry, targets[h, tail]):
+    for count, top, carry, last, h in _chain_counts(
+            base, dmax, budget, by_last=True, cells=cells):
+        key = h, table.tail(dmax, last)
+        if key not in targets:
+            embedding, err = _attempt(_embed_series, base, top,
+                                      monomials.numerator_off_tail(base.n, *key))
+            if err is not None:
                 return None
+            targets[key] = target(*embedding)
+        if exceeds(last, h, carry, targets[key]):
+            return None
+        total += count
     return total
 
 

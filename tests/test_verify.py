@@ -358,28 +358,6 @@ def test_chain_counts_match_the_enumeration(base, dmax):
     assert verify._chain_counts(base, dmax) == counts
     if base == X1CU:
         assert (sum(counts.values()), len(counts)) == (26946, 187)
-    assert verify._chain_counts(base, dmax, by_hf=False) == {(): sum(counts.values())}
-
-
-def test_the_piece_count_stops_where_the_hf_count_does(monkeypatch):
-    # both modes count the same prefixes per degree, so a budget stops them
-    # after the same pieces, with the same estimate
-    walked = []
-    real = verify._pieces
-
-    def spy(forced, size):
-        walked.append(size)
-        return real(forced, size)
-
-    monkeypatch.setattr(verify, "_pieces", spy)
-    for budget in (0, 3, 10, 100, 1000, 10 ** 4, 26945):
-        stops = []
-        for by_hf in (True, False):
-            walked.clear()
-            with pytest.raises(BudgetExceededError) as err:
-                verify._chain_counts(X1CU, 4, budget, by_hf)
-            stops.append((list(walked), err.value.count_estimate))
-        assert stops[0] == stops[1], budget
 
 
 def _count_built(monkeypatch):
@@ -409,6 +387,7 @@ EXHAUSTIVE_IDS = ["enumerate", "macaulay-lex", "betti-extremal", "coh-extremal"]
     (MonomialIdeal(3, [(2, 0, 0)]), 2),
     (MonomialIdeal(3, [(2, 0, 0), (0, 3, 0)]), 2),  # x2^3 at dmax + 1
     (MonomialIdeal(2, [(2, 0), (0, 5)]), 3),  # x2^5 above dmax
+    (MonomialIdeal(4, [(2, 0, 0, 0)]), 2),  # betti-extremal's per-ideal route
 ])
 def test_exhaustive_budgets_are_exact(check, base, dmax):
     # the estimate exceeds the count, so both budgets go to the exact count
@@ -691,10 +670,23 @@ def test_extremal_violations_without_embedding_errors_match_the_per_ideal_loop(
     monkeypatch.setattr(shakin_module, "_embed_series", base_pieces)
     monkeypatch.setattr(verify, "_embed_series", base_pieces)
     a = shakin(3, pieces=[(1, [(2,)])])
+    keys = len(_series_keys(a.total, 3))
+    # the DP stops at its first failing state, before it embeds every key
+    embedded = _spy_on(monkeypatch, "_embed_series")
+    filed = []
+    real_superideals = verify._superideals
+
+    def superideals(*args):
+        filed.append(len(embedded))
+        return real_superideals(*args)
+
+    monkeypatch.setattr(verify, "_superideals", superideals)
     if kind == "betti":
-        report, want = verify_betti_extremal(a, 3), _betti_extremal_per_ideal(a.total, 3)
+        report = verify_betti_extremal(a, 3)
     else:
-        report, want = verify_coh_extremal(a, 3), _coh_extremal_per_ideal(a.total, 3)
+        report = verify_coh_extremal(a, 3)
+    assert filed and filed[0] < keys
+    want = (_betti_extremal_per_ideal if kind == "betti" else _coh_extremal_per_ideal)(a.total, 3)
     assert report.cases_checked == want[0] == 400
     assert json.dumps(report.failures) == json.dumps(want[1])
     assert len(want[1]) > 100 and all("violations" in row for row in want[1])
@@ -751,31 +743,35 @@ def test_extremal_passes_walk_no_ideal_and_embed_each_series_key_once(monkeypatc
     assert len(embedded) == keys == 294
 
 
-@pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
+@pytest.mark.parametrize("base, dmax", [
+    *PINNED_ENUMERATIONS,
+    (MonomialIdeal(3, [(3, 0, 0)]), 4),
+    (MonomialIdeal(2, [(0, 2)]), 3),
+    (MonomialIdeal(4, [(2, 0, 0, 0)]), 2),
+    (MonomialIdeal(4, [(0, 1, 1, 0)]), 2),
+])
 def test_last_piece_states_match_the_enumeration(base, dmax):
-    # one state per (last piece, HF): its number of ideals, the first of
-    # them in enumeration order (its pieces coded from degree 0 on, and its
-    # top generator degree up to dmax) and the componentwise maximum of
-    # their Betti cells
-    betti = verify._BettiByPieces(base, dmax)
+    # one state per (last piece, HF), in the order _superideals first meets
+    # it: its number of ideals, the top generator degree up to dmax of the
+    # first of them and, in at most three variables, the componentwise
+    # maximum of their Betti cells
+    betti = verify._BettiByPieces(base, dmax) if base.n <= 3 else None
 
     def fields(cells):
         return [cells >> k * betti.width & betti.field for k in range(3 * dmax + 3)]
 
     want = {}
     for ideal, h, pieces in verify._superideals(base, dmax):
-        first = 0
-        for d, piece in enumerate(pieces):
-            first = first << len(degree_monomials(base.n, d)) | piece
         top = max((sum(g) for g in ideal.gens if sum(g) <= dmax), default=0)
-        cells = fields(betti.cells(h, pieces))
-        got = want.setdefault((pieces[-1], h), [0, first, top, cells])
+        cells = fields(betti.cells(h, pieces)) if betti else 0
+        got = want.setdefault((pieces[-1], h), [0, top, cells])
         got[0] += 1
-        got[3] = list(map(max, got[3], cells))
+        if betti:
+            got[2] = list(map(max, got[2], cells))
     states = verify._chain_counts(base, dmax, by_last=True, cells=betti)
-    assert {(last, h): [count, first, top, fields(betti.final(last, h, carry))]
-            for last, hfs in states.items()
-            for h, (count, first, top, carry) in hfs.items()} == want
+    assert [(last, h) for *_, last, h in states] == list(want)
+    assert [[count, top, fields(betti.final(last, h, carry)) if betti else carry]
+            for count, top, carry, last, h in states] == list(want.values())
 
 
 def _module_memos():
