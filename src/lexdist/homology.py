@@ -120,7 +120,8 @@ def _koszul_monomial(ideal, dmax, p):
     for g in gens:  # an lcm's degree only grows, so pruning at dmax loses nothing
         grown = {tuple(map(max, c, g)) for c in lattice} | {g}
         lattice |= {b for b in grown if sum(b) <= dmax}
-    below = [_bitset_table(gens, k, max((g[k] for g in gens), default=0) + 2)
+    # b_k <= dmax, so rows past dmax + 1 are never read
+    below = [_bitset_table(gens, k, min(max((g[k] for g in gens), default=0), dmax) + 2)
              for k in range(ideal.n)]
     raw = {(0, 0): 1}
     for b in lattice:

@@ -459,11 +459,15 @@ def values_from_numerator(num, n, upto):
 def hilbert_function(ideal: MonomialIdeal, dmax: int):
     """Hilbert function of A/I, degrees 0..dmax, as a tuple of dimensions.
 
-    Read off the Hilbert-series numerator; monomial data is field
-    independent.
+    Read off the Hilbert-series numerator of the generators of degree
+    <= dmax, the only ones the values up to dmax see, so a generator far
+    above dmax costs nothing; monomial data is field independent.
     """
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
+    gens = ideal.gens
+    if gens and sum(gens[-1]) > dmax:  # canonical order is by degree first
+        ideal = MonomialIdeal._trusted(ideal.n, tuple(g for g in gens if sum(g) <= dmax))
     return values_from_numerator(hilbert_numerator(ideal), ideal.n, dmax)
 
 

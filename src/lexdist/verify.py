@@ -26,7 +26,10 @@ one tail memo, with which the stable embedding tests its cutoffs too),
 whose first ideal in enumeration order, in its first final state, fixes
 the lex target; in at most three variables its Betti cells, each a
 function of one transition between pieces (_BettiByPieces), of which a
-state carries the componentwise maximum; and in any number of variables
+state carries the componentwise maximum: beta_{2,j} is kept as
+beta_{1,j} + beta_{3,j}, without its Euler term, a function of the HF
+that every prefix of a state and the lex target share, so it cancels
+from every maximum and comparison; and in any number of variables
 its local cohomology table, computed once per tail (_coh_by_pieces).  A
 tail is a (degree, piece) pair from which on the ideal agrees with the
 ideal of that piece and the base generators above it: dmax and the last
@@ -161,13 +164,16 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_last=False,
     degree 0 the order of first meeting is that of the first prefixes.
     top is the first prefix's top generator degree (0 if it has none), set
     when the state is met first.  carry starts as 0, and given cells,
-    cells.step(d, low, high, below, h, carry) takes it across each
+    cells.step(d, low, high, below, carry) takes it across each
     transition, from piece low in degree d - 1, whose shadow is below, to
-    high in degree d, with h the HF up to d; states merge their carries by
-    cells.merge, a componentwise maximum.  Without cells the carry stays 0.
-    States share one object per distinct piece, HF and carry: over (x1^2)
-    in three variables at dmax 6, 48 595 final states have 8 192 last
-    pieces, 1 094 HFs and 1 730 Betti carries.
+    high in degree d; states merge their carries by cells.merge, a
+    componentwise maximum.  A carry depends on the transitions alone, not
+    on the HF: the Euler term, the one part of a Betti cell that the HF
+    fixes, is the same for every prefix of a state and is left out of its
+    cells (see _BettiByPieces).  Without cells the carry stays 0.  States
+    share one object per distinct piece, HF and carry: over (x1^2) in
+    three variables at dmax 6, 48 595 final states have 8 192 last pieces,
+    1 094 HFs and 1 582 Betti carries.
     """
     if dmax < 0:
         raise InvalidInputError("dmax must be nonnegative")
@@ -222,7 +228,7 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_last=False,
                 if into is None:
                     into = states[mask] = {}
                 key = h + values[mask.bit_count()]
-                got = carry if cells is None else cells.step(d, prev, mask, shadow, key, carry)
+                got = carry if cells is None else cells.step(d, prev, mask, shadow, carry)
                 state = into.get(key)
                 if state is None:
                     key = hfs_met.setdefault(key, key)
@@ -416,36 +422,46 @@ class _BettiByPieces:
     - beta_{1,d} = |high minus below|, the degree-d minimal generators.
     - For n = 3, beta_{3,j} = dim Soc(A/I)_{j-3}, since
       Tor_n(A/I, K) = (0 :_{A/I} m)(-n): the standard monomials u of
-      degree d - 1 with every x_k u in high, so the transition into d
-      gives beta_{3,d+2}.  It is 0 for n < 3.
-    - beta_{2,d} is what is left of sum_i (-1)^i beta_{i,d} =
-      sum_k (-1)^k C(n, k) h_{d-k}: that Euler term plus beta_{1,d} plus
-      beta_{3,d}, which is 0 for n < 2 and for d = 1.
+      degree d - 1 with every x_k u in high, the colon of high outside
+      low, so the transition into d gives beta_{3,d+2}.  It is 0 for n < 3.
+    - beta_{2,d} is what is left of sum_i (-1)^i beta_{i,d} = E_d, the
+      Euler term sum_k (-1)^k C(n, k) h_{d-k} of the HF h: E_d plus
+      beta_{1,d} plus beta_{3,d}, which is 0 for n < 2 and for d = 1.
 
-    So every cell depends on one transition and the HF.  step takes a
-    carry across a transition: one integer of fields `width` bits wide,
-    field 0 and 1 the pending socle values beta_{3,d} and beta_{3,d+1},
-    field 3j + i - 2 the cell beta_{i,j} for j >= 1, each below
-    2^(width - 1), since beta_{i,j} <= C(n, i) dim S_{j-i} (Koszul).  The
-    top bit of each field stays clear for merge, the componentwise maximum
-    that the piece-state DP keeps over many prefixes, done on all fields at
-    once: subtracting b from a with every top bit set leaves a field's top
-    bit set iff a >= b there.  cells folds step over the chain of an ideal
-    with HF h and graded pieces up to a degree c whose generators above c
-    are the base's: a superideal, c = dmax, as _superideals yields it, or a
-    lex target, c its accepted cutoff, as _embed_series returns it.  Above
-    c the pieces are the shadows plus the base pieces (above, for c =
-    dmax).  Its result and final's hold the cells alone, field 3j + i - 4
-    for beta_{i,j}, and exceeds compares two of them field by field.
-    Calling the object gives the table {(i, j): beta_{i,j}}, beta_{0,0} = 1
-    and nonzero values only, in ascending (i, j), of an ideal with its HF
-    and pieces or of one alone, read off its own degree_masks; the unit
-    ideal has the empty table.
+    So every cell but E_d depends on one transition alone, and E_d on the
+    HF alone.  The prefixes of one piece-state DP state share their HF, so
+    the maximum of E_d + x over them is E_d plus the maximum of x; an ideal
+    and its lex target share their Hilbert series (_embed_series accepts
+    only equal numerators), so E_d + x exceeds E_d + y iff x exceeds y.
+    Maxima and comparisons therefore never need E_d, and the cell kept for
+    beta_{2,j} is beta_{1,j} + beta_{3,j}; only the table adds E_j back.
+
+    step takes a carry across a transition: one integer of fields `width`
+    bits wide, field 0 and 1 the pending socle values beta_{3,d} and
+    beta_{3,d+1}, field 3j + i - 2 the cell for beta_{i,j} for j >= 1,
+    each below 2^(width - 1), since beta_{1,j} <= dim S_j and
+    beta_{3,j} <= dim S_{j-3}.  The top bit of each field stays clear for
+    merge, the componentwise maximum that the piece-state DP keeps over
+    many prefixes, done on all fields at once: subtracting b from a with
+    every top bit set leaves a field's top bit set iff a >= b there.
+    cells folds step over the chain of an ideal with graded pieces up to a
+    degree c whose generators above c are the base's: a superideal, c =
+    dmax, as _superideals yields it, or a lex target, c its accepted
+    cutoff, as _embed_series returns it.  Above c the pieces are the
+    shadows plus the base pieces: extended gives them up to dmax + 1, and
+    above the one in dmax + 1 after a last piece in dmax.  Its
+    result and final's hold the cells alone, field 3j + i - 4 for
+    beta_{i,j}, and exceeds compares two of them field by field.  Calling
+    the object gives the table {(i, j): beta_{i,j}}, beta_{0,0} = 1 and
+    nonzero values only, in ascending (i, j), of an ideal with its pieces
+    or of one alone, read off its own degree_masks, with E_j read off the
+    HF of the pieces extended to dmax + 1; the unit ideal has the empty
+    table.
 
     None of these depends on the characteristic: upper Koszul complexes on
-    at most three vertices have no torsion.  Socle dimensions are memoised
-    by (degree, pair of pieces) and above by its piece, for the life of
-    the object.
+    at most three vertices have no torsion.  The colons behind the socle
+    dimensions are memoised by (degree, upper piece) and above by its
+    piece, for the life of the object.
     """
 
     def __init__(self, base, dmax):
@@ -454,40 +470,30 @@ class _BettiByPieces:
             raise InvalidInputError(f"Betti tables by pieces need n <= 3, got n={n}")
         self.n, self.dmax = n, dmax
         self.base_masks = monomials.degree_masks(base, dmax + 1)
-        self.sizes = [len(degree_monomials(n, d)) for d in range(dmax + 2)]
-        # the coefficients of (1-t)^n, padded to four; c_k multiplies h_{d-k}
-        self.coeffs = [(-1) ** k * binom(n, k) for k in range(4)]
-        self.width = w = (3 * self.sizes[-1]).bit_length() + 1
+        self.width = w = (3 * len(degree_monomials(n, dmax + 1))).bit_length() + 1
         self.field = (1 << w - 1) - 1
         tops = sum(1 << k * w for k in range(3 * dmax + 5)) << w - 1
         self.tops, self.cell_tops = tops, tops >> 2 * w
-        self.socles = {}
+        self.colons = {}
         self.aboves = {}
 
     def socle(self, d, low, high):
         """dim Soc(A/I)_d for pieces low in degree d and high in d + 1."""
-        key = d, low, high
-        dim = self.socles.get(key)
-        if dim is None:
-            dim = self.socles[key] = (colon_mask(self.n, d, high) & ~low).bit_count()
-        return dim
+        key = d, high
+        colon = self.colons.get(key)
+        if colon is None:
+            colon = self.colons[key] = colon_mask(self.n, d, high)
+        return (colon & ~low).bit_count()
 
-    def step(self, d, low, high, below, h, carry):
-        """carry across the transition into high in degree d; h is the HF
-        up to d."""
-        w = self.width
-        socle = self.socle(d - 1, low, high) if self.n == 3 and 0 < d < self.dmax else 0
+    def step(self, d, low, high, below, carry):
+        """carry across the transition into high in degree d."""
         if not d:
-            return carry >> w | socle << w
+            return carry
+        w = self.width
+        socle = self.socle(d - 1, low, high) if self.n == 3 and d < self.dmax else 0
         pending = carry & self.field
         gens = (high & ~below).bit_count()
-        c0, c1, c2, c3 = self.coeffs
-        euler = c0 * h[d] + c1 * h[d - 1]
-        if d >= 2:
-            euler += c2 * h[d - 2]
-        if d >= 3:
-            euler += c3 * h[d - 3]
-        cells = (gens | (euler + gens + pending) << w | pending << 2 * w) << (3 * d - 1) * w
+        cells = (gens | (gens + pending) << w | pending << 2 * w) << (3 * d - 1) * w
         return carry >> 2 * w << 2 * w | cells | carry >> w & self.field | socle << w
 
     def merge(self, a, b):
@@ -501,46 +507,49 @@ class _BettiByPieces:
         return (bound | self.cell_tops) - cells & self.cell_tops != self.cell_tops
 
     def above(self, piece):
-        """(shadow, piece in dmax + 1, its Hilbert value) after piece in
-        dmax, with no generator above dmax but the base's."""
+        """(shadow, piece in dmax + 1) after piece in dmax, with no
+        generator above dmax but the base's."""
         got = self.aboves.get(piece)
         if got is None:
             below = shadow_mask(self.n, self.dmax, piece)
-            high = below | self.base_masks[-1]
-            got = self.aboves[piece] = below, high, self.sizes[-1] - high.bit_count()
+            got = self.aboves[piece] = below, below | self.base_masks[-1]
         return got
 
-    def final(self, piece, h, carry):
-        """The cells of a superideal with last piece piece, HF h up to dmax
-        and carry there, or their componentwise maximum over many."""
-        below, high, value = self.above(piece)
-        return self.step(self.dmax + 1, piece, high, below, h + (value,), carry) >> 2 * self.width
+    def final(self, piece, carry):
+        """The cells of a superideal with last piece piece and carry there,
+        or their componentwise maximum over many."""
+        below, high = self.above(piece)
+        return self.step(self.dmax + 1, piece, high, below, carry) >> 2 * self.width
 
-    def cells(self, h, pieces):
-        """The cells of an ideal with HF h and graded pieces up to a degree
-        c and no generator above c but the base's."""
-        h, pieces = list(h[:self.dmax + 2]), list(pieces[:self.dmax + 2])
+    def extended(self, pieces):
+        """The graded pieces up to dmax + 1 of an ideal with pieces up to a
+        degree c and no generator above c but the base's."""
+        pieces = list(pieces[:self.dmax + 2])
         for d in range(len(pieces), self.dmax + 2):
-            high = shadow_mask(self.n, d - 1, pieces[-1]) | self.base_masks[d]
-            pieces.append(high)
-            h.append(self.sizes[d] - high.bit_count())
+            pieces.append(shadow_mask(self.n, d - 1, pieces[-1]) | self.base_masks[d])
+        return pieces
+
+    def cells(self, pieces):
+        """The cells of an ideal with graded pieces up to a degree c and no
+        generator above c but the base's."""
         carry, low, below = 0, 0, 0
-        for d, high in enumerate(pieces):
-            carry = self.step(d, low, high, below, h, carry)
+        for d, high in enumerate(self.extended(pieces)):
+            carry = self.step(d, low, high, below, carry)
             low, below = high, shadow_mask(self.n, d, high)
         return carry >> 2 * self.width
 
-    def __call__(self, ideal, h=None, pieces=None):
+    def __call__(self, ideal, pieces=None):
         if pieces is None:
             pieces = monomials.degree_masks(ideal, self.dmax + 1)
-            h = piece_values(self.n, pieces)
         if pieces[0]:
             return {}
-        cells = self.cells(h, pieces)
+        pieces = self.extended(pieces)
+        cells = self.cells(pieces)
+        euler = monomials.series_transform(piece_values(self.n, pieces), self.n)
         raw = {(0, 0): 1}
         for i in (1, 2, 3):
-            for j in range(1, self.dmax + 2):
-                if v := cells >> (3 * j + i - 4) * self.width & self.field:
+            for j in range(1, self.dmax + 2):  # beta_{2,j}'s cell lacks E_j
+                if v := (cells >> (3 * j + i - 4) * self.width & self.field) + (i == 2) * euler[j]:
                     raw[i, j] = v
         return raw
 
@@ -804,19 +813,19 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     if n <= 3:
         betti = _BettiByPieces(base, dmax)
         cases = _decided_on_pieces(
-            base, dmax, budget, betti, betti.cells,
-            lambda last, h, carry, want: betti.exceeds(betti.final(last, h, carry), want))
+            base, dmax, budget, betti, lambda _h, pieces: betti.cells(pieces),
+            lambda last, _h, carry, want: betti.exceeds(betti.final(last, carry), want))
         if cases is not None:
             report.cases_checked = cases
             return report
         budget = None  # checked by the DP
     else:
-        def betti(ideal, _h, _pieces):
+        def betti(ideal, _pieces):
             return koszul_betti(ideal, j_max, p).as_dict()
 
     for ideal, h, pieces, embedded, target in _embedded_cases(
-            report, base, dmax, budget, betti):
-        bad = _exceeding(betti(ideal, h, pieces), target)
+            report, base, dmax, budget, lambda embedded, _h, pieces: betti(embedded, pieces)):
+        bad = _exceeding(betti(ideal, pieces), target)
         if bad:
             payload = {
                 "ideal": ideal.to_json(),

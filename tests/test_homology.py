@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -240,6 +241,20 @@ def test_koszul_kernel_matches_taylor_oracle():
     for ideal, p in seeded_monomial_ideals():
         assert koszul_betti(ideal, 8, p).as_dict() == \
             taylor_betti_oracle(ideal, 8, p).as_dict(), (ideal.gens, p)
+
+
+def test_koszul_tables_stop_at_dmax():
+    # the per-coordinate bitset tables reach dmax + 1, not the largest
+    # exponent, since no lattice point above dmax is read
+    ideal = MonomialIdeal(3, [(10 ** 6, 0, 0), (0, 3, 0)])
+    tracemalloc.start()
+    try:
+        table = koszul_betti(ideal, 3).as_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == {(0, 0): 1, (1, 3): 1}
+    assert peak < 1 << 20, peak
 
 
 # --- Taylor oracle ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +146,20 @@ def test_hilbert_derived_example():
 
 def test_hilbert_unit_ideal():
     assert hilbert_function(MonomialIdeal(2, [(0, 0)]), 3) == (0, 0, 0, 0)
+
+
+def test_hilbert_skips_generators_above_dmax():
+    # only generators of degree <= dmax shape the values up to dmax, so a
+    # huge pure power allocates nothing of its size
+    ideal = MonomialIdeal(3, [(10 ** 6, 0, 0), (0, 2, 0)])
+    tracemalloc.start()
+    try:
+        values = hilbert_function(ideal, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == (1, 3, 5, 7)
+    assert peak < 1 << 20, peak
 
 
 def test_hilbert_no_variables():

@@ -138,8 +138,8 @@ PINNED_ENUMERATIONS = [
 def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
     table = verify._BettiByPieces(base, dmax)
     units = 0
-    for ideal, h, pieces in verify._superideals(base, dmax):
-        got = table(ideal, h, pieces)
+    for ideal, _, pieces in verify._superideals(base, dmax):
+        got = table(ideal, pieces)
         units += got == {}
         for p in (2, P):
             # also in koszul_betti's (i, j) order, which failure payloads show
@@ -763,14 +763,14 @@ def test_last_piece_states_match_the_enumeration(base, dmax):
     want = {}
     for ideal, h, pieces in verify._superideals(base, dmax):
         top = max((sum(g) for g in ideal.gens if sum(g) <= dmax), default=0)
-        cells = fields(betti.cells(h, pieces)) if betti else 0
+        cells = fields(betti.cells(pieces)) if betti else 0
         got = want.setdefault((pieces[-1], h), [0, top, cells])
         got[0] += 1
         if betti:
             got[2] = list(map(max, got[2], cells))
     states = verify._chain_counts(base, dmax, by_last=True, cells=betti)
     assert [(last, h) for *_, last, h in states] == list(want)
-    assert [[count, top, fields(betti.final(last, h, carry)) if betti else carry]
+    assert [[count, top, fields(betti.final(last, carry)) if betti else carry]
             for count, top, carry, last, h in states] == list(want.values())
 
 
@@ -818,13 +818,18 @@ def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
     # the few smaller pieces that growing them one generator at a time
     # meets, and off dmax, where only the lex targets' cutoffs reach, at
     # most as many entries as the pieces' bound.  coh-extremal's own memo
-    # lives per call and holds one entry per distinct tail.
+    # lives per call and holds one entry per distinct tail, and
+    # betti-extremal's socle memo one colon per distinct (degree, upper
+    # piece) of a transition below dmax, whatever the lower piece.
     memos = _module_memos()
     assert {"lexdist.homology._homology", "lexdist.monomials._numerator",
             "lexdist.shakin._embedding_table"} <= set(memos)
     tables = _spy_on(monkeypatch, "_coh_by_pieces")
+    bettis = _spy_on(monkeypatch, "_BettiByPieces")
     a = shakin(3, pieces=[(1, [(2,)])])
     lasts = len({pieces[-1] for _, _, pieces in verify._superideals(a.total, 4)})
+    uppers = {(d - 1, pieces[d]) for _, _, pieces in verify._superideals(a.total, 4)
+              for d in range(1, 4)}
     for check in (verify_betti_extremal, verify_coh_extremal):
         for memo in memos.values():
             memo.cache_clear()
@@ -843,6 +848,7 @@ def test_memos_stay_bounded_by_distinct_inputs(monkeypatch):
         assert sum(map(len, embedding.tails.values())) - at_dmax <= bound, check.__name__
     memo = inspect.getclosurevars(tables.pop()).nonlocals["memo"]
     assert set(memo) == _coh_tails(a.total, 4)
+    assert set(bettis.pop().colons) <= uppers and len(uppers) == 168
 
 
 def test_coh_extremal_small():
