@@ -490,10 +490,6 @@ class Ideal:
         self.gens = tuple(clean)
         self._gb = {}
 
-    @classmethod
-    def from_monomial_ideal(cls, ideal: MonomialIdeal, p=DEFAULT_CHAR) -> "Ideal":
-        return cls(ideal.n, [Poly.from_monomial(g, p) for g in ideal.gens], p)
-
     def groebner_basis(self):
         # kept in a dict, so len(_gb) tells whether a call ran Buchberger
         # (perfbench/spans.py reads it)

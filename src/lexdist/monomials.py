@@ -147,18 +147,6 @@ class MonomialOrder:
         raise NotImplementedError
 
 
-class LexOrder(MonomialOrder):
-    def key(self, exps):
-        return exps
-
-    def packing(self, n):
-        # the degree field never decides: equal exponents mean equal degrees
-        return [(i, False) for i in range(n)] + [(None, False)], range(n)
-
-    def __repr__(self):
-        return "lex"
-
-
 class DegRevLexOrder(MonomialOrder):
     def key(self, exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -384,11 +372,6 @@ def piece_values(n: int, masks):
     (bitmasks over degree_monomials), one per degree from 0."""
     return tuple(len(degree_monomials(n, d)) - mask.bit_count()
                  for d, mask in enumerate(masks))
-
-
-def _hilbert_by_masks(ideal: MonomialIdeal, dmax: int):
-    """Hilbert function by counting graded pieces; the tests' oracle."""
-    return piece_values(ideal.n, degree_masks(ideal, dmax))
 
 
 def hilbert_numerator(ideal: MonomialIdeal):

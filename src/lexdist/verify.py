@@ -12,11 +12,14 @@ the one budget check: every exhaustive kind runs it before anything else,
 and it stops at the first degree whose chain prefixes outnumber the
 budget.  One enumerator, _superideals, builds every ideal over a base
 degree by degree with its Hilbert function and graded pieces.  It serves
-enumerate_monomial_ideals_modulo and is the filing path: a kind walks it
-only when the DP finds a failure, to file every failing ideal with its
-payload in enumeration order (and betti-extremal in more than three
-variables decides its run on it).  Both step from a piece to the pieces
-above it by one submask walk, _pieces.
+enumerate_monomial_ideals_modulo and is the filing path, walked only once
+the DP has found a failure, to file the failing ideals with their
+payloads in enumeration order: macaulay-lex files the ideals with a
+failing HF, and the extremality checkers' one shared loop, _extremal_cases,
+hands its checker only the ideals in failing final states (betti-extremal
+in more than three variables has no per-state cells, so it takes its
+count from the DP's count walk and compares every ideal).  Both step from
+a piece to the pieces above it by one submask walk, _pieces.
 
 macaulay-lex's verdict depends only on the Hilbert function, so it checks
 each one once.  An extremality verdict depends on an ideal only through
@@ -45,6 +48,7 @@ instead.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -136,8 +140,8 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_last=False,
                   cells=None) -> dict | list:
     """{Hilbert function up to dmax: number of superideals with it}, over
     the ideals _superideals yields, without building one.  The exhaustive
-    kinds' one driver and one budget check; _superideals is only their
-    filing path.
+    kinds' one DP and one budget check; _superideals is only their filing
+    path.
 
     A chain's future depends only on its current piece, so the states at
     degree d are the pairs (piece, HF up to d), kept per piece, each with
@@ -244,7 +248,7 @@ def _chain_counts(base: MonomialIdeal, dmax: int, budget=None, by_last=False,
     return order
 
 
-def _superideals(base: MonomialIdeal, dmax: int, budget=None):
+def _superideals(base: MonomialIdeal, dmax: int):
     """(ideal, Hilbert function up to dmax, graded pieces up to dmax) for
     every ideal generated by the base and monomials of degree <= dmax.
 
@@ -256,12 +260,11 @@ def _superideals(base: MonomialIdeal, dmax: int, budget=None):
     bitmask over degree_monomials) are appended with them, so ideals that
     share their lower pieces share that work.  Base generators above dmax
     lie in no piece and are added to every ideal at the end.  Ideals stream
-    in lexicographic order of the per-degree subsets.  Given a budget, or a
-    negative dmax, _chain_counts checks it before any ideal is yielded, on
-    the same prefix counts with which it counts the HFs.
+    in lexicographic order of the per-degree subsets.  A negative dmax is
+    invalid input; the callers check their budget on _chain_counts first.
     """
-    if budget is not None or dmax < 0:
-        _chain_counts(base, dmax, budget)
+    if dmax < 0:
+        raise InvalidInputError("dmax must be nonnegative")
     n = base.n
     base_masks = monomials.degree_masks(base, dmax)
     above = tuple(g for g in base.gens if sum(g) > dmax)
@@ -285,11 +288,14 @@ def enumerate_monomial_ideals_modulo(a, dmax: int, budget: int | None = DEFAULT_
 
     Base generators above dmax are generators of every emitted ideal, so
     each one contains a.  Emits each ideal exactly once, in the order of
-    _superideals.  Like it, raises BudgetExceededError before the first
-    ideal when more than budget ideals exist.
+    _superideals.  Given a budget, raises BudgetExceededError before the
+    first ideal when more than budget ideals exist, on the prefix counts of
+    _chain_counts.
     """
-    for ideal, _hf, _pieces in _superideals(base_ideal(a), dmax, budget):
-        yield ideal
+    base = base_ideal(a)
+    if budget is not None:
+        _chain_counts(base, dmax, budget)
+    yield from (ideal for ideal, _hf, _pieces in _superideals(base, dmax))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +346,9 @@ def random_homogeneous_poly(rng, n, degree, p=DEFAULT_CHAR) -> Poly:
 def _chain_ideal(base: MonomialIdeal, chain) -> MonomialIdeal:
     """The ideal generated by the chain's graded pieces and the base.
 
-    A chain stops at dmax, so base generators of higher degree lie in none
-    of its pieces; they are added here.
+    A chain stops at a degree (dmax for a sampled chain), so base
+    generators of higher degree lie in none of its pieces; they are added
+    here.
     """
     ideal = monomials.masks_to_ideal(base.n, list(chain))
     above = tuple(g for g in base.gens if sum(g) >= len(chain))
@@ -451,10 +458,10 @@ class _BettiByPieces:
     shadows plus the base pieces: extended gives them up to dmax + 1, and
     above the one in dmax + 1 after a last piece in dmax.  Its
     result and final's hold the cells alone, field 3j + i - 4 for
-    beta_{i,j}, and exceeds compares two of them field by field.  Calling
-    the object gives the table {(i, j): beta_{i,j}}, beta_{0,0} = 1 and
-    nonzero values only, in ascending (i, j), of an ideal with its pieces
-    or of one alone, read off its own degree_masks, with E_j read off the
+    beta_{i,j}, and exceeds compares two of them field by field.
+    table(cells, pieces) gives the table {(i, j): beta_{i,j}}, beta_{0,0} =
+    1 and nonzero values only, in ascending (i, j), of an ideal with those
+    cells and pieces, the same cells the DP compares, with E_j read off the
     HF of the pieces extended to dmax + 1; the unit ideal has the empty
     table.
 
@@ -538,14 +545,12 @@ class _BettiByPieces:
             low, below = high, shadow_mask(self.n, d, high)
         return carry >> 2 * self.width
 
-    def __call__(self, ideal, pieces=None):
-        if pieces is None:
-            pieces = monomials.degree_masks(ideal, self.dmax + 1)
+    def table(self, cells, pieces):
+        """The table of an ideal with these cells and graded pieces up to a
+        degree c, and no generator above c but the base's."""
         if pieces[0]:
             return {}
-        pieces = self.extended(pieces)
-        cells = self.cells(pieces)
-        euler = monomials.series_transform(piece_values(self.n, pieces), self.n)
+        euler = monomials.series_transform(piece_values(self.n, self.extended(pieces)), self.n)
         raw = {(0, 0): 1}
         for i in (1, 2, 3):
             for j in range(1, self.dmax + 2):  # beta_{2,j}'s cell lacks E_j
@@ -596,11 +601,7 @@ def _coh_by_pieces(base, window, p):
             for d in range(c - 1, -1, -1):
                 pieces.append(colon_mask(n, d, pieces[-1]))
             pieces.reverse()
-            largest = monomials.masks_to_ideal(n, pieces)
-            above = tuple(g for g in base.gens if sum(g) > c)
-            if above:
-                largest = MonomialIdeal(n, largest.gens + above)
-            entries = local_coh_monomial(largest, window=window, p=p).entries
+            entries = local_coh_monomial(_chain_ideal(base, pieces), window=window, p=p).entries
             coh = dict(entries)
             values = piece_values(n, pieces)
             got = (tuple(coh.get((0, j), 0) - values[j] for j in low),
@@ -614,72 +615,72 @@ def _coh_by_pieces(base, window, p):
     return table
 
 
-def _embedded_cases(report, base, dmax, budget, invariant):
-    """Every superideal of base with its lex-embedding, counted on report:
-    the per-ideal loop that files the failures of the extremality
-    checkers, and in more than three variables decides betti-extremal.
+def _extremal_cases(report, base, dmax, budget, target, fails=None, cells=None):
+    """The one driver of the extremality checkers: every superideal of base
+    that a checker must compare, with the lex target of its series key,
+    in enumeration order, and the number of superideals on report.
 
-    Yields (ideal, HF up to dmax, graded pieces up to dmax, embedded ideal,
-    invariant(embedded ideal, its HF and graded pieces up to the accepted
-    cutoff)), the last two as _embed_series returns them.  The embedding
-    depends on an ideal only through its Hilbert series and its top
-    generator degree, where the cutoffs start, so it is cached by the
-    series key (h, N_J) of the first ideal met with it: the HF and the
-    numerator of the ideal's tail J, read off its last piece by the base's
-    _EmbeddingTable.tail(dmax, piece); a miss embeds from N_I =
-    monomials.numerator_off_tail(n, h, N_J).  Equal keys mean equal series
-    numerators and conversely, so the cache hits are those of a cache keyed
-    by the numerator.  An error payload also depends on the starting
-    cutoff, so a failing ideal is filed on report.failures, uncached, and
-    not yielded.
+    Yields (ideal, HF up to dmax, graded pieces up to dmax, lex pieces,
+    target(HF, lex pieces)), the last two read off the embedding as
+    _embed_series returns it, with the pieces up to the accepted cutoff.
+    An ideal's embedding depends on it only through its series key (h,
+    N_J), the HF and the numerator of its tail J, read off its last piece
+    by the base's _EmbeddingTable.tail(dmax, piece) (equal keys mean equal
+    series numerators and conversely), and through its top generator
+    degree, where the cutoffs start: a key is embedded from its first
+    ideal's top degree, and target is read once per key.  An error payload
+    also depends on that degree, so a key with no embedding is embedded
+    ideal by ideal, from each one's own top degree: a failing ideal is
+    filed on report.failures and not yielded, and the first embedding that
+    succeeds serves the key's later ideals.
+
+    Given fails, the run is decided on the piece-state DP of _chain_counts
+    (given cells, its states carry their ideals' cells), which builds no
+    ideal.  The ideals of a final state (last piece, HF h) share one key,
+    and the states come in the enumeration order of their first ideals, so
+    a key is embedded once, at its first state, from that state's top
+    generator degree, its first ideal's.  A state fails iff its key has no
+    embedding or fails(last piece, h, carry, target of its key).  Only if
+    some state fails is _superideals walked, and it yields only the ideals
+    in failing states, each with its key's target from the DP: an ideal in
+    a passing state cannot fail, its cells being at most the state's
+    maximum and its table the state's.  Without fails, the count comes from
+    the count walk of _chain_counts and every ideal is yielded.
     """
-    table = _embedding_table(base)
-    cache = {}
-    for ideal, h, pieces in _superideals(base, dmax, budget):
-        report.cases_checked += 1
-        key = h, table.tail(dmax, pieces[-1])
-        if key not in cache:
-            target = monomials.numerator_off_tail(base.n, *key)
-            embedding, err = _attempt(_embed_series, base, ideal.max_degree(), target)
+    tails = _embedding_table(base)
+    targets = {}  # series key -> (lex pieces, target), or None with no embedding
+
+    def embed(key, top):
+        embedding, err = _attempt(_embed_series, base, top,
+                                  monomials.numerator_off_tail(base.n, *key))
+        got = targets[key] = None if err else (tuple(embedding[1]), target(*embedding))
+        return got, err
+
+    failing = None
+    if fails is None:
+        report.cases_checked = sum(_chain_counts(base, dmax, budget).values())
+    else:
+        failing = {}  # HF -> last pieces of the failing states
+        for count, top, carry, last, h in _chain_counts(
+                base, dmax, budget, by_last=True, cells=cells):
+            report.cases_checked += count
+            key = h, tails.tail(dmax, last)
+            got = targets[key] if key in targets else embed(key, top)[0]
+            if got is None or fails(last, h, carry, got[1]):
+                failing.setdefault(h, set()).add(last)
+        if not failing:
+            return
+    for ideal, h, pieces in _superideals(base, dmax):
+        if failing is not None and pieces[-1] not in failing.get(h, ()):
+            continue
+        key = h, tails.tail(dmax, pieces[-1])
+        got = targets.get(key)
+        if got is None:
+            got, err = embed(key, ideal.max_degree())
             if err is not None:
                 report.failures.append({"ideal": ideal.to_json(), **err})
                 continue
-            embedded = monomials.masks_to_ideal(base.n, embedding[1])
-            cache[key] = embedded, invariant(embedded, *embedding)
-        yield (ideal, h, pieces, *cache[key])
-
-
-def _decided_on_pieces(base, dmax, budget, cells, target, exceeds):
-    """The number of superideals of base if none of them fails, else None;
-    decided on the piece-state DP of _chain_counts, which builds no ideal.
-
-    A final state (last piece, HF h) holds ideals with one series key (h,
-    N_J) as in _embedded_cases, and carries the componentwise maximum of
-    their cells, given cells.  The states come in the enumeration order of
-    their first ideals, so the first state of a key holds its first ideal,
-    the one whose embedding the per-ideal loop caches: the key is embedded
-    there, once, from that state's top generator degree, and target(HF,
-    graded pieces) is read off the embedding as _embed_series returns it.
-    The run fails iff some key has no embedding or some state exceeds(last
-    piece, h, carry, target of its key); the first failing state ends the
-    walk, and on None the caller files the failures off the per-ideal loop.
-    """
-    table = _embedding_table(base)
-    total = 0
-    targets = {}
-    for count, top, carry, last, h in _chain_counts(
-            base, dmax, budget, by_last=True, cells=cells):
-        key = h, table.tail(dmax, last)
-        if key not in targets:
-            embedding, err = _attempt(_embed_series, base, top,
-                                      monomials.numerator_off_tail(base.n, *key))
-            if err is not None:
-                return None
-            targets[key] = target(*embedding)
-        if exceeds(last, h, carry, targets[key]):
-            return None
-        total += count
-    return total
+        yield ideal, h, pieces, *got
 
 
 def _require_samples(samples):
@@ -786,12 +787,14 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     graded pieces (_BettiByPieces, which never sees p, so p is checked
     first), so the run is decided on the piece-state DP without building
     an ideal: each final state carries the componentwise maximum of its
-    ideals' cells, compared with the lex target of its series key.  Only
-    if some state fails is the per-ideal loop (_embedded_cases) walked, to
-    file the failures; in more variables that loop decides the run, with
-    koszul_betti on both sides.  With pure powers present and small
-    characteristic the statement is an open expectation, so violations are
-    classified as findings rather than failures.
+    ideals' cells, compared with the cells of the lex target of its series
+    key.  Only if some state fails does _extremal_cases walk the ideals of
+    the failing states, whose tables are compared with their target's,
+    each read off its cells and pieces (the target's once per target); in
+    more variables it yields every ideal, with koszul_betti on both sides.
+    With pure powers present and small characteristic the statement is an
+    open expectation, so violations are classified as findings rather than
+    failures.
     """
     p = check_characteristic(p)
     base = base_ideal(a)
@@ -812,25 +815,29 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
 
     if n <= 3:
         betti = _BettiByPieces(base, dmax)
-        cases = _decided_on_pieces(
-            base, dmax, budget, betti, lambda _h, pieces: betti.cells(pieces),
-            lambda last, _h, carry, want: betti.exceeds(betti.final(last, carry), want))
-        if cases is not None:
-            report.cases_checked = cases
-            return report
-        budget = None  # checked by the DP
+        cases = _extremal_cases(
+            report, base, dmax, budget, lambda _h, lex: betti.cells(lex),
+            lambda last, _h, carry, want: betti.exceeds(betti.final(last, carry), want),
+            betti)
+        target_table = functools.cache(betti.table)
     else:
-        def betti(ideal, _pieces):
-            return koszul_betti(ideal, j_max, p).as_dict()
-
-    for ideal, h, pieces, embedded, target in _embedded_cases(
-            report, base, dmax, budget, lambda embedded, _h, pieces: betti(embedded, pieces)):
-        bad = _exceeding(betti(ideal, pieces), target)
+        cases = _extremal_cases(
+            report, base, dmax, budget, lambda _h, lex: koszul_betti(
+                monomials.masks_to_ideal(n, lex), j_max, p).as_dict())
+    # failure payloads share one JSON object per lex target and per HF
+    embedded_json = functools.cache(lambda lex: monomials.masks_to_ideal(n, lex).to_json())
+    hf_json = functools.cache(list)
+    for ideal, h, pieces, lex, want in cases:
+        if n <= 3:
+            mine, want = betti.table(betti.cells(pieces), pieces), target_table(want, lex)
+        else:
+            mine = koszul_betti(ideal, j_max, p).as_dict()
+        bad = _exceeding(mine, want)
         if bad:
             payload = {
                 "ideal": ideal.to_json(),
-                "embedded": embedded.to_json(),
-                "hilbert_function": list(h),
+                "embedded": embedded_json(lex),
+                "hilbert_function": hf_json(h),
                 "violations": bad,
             }
             (report.findings if as_finding else report.failures).append(payload)
@@ -849,8 +856,9 @@ def verify_coh_extremal(a, dmax: int, window=None,
     target's (accepted cutoff, piece there) as _embed_series returns it.
     An ideal's table depends only on its final state (last piece, HF), so
     the run is decided on the piece-state DP without building an ideal;
-    only if some state fails is the per-ideal loop (_embedded_cases)
-    walked, to file the failures.
+    only if some state fails does _extremal_cases walk the ideals of the
+    failing states, to file their failures, which share their state's
+    violations.
     """
     p = check_characteristic(p)
     base = base_ideal(a)
@@ -866,23 +874,19 @@ def verify_coh_extremal(a, dmax: int, window=None,
     )
 
     table = _coh_by_pieces(base, window, p)
-
-    def target_coh(values, masks):
-        return table(values, masks[-1])
-
-    cases = _decided_on_pieces(
-        base, dmax, budget, None, target_coh,
-        lambda last, h, _carry, want: _exceeding(table(h, last), want))
-    if cases is not None:
-        report.cases_checked = cases
-        return report
-    for ideal, h, pieces, _embedded, target in _embedded_cases(
-            report, base, dmax, None, lambda _embedded, *embedding: target_coh(*embedding)):
-        bad = _exceeding(table(h, pieces[-1]), target)
+    hf_json = functools.cache(list)  # failure payloads share one JSON object per HF
+    violations = {}  # final state -> its violations
+    for ideal, h, pieces, _lex, want in _extremal_cases(
+            report, base, dmax, budget, lambda values, lex: table(values, lex[-1]),
+            lambda last, h, _carry, want: _exceeding(table(h, last), want)):
+        state = h, pieces[-1]
+        if state not in violations:
+            violations[state] = _exceeding(table(*state), want)
+        bad = violations[state]
         if bad:
             report.failures.append({
                 "ideal": ideal.to_json(),
-                "hilbert_function": list(h),
+                "hilbert_function": hf_json(h),
                 "violations": bad,
             })
     return report

@@ -1,4 +1,5 @@
-"""Shared brute-force oracles, kept independent of the library internals."""
+"""Shared brute-force oracles, kept independent of the library internals,
+and the few test-only helpers built on the library's public types."""
 
 import bisect
 import heapq
@@ -6,6 +7,9 @@ import itertools
 from math import comb
 
 import pytest
+
+from lexdist.groebner import Ideal, Poly
+from lexdist.monomials import MonomialOrder, degree_masks, piece_values
 
 LARGE_P = 4294967311  # prime above 2**32
 HUGE_P = 18446744073709551629  # prime above 2**64
@@ -335,3 +339,27 @@ def rng():
     import random
 
     return random.Random(987654321)
+
+
+class LexOrder(MonomialOrder):
+    """The lexicographic order, for Groebner bases the library never asks for."""
+
+    def key(self, exps):
+        return exps
+
+    def packing(self, n):
+        # the degree field never decides: equal exponents mean equal degrees
+        return [(i, False) for i in range(n)] + [(None, False)], range(n)
+
+    def __repr__(self):
+        return "lex"
+
+
+def hilbert_by_masks(ideal, dmax):
+    """Hilbert function by counting graded pieces."""
+    return piece_values(ideal.n, degree_masks(ideal, dmax))
+
+
+def from_monomial_ideal(ideal, p):
+    """The monomial ideal as a polynomial Ideal over Z/p."""
+    return Ideal(ideal.n, [Poly.from_monomial(g, p) for g in ideal.gens], p)

@@ -32,13 +32,13 @@ from lexdist.groebner import (
 )
 from lexdist.monomials import (
     DegRevLexOrder,
-    LexOrder,
     MonomialIdeal,
 )
 from lexdist import groebner, monomials
 from lexdist.verify import random_monomial_ideal
 
-from conftest import HUGE_P, LARGE_P, brute_buchberger, brute_rank_mod, brute_compose_linear
+from conftest import (HUGE_P, LARGE_P, LexOrder, brute_buchberger, brute_compose_linear,
+                      brute_rank_mod, from_monomial_ideal)
 
 P = DEFAULT_CHAR
 LEX = LexOrder()
@@ -408,7 +408,7 @@ def test_intersection_against_monomial_oracle(rng):
         gens_b = [tuple(rng.randrange(3) for _ in range(2)) for _ in range(2)]
         a = MonomialIdeal(2, [g for g in gens_a if sum(g)])
         b = MonomialIdeal(2, [g for g in gens_b if sum(g)])
-        left = intersect(Ideal.from_monomial_ideal(a, P), Ideal.from_monomial_ideal(b, P))
+        left = intersect(from_monomial_ideal(a, P), from_monomial_ideal(b, P))
         expected = monomials.intersect(a, b)
         got = initial_ideal(left)
         assert got == expected

@@ -15,7 +15,7 @@ from lexdist.verify import VerificationReport, _distraction_pairs
 from lexdist import groebner, homology
 
 from conftest import (HUGE_P, LARGE_P, brute_divides, brute_local_coh, brute_normal_form,
-                      brute_reduced_homology)
+                      brute_reduced_homology, from_monomial_ideal)
 
 P = DEFAULT_CHAR
 
@@ -195,12 +195,12 @@ def test_monomial_kernel_matches_strands():
         n, dmax, p = gen.randint(1, 5), gen.randint(0, 7), gen.choice([2, 32003, LARGE_P, HUGE_P])
         gens = [tuple(gen.randrange(3) for _ in range(n)) for _ in range(gen.randint(1, 4))]
         ideal = MonomialIdeal(n, [g for g in gens if sum(g)])
-        strands = homology._koszul_strands(Ideal.from_monomial_ideal(ideal, p), range(dmax + 1))
+        strands = homology._koszul_strands(from_monomial_ideal(ideal, p), range(dmax + 1))
         assert koszul_betti(ideal, dmax, p).as_dict() == strands, (ideal.gens, dmax, p)
     edges = [MonomialIdeal(3, [(0, 0, 0)]), MonomialIdeal(3), MonomialIdeal(0), MonomialIdeal(0, [()])]
     for ideal in edges:
         for dmax in (-1, 0, 3):
-            strands = homology._koszul_strands(Ideal.from_monomial_ideal(ideal, P), range(dmax + 1))
+            strands = homology._koszul_strands(from_monomial_ideal(ideal, P), range(dmax + 1))
             assert koszul_betti(ideal, dmax, P).as_dict() == strands, (ideal.gens, dmax)
     assert koszul_betti(MonomialIdeal(3, [(1, 0, 0)]), -1).as_dict() == {}
 
@@ -212,7 +212,7 @@ def test_betti_numbers_depend_on_characteristic():
         assert koszul_betti(ideal, 6, p).as_dict() == expected
         assert taylor_betti_oracle(ideal, 6, p).as_dict() == expected
         if p in (2, 3):  # the strand route, where -1 = 1 at p = 2
-            general = Ideal.from_monomial_ideal(ideal, p)
+            general = from_monomial_ideal(ideal, p)
             assert homology._koszul_strands(general, range(7)) == expected
 
 
@@ -493,7 +493,7 @@ def test_h0_with_no_variables():
         ideal = MonomialIdeal(0, gens)
         assert local_coh_monomial(ideal, window=(0, 3)).row(0) == row
         assert groebner.h0_hilbert_function(ideal, 3) == row
-        general = Ideal.from_monomial_ideal(ideal, P)
+        general = from_monomial_ideal(ideal, P)
         assert groebner.h0_hilbert_function(general, 3) == row
 
 

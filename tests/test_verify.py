@@ -136,10 +136,10 @@ PINNED_ENUMERATIONS = [
 
 @pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
 def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
-    table = verify._BettiByPieces(base, dmax)
+    betti = verify._BettiByPieces(base, dmax)
     units = 0
     for ideal, _, pieces in verify._superideals(base, dmax):
-        got = table(ideal, pieces)
+        got = betti.table(betti.cells(pieces), pieces)
         units += got == {}
         for p in (2, P):
             # also in koszul_betti's (i, j) order, which failure payloads show
@@ -152,14 +152,16 @@ def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
 
 @pytest.mark.parametrize("base, dmax", PINNED_ENUMERATIONS)
 def test_betti_by_pieces_reads_lex_targets_alone(base, dmax):
-    # a target comes without pieces and is read off its own pieces up to
-    # dmax + 1, where it can have generators that no superideal has
+    # a target comes with its pieces up to the accepted cutoff and is read
+    # off them extended to dmax + 1, where it can have generators that no
+    # superideal has
     report = verify.VerificationReport("targets", {})
-    targets = {embedded for *_, embedded, _ in verify._embedded_cases(
-        report, base, dmax, None, lambda embedded, h, pieces: None)}
-    table = verify._BettiByPieces(base, dmax)
-    for target in targets:
-        got = table(target)
+    targets = {lex for *_, lex, _ in verify._extremal_cases(
+        report, base, dmax, None, lambda values, masks: None)}
+    betti = verify._BettiByPieces(base, dmax)
+    for masks in targets:
+        target = monomials.masks_to_ideal(base.n, masks)
+        got = betti.table(betti.cells(masks), masks)
         for p in (2, P):
             assert list(got.items()) == list(koszul_betti(target, dmax + 1, p).as_dict().items()), \
                 (target.gens, p)
@@ -401,12 +403,13 @@ def test_exhaustive_budgets_are_exact(check, base, dmax):
     assert (err.value.budget, err.value.count_estimate) == (count - 1, estimate)
 
 
-def test_superideals_check_the_budget_before_the_first_ideal(monkeypatch):
+def test_enumeration_checks_the_budget_before_the_first_ideal(monkeypatch):
     built = _count_built(monkeypatch)
     with pytest.raises(BudgetExceededError):
-        next(verify._superideals(X1CU, 4, budget=26945))
+        next(enumerate_monomial_ideals_modulo(X1CU, 4, budget=26945))
     assert built == []
-    assert sum(1 for _ in verify._superideals(X1CU, 4, budget=26946)) == len(built) == 26946
+    assert sum(1 for _ in enumerate_monomial_ideals_modulo(X1CU, 4, budget=26946)) \
+        == len(built) == 26946
 
 
 @pytest.mark.parametrize("check", EXHAUSTIVE_CHECKS, ids=EXHAUSTIVE_IDS)
@@ -660,7 +663,7 @@ def test_extremal_violations_without_embedding_errors_match_the_per_ideal_loop(
     # no small base has violations but no ClosureError, so every lex target
     # is swapped for the base ideal itself, in the checker and in the
     # oracle's stable_lex_embedding alike: then only the DP's comparison of
-    # the cells can send the run to the per-ideal loop
+    # the cells can send the run to the filing walk
     real = shakin_module._embed_series
 
     def base_pieces(base, top, target):
@@ -671,7 +674,7 @@ def test_extremal_violations_without_embedding_errors_match_the_per_ideal_loop(
     monkeypatch.setattr(verify, "_embed_series", base_pieces)
     a = shakin(3, pieces=[(1, [(2,)])])
     keys = len(_series_keys(a.total, 3))
-    # the DP stops at its first failing state, before it embeds every key
+    # the DP embeds every key before the one filing walk, which embeds none
     embedded = _spy_on(monkeypatch, "_embed_series")
     filed = []
     real_superideals = verify._superideals
@@ -685,11 +688,93 @@ def test_extremal_violations_without_embedding_errors_match_the_per_ideal_loop(
         report = verify_betti_extremal(a, 3)
     else:
         report = verify_coh_extremal(a, 3)
-    assert filed and filed[0] < keys
+    assert filed == [keys] and len(embedded) == keys
     want = (_betti_extremal_per_ideal if kind == "betti" else _coh_extremal_per_ideal)(a.total, 3)
     assert report.cases_checked == want[0] == 400
     assert json.dumps(report.failures) == json.dumps(want[1])
     assert len(want[1]) > 100 and all("violations" in row for row in want[1])
+
+
+def _failing_state_ideals(base, dmax, table):
+    """The superideals in failing final states (last piece, HF), one ideal
+    at a time, in enumeration order, with table computing an invariant
+    from scratch.  A state fails iff one of its ideals has no lex-embedding
+    or a table entry above its target's, or the first ideal of its series
+    numerator has no lex-embedding."""
+    first_failed, states, verdicts = {}, {}, []
+    for ideal in enumerate_monomial_ideals_modulo(base, dmax):
+        state = monomials.degree_masks(ideal, dmax)[-1], hilbert_function(ideal, dmax)
+        try:
+            want = table(stable_lex_embedding(base, ideal))
+        except NotAdmissibleError:
+            bad = failed = True
+        else:
+            failed = False
+            bad = any(v > want.get(cell, 0) for cell, v in table(ideal).items())
+        states[state] = states.get(state, False) or bad \
+            or first_failed.setdefault(monomials.hilbert_numerator(ideal), failed)
+        verdicts.append((ideal, state))
+    return [ideal for ideal, state in verdicts if states[state]]
+
+
+@pytest.mark.parametrize("base", [MonomialIdeal(3, [(0, 1, 1)]), MonomialIdeal(3, [(0, 2, 0)])],
+                         ids=["x2x3", "x2sq"])
+@pytest.mark.parametrize("kind", ["betti", "coh"])
+def test_failing_runs_tabulate_only_the_ideals_in_failing_states(monkeypatch, kind, base):
+    # the filing walk hands the checker only the ideals of failing final
+    # states, less those it files as having no lex-embedding; betti-extremal
+    # builds one table per such ideal and one per lex target among them
+    dmax = 3
+    received, tables = [], []
+    real_cases, real_table = verify._extremal_cases, verify._BettiByPieces.table
+
+    def cases(*args):
+        for case in real_cases(*args):
+            received.append(case)
+            yield case
+
+    def table(self, cells, pieces):
+        tables.append(cells)
+        return real_table(self, cells, pieces)
+
+    monkeypatch.setattr(verify, "_extremal_cases", cases)
+    monkeypatch.setattr(verify._BettiByPieces, "table", table)
+    if kind == "betti":
+        report = verify_betti_extremal(base, dmax)
+        want = _failing_state_ideals(base, dmax,
+                                     lambda ideal: koszul_betti(ideal, dmax + 1, P).as_dict())
+    else:
+        report = verify_coh_extremal(base, dmax)
+        window = (-(dmax + base.n), dmax)
+        want = _failing_state_ideals(
+            base, dmax, lambda ideal: local_coh_monomial(ideal, window=window, p=P).as_dict())
+    unembedded = [MonomialIdeal(base.n, [tuple(g) for g in row["ideal"]["gens"]])
+                  for row in report.failures if "error" in row]
+    got = [ideal for ideal, *_ in received]
+    assert unembedded and got and not set(got) & set(unembedded)
+    assert sorted(got + unembedded, key=want.index) == want
+    assert got == [ideal for ideal in want if ideal in got]
+    assert len(want) < report.cases_checked
+    if kind == "betti":
+        assert len(tables) == len(got) + len({lex for *_, lex, _ in received})
+    else:
+        assert tables == []
+
+
+def test_betti_extremal_in_four_variables_walks_no_state(monkeypatch):
+    # no piece-state DP above three variables: only the count walk
+    calls = []
+    real = verify._chain_counts
+
+    def counts(*args, **kwargs):
+        assert len(args) <= 3 and not kwargs.get("by_last")
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_chain_counts", counts)
+    report = verify_betti_extremal(MonomialIdeal(4, [(2, 0, 0, 0)]), 2)
+    assert report.passed and report.cases_checked == 717
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("base, dmax", [
@@ -719,12 +804,13 @@ def test_each_series_key_is_embedded_from_its_first_ideal(monkeypatch, base, dma
         try:
             return real(base, top, target)
         except NotAdmissibleError:
-            return None, None  # go on to the next key
+            return None, []  # go on to the next key
 
     monkeypatch.setattr(verify, "_embed_series", spy)
-    assert verify._decided_on_pieces(base, dmax, None, None, lambda values, masks: None,
-                                     lambda *args: False) == sum(
-        1 for _ in verify._superideals(base, dmax))
+    report = verify.VerificationReport("keys", {})
+    assert list(verify._extremal_cases(report, base, dmax, None, lambda values, masks: None,
+                                       lambda *args: False)) == []
+    assert report.cases_checked == sum(1 for _ in verify._superideals(base, dmax))
     assert calls == firsts
     assert len(cutoffs) > len(firsts)
 
