@@ -172,7 +172,7 @@ def _cmd_polarize(args) -> int:
     ideal = MonomialIdeal.from_json(_load_json(args.ideal))
     d = None
     if args.distraction:
-        d = _load_distraction(args.distraction, args.char)
+        d = require_distraction(_load_distraction(args.distraction, args.char))
     result = polarize(ideal, d)
     _emit({
         "extended_n": result.extended_n,

@@ -7,12 +7,11 @@ field: the same matrix may be singular in another characteristic.  The
 selection search runs on _modmat.reduce_row, the elimination step of
 rank_mod.
 
-Distraction runs on packed monomials, one int of fixed-width exponent
-fields, so a product of monomials is one addition (_distract): each call
-builds every row's prefix products l_{i,1}...l_{i,a} once, multiplies the
-at most n of them that a generator needs, and unpacks each term once.
-distract_ideal runs it on the minimal generators, apply_distraction on
-one monomial.
+Distraction has no monomial layout of its own: distract_ideal (on the
+minimal generators), apply_distraction (on one monomial) and
+polarization's X_ij -> l_ij specialisation (on the polarized generators'
+sources) all hand the matrix's rows to groebner._substitute, the one
+kernel for products of linear forms, on groebner's packed monomials.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ._modmat import monic, reduce_row
 from .errors import InternalContradictionError, InvalidInputError
-from .groebner import DEFAULT_CHAR, Ideal, Poly, check_characteristic
+from .groebner import DEFAULT_CHAR, Ideal, Poly, _substitute, check_characteristic
 from .monomials import MonomialIdeal, json_ints, json_object, variable
 
 
@@ -158,65 +157,20 @@ def require_distraction(d: DistractionMatrix) -> DistractionMatrix:
     return d
 
 
-def _times(f, g, p):
-    """The product of two packed {monomial: coefficient} dicts over F_p."""
-    out = {}
-    get = out.get
-    for m, c in f.items():
-        for q, e in g.items():
-            q += m
-            out[q] = get(q, 0) + c * e
-    return {m: r for m, c in out.items() if (r := c % p)}
-
-
-def _distract(d: DistractionMatrix, gens):
-    """The distractions of the exponent vectors gens, in order.
-
-    Monomials are packed into one int of n fields, each wide enough for
-    the largest degree in gens, which bounds every exponent of every
-    product, so a product of monomials is one addition and never carries.
-    Row i's prefix products l_{i,1}...l_{i,a} are built once, up to the
-    largest a_i in gens, and each generator multiplies its at most n row
-    products; each term is unpacked once.
-    """
-    n, p = d.n, d.p
-    width = max(1, max(map(sum, gens), default=0).bit_length())
-    shifts = range(0, n * width, width)
-    prefixes = []
-    for i, top in enumerate(map(max, zip(*gens))):
-        level = {0: 1}
-        row = [level]
-        for j in range(top):
-            form = {1 << at: c for at, c in zip(shifts, d.entry(i, j)) if c}
-            level = _times(level, form, p)
-            row.append(level)
-        prefixes.append(row)
-    ones = (1 << width) - 1
-    out = []
-    for g in gens:
-        f = None
-        for row, a in zip(prefixes, g):
-            if a:
-                f = row[a] if f is None else _times(f, row[a], p)
-        out.append(Poly(n, p, {tuple(m >> at & ones for at in shifts): c
-                               for m, c in (f or {0: 1}).items()}))
-    return out
-
-
 def apply_distraction(d: DistractionMatrix, m) -> Poly:
     """The distraction of a monomial: product of the first a_i entries of row i."""
     if len(m) != d.n:
         raise InvalidInputError("monomial length mismatch")
     if min(m, default=0) < 0:
         raise InvalidInputError("monomial exponents must be nonnegative")
-    return _distract(d, [tuple(m)])[0]
+    return _substitute(d.n, d.p, d.rows, [{tuple(m): 1}])[0]
 
 
 def distract_ideal(d: DistractionMatrix, ideal: MonomialIdeal) -> Ideal:
     """The ideal generated by the distractions of the minimal generators."""
     if ideal.n != d.n:
         raise InvalidInputError("ambient mismatch")
-    return Ideal(d.n, _distract(d, ideal.gens), d.p)
+    return Ideal(d.n, _substitute(d.n, d.p, d.rows, [{g: 1} for g in ideal.gens]), d.p)
 
 
 def induce_bar(d: DistractionMatrix) -> DistractionMatrix:
@@ -266,7 +220,8 @@ class PolarizationResult:
     (original index i, extended index of X_ij) encoding X_i - X_ij;
     specialization_l, present when a distraction was supplied, lists pairs
     (coefficients of l_ij over the original ring, extended index of X_ij);
-    the coefficients lie in that distraction's field F_p, kept as _p.
+    the coefficients lie in that distraction's field F_p.  The distraction
+    itself is kept as _distraction.
     """
 
     extended_n: int
@@ -275,13 +230,13 @@ class PolarizationResult:
     specialization_x: tuple
     specialization_l: tuple | None = None
     _block_start: tuple = field(default=(), repr=False)
-    _p: int | None = field(default=None, repr=False)
+    _distraction: DistractionMatrix | None = field(default=None, repr=False)
 
     def block_index(self, i: int, j: int) -> int:
         return self._block_start[i] + j
 
-    def specialize_to_original(self) -> MonomialIdeal:
-        """Substitute X_ij -> X_i; recovers the polarized ideal's source."""
+    def _sources(self):
+        """The polarized generators with X_ij -> X_i: their source exponents."""
         n = len(self.block_sizes)
         gens = []
         for g in self.polarized.gens:
@@ -290,25 +245,24 @@ class PolarizationResult:
                 for j in range(r):
                     e[i] += g[self.block_index(i, j)]
             gens.append(tuple(e))
-        return MonomialIdeal(n, gens)
+        return gens
+
+    def specialize_to_original(self) -> MonomialIdeal:
+        """Substitute X_ij -> X_i; recovers the polarized ideal's source."""
+        return MonomialIdeal(len(self.block_sizes), self._sources())
 
     def specialize_to_distraction(self):
         """Substitute X_ij -> l_ij over the distraction's field; recovers the
-        distracted generators."""
-        if self.specialization_l is None:
+        distracted generators.
+
+        A polarized generator is the product of X_i1...X_{i a_i} over i, so
+        its image is l_{i,1}...l_{i,a_i} over i: the distraction of its
+        source x^a.
+        """
+        d = self._distraction
+        if d is None:
             raise InvalidInputError("no distraction was attached to this polarization")
-        n, p = len(self.block_sizes), self._p
-        forms = {idx: Poly.from_linear_form(coeffs, p)
-                 for coeffs, idx in self.specialization_l}
-        out = []
-        for g in self.polarized.gens:
-            poly = Poly.constant(n, p, 1)
-            # polarize sets only block coordinates, which are all >= n
-            for idx, e in enumerate(g):
-                if e:
-                    poly = poly * forms[idx].power(e)
-            out.append(poly)
-        return out
+        return _substitute(d.n, d.p, d.rows, [{e: 1} for e in self._sources()])
 
 
 def polarize(ideal: MonomialIdeal, distraction: DistractionMatrix | None = None) -> PolarizationResult:
@@ -353,7 +307,7 @@ def polarize(ideal: MonomialIdeal, distraction: DistractionMatrix | None = None)
         specialization_x=spec_x,
         specialization_l=spec_l,
         _block_start=tuple(starts),
-        _p=None if distraction is None else distraction.p,
+        _distraction=distraction,
     )
 
 

@@ -21,7 +21,12 @@ is packed once and only the result is unpacked.  _buchberger is the one
 route to a reduced basis; it unpacks each element with its lead term
 first.  The same division gives the action of each variable on the
 standard monomials, which _variable_action hands, with those monomials,
-to homology's Koszul strands.
+to homology's Koszul strands.  Products of linear forms run on the same
+packed monomials, in one kernel, _substitute: it replaces each x_i^a by
+the product of the first a linear forms of a row i, which is a
+distraction, polarization's X_ij -> l_ij specialisation, or (one form per
+row) the shear of _h0_series.  An image keeps its degree, so the width
+that holds the input's largest degree is never outgrown.
 
 All public ideals are homogeneous by contract.  Elimination data is
 homogeneous in x (t is not counted): t*f and (1-t)*g are, and so is every
@@ -120,15 +125,6 @@ class Poly:
         self.terms = clean
 
     @classmethod
-    def constant(cls, n, p, c):
-        return cls(n, p, {(0,) * n: c})
-
-    @classmethod
-    def from_linear_form(cls, coeffs, p):
-        n = len(coeffs)
-        return cls(n, p, {monomials.variable(n, i): c for i, c in enumerate(coeffs) if c % p})
-
-    @classmethod
     def from_monomial(cls, exps, p, c=1):
         return cls(len(exps), p, {tuple(exps): c})
 
@@ -177,16 +173,6 @@ class Poly:
                 out[key] = out.get(key, 0) + c1 * c2
         return Poly(self.n, self.p, out)
 
-    def power(self, k):
-        out = Poly.constant(self.n, self.p, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __repr__(self):
         return format_poly(self)
 
@@ -214,7 +200,7 @@ class _Packing:
     def __init__(self, order, n, width):
         fields, summed = order.packing(n)
         ones = (1 << width) - 1
-        self.width = width
+        self.width, self.ones = width, ones
         self.shifts = [0] * n
         self.mask = self.guards = 0
         for k, (var, flip) in enumerate(reversed(fields)):
@@ -238,8 +224,8 @@ class _Packing:
         return sum(map(operator.mul, exps, self.weights))
 
     def unpack(self, m):
-        ones = (1 << self.width) - 1
-        return tuple(m >> at & ones for at in self.shifts)
+        ones = self.ones
+        return tuple([m >> at & ones for at in self.shifts])
 
     def divides(self, a, b):
         guards = self.guards
@@ -278,6 +264,56 @@ def _packed_run(order, polys, run):
             return pk, run(pk, [{pk.pack(e): c for e, c in f.terms.items()} for f in polys])
         except _Overflow:
             width *= 2
+
+
+def _times(f, g, p):
+    """The product of two packed {monomial: coefficient} dicts over F_p."""
+    out = {}
+    get = out.get
+    for m, c in f.items():
+        for q, e in g.items():
+            q += m
+            out[q] = get(q, 0) + c * e
+    return {m: r for m, c in out.items() if (r := c % p)}
+
+
+def _substitute(n, p, rows, polys):
+    """The polys, {exponents: coefficient} dicts over F_p, with each
+    x_{i+1}^a replaced by l_{i,1}...l_{i,a}, the product of the first a
+    linear forms (coefficient vectors) of rows[i], the last listed form
+    repeating as in DistractionMatrix.rows: a distraction, polarization's
+    X_ij -> l_ij specialisation, or, with one form per row, a linear change
+    of coordinates.
+
+    Every term of an image has the degree of its source term, so
+    monomials packed at a width that holds the largest input degree never
+    outgrow it.  Row i's prefix products are built once, up to the largest
+    x_{i+1} exponent in polys, each term multiplies its at most n of them,
+    and each term of an image is unpacked once.
+    """
+    top = max((sum(e) for f in polys for e in f), default=0)
+    pk = _packing(DEGREVLEX, n, max(_MIN_WIDTH, top.bit_length()))
+    prefixes = []
+    for i, row in enumerate(rows):
+        level = {0: 1}
+        products = [level]
+        for j in range(max((e[i] for f in polys for e in f), default=0)):
+            form = row[min(j, len(row) - 1)]
+            level = _times(level, {w: c for w, c in zip(pk.weights, form) if c}, p)
+            products.append(level)
+        prefixes.append(products)
+    out = []
+    for f in polys:
+        image = {}
+        for e, c in f.items():
+            product = None
+            for products, a in zip(prefixes, e):
+                if a:
+                    product = products[a] if product is None else _times(product, products[a], p)
+            for m, v in (product or {0: 1}).items():
+                image[m] = image.get(m, 0) + c * v
+        out.append(Poly(n, p, {pk.unpack(m): v for m, v in image.items()}))
+    return out
 
 
 def _monic(f, pk, p):
@@ -551,15 +587,9 @@ def _permute_last(ideal: Ideal, i: int):
 
 def _shear_last(ideal: Ideal, head):
     """The map on polynomials that sends x_n to x_n + sum_i head[i] x_{i+1}."""
-    form = Poly.from_linear_form([*head, 1], ideal.p)
-
-    def apply(g):
-        out = Poly(ideal.n, ideal.p)
-        for e, c in g.terms.items():
-            out = out + form.power(e[-1]).mul_term(e[:-1] + (0,), c)
-        return out
-
-    return apply
+    n, p = ideal.n, ideal.p
+    rows = [[monomials.variable(n, i)] for i in range(n - 1)] + [[(*head, 1)]]
+    return lambda g: _substitute(n, p, rows, [g.terms])[0]
 
 
 def saturate_variable(ideal: Ideal, i: int) -> Ideal:

@@ -458,7 +458,8 @@ class _BettiByPieces:
     shadows plus the base pieces: extended gives them up to dmax + 1, and
     above the one in dmax + 1 after a last piece in dmax.  Its
     result and final's hold the cells alone, field 3j + i - 4 for
-    beta_{i,j}, and exceeds compares two of them field by field.
+    beta_{i,j}; merge takes their maximum too, so cells exceed a bound
+    in some field iff merging them into the bound changes it.
     table(cells, pieces) gives the table {(i, j): beta_{i,j}}, beta_{0,0} =
     1 and nonzero values only, in ascending (i, j), of an ideal with those
     cells and pieces, the same cells the DP compares, with E_j read off the
@@ -479,8 +480,7 @@ class _BettiByPieces:
         self.base_masks = monomials.degree_masks(base, dmax + 1)
         self.width = w = (3 * len(degree_monomials(n, dmax + 1))).bit_length() + 1
         self.field = (1 << w - 1) - 1
-        tops = sum(1 << k * w for k in range(3 * dmax + 5)) << w - 1
-        self.tops, self.cell_tops = tops, tops >> 2 * w
+        self.tops = sum(1 << k * w for k in range(3 * dmax + 5)) << w - 1
         self.colons = {}
         self.aboves = {}
 
@@ -508,10 +508,6 @@ class _BettiByPieces:
         tops = (a | self.tops) - b & self.tops
         keep = tops - (tops >> self.width - 1)
         return a & keep | b & ~keep
-
-    def exceeds(self, cells, bound):
-        """Whether some cell of cells exceeds that of bound."""
-        return (bound | self.cell_tops) - cells & self.cell_tops != self.cell_tops
 
     def above(self, piece):
         """(shadow, piece in dmax + 1) after piece in dmax, with no
@@ -817,7 +813,7 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
         betti = _BettiByPieces(base, dmax)
         cases = _extremal_cases(
             report, base, dmax, budget, lambda _h, lex: betti.cells(lex),
-            lambda last, _h, carry, want: betti.exceeds(betti.final(last, carry), want),
+            lambda last, _h, carry, want: betti.merge(betti.final(last, carry), want) != want,
             betti)
         target_table = functools.cache(betti.table)
     else:

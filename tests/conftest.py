@@ -208,13 +208,15 @@ def brute_validate_distraction(rows, p):
 
 def naive_distract(d, m):
     """The distraction of the monomial m as the product of its linear forms,
-    one Poly.from_linear_form factor l_{i,j} at a time (j <= a_i)."""
+    one tuple-keyed Poly factor l_{i,j} at a time (j <= a_i)."""
     from lexdist.groebner import Poly
+    from lexdist.monomials import variable
 
-    out = Poly.constant(d.n, d.p, 1)
+    out = Poly(d.n, d.p, {(0,) * d.n: 1})
     for i, a in enumerate(m):
         for j in range(a):
-            out = out * Poly.from_linear_form(d.entry(i, j), d.p)
+            out = out * Poly(d.n, d.p, {variable(d.n, k): c
+                                        for k, c in enumerate(d.entry(i, j))})
     return out
 
 

@@ -293,9 +293,10 @@ def test_distract_rejects_a_matrix_that_is_not_a_distraction(capsys, files):
     bad = files["tmp"] / "singular.json"
     bad.write_text(json.dumps({"n": 2, "char": 5,
                                "rows": [[{"c": [1, 0]}, {"c": [0, 1]}], [{"c": [0, 1]}]]}))
-    code, data = run(capsys, "distract", "--ideal", files["mono"], "--distraction", str(bad))
-    assert code == 2 and data["error"] == "invalid-input"
-    assert data["message"] == "invalid distraction, witness [(0, 1), (1, 0)]"
+    for command in ("distract", "polarize"):
+        code, data = run(capsys, command, "--ideal", files["mono"], "--distraction", str(bad))
+        assert code == 2 and data["error"] == "invalid-input", command
+        assert data["message"] == "invalid distraction, witness [(0, 1), (1, 0)]", command
 
 
 def test_polarize(capsys, files):

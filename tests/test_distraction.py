@@ -254,6 +254,14 @@ def test_packed_distraction_matches_the_factor_product(p):
         unit = MonomialIdeal(n, [(0,) * n])
         assert [g.terms for g in distract_ideal(d, unit).gens] == [{(0,) * n: 1}]
         assert distract_ideal(d, MonomialIdeal(n)).gens == ()
+    # x1^35 * x2^35 over forms that mix x1 and x2: a term reaches x2^70,
+    # so the packed fields must hold the degree, not the largest exponent
+    d = DistractionMatrix([[[rng.randrange(1, p), rng.randrange(1, p)] for _ in range(3)]
+                           for _ in range(2)], p)
+    want = naive_distract(d, (35, 35)).terms
+    assert (0, 70) in want
+    assert [g.terms for g in distract_ideal(d, MonomialIdeal(2, [(35, 35)])).gens] == [want]
+    assert apply_distraction(d, (35, 35)).terms == want
 
 
 def test_distract_ideal_identity():
@@ -357,6 +365,7 @@ def test_polarize_specializations(rng):
         got = [p.terms for p in result.specialize_to_distraction()]
         want = [p.terms for p in distract_ideal(d, ideal).gens]
         assert got == want
+        assert got == [naive_distract(d, g).terms for g in ideal.gens]
 
 
 def test_specialization_stays_in_the_distractions_field():
@@ -367,6 +376,8 @@ def test_specialization_stays_in_the_distractions_field():
     got = polarize(ideal, d).specialize_to_distraction()
     want = distract_ideal(d, ideal).gens
     assert [(p.p, p.terms) for p in got] == [(p.p, p.terms) for p in want]
+    naive = [naive_distract(d, g) for g in ideal.gens]
+    assert [(p.p, p.terms) for p in got] == [(p.p, p.terms) for p in naive]
     assert format_poly(got[0]) == "2*x1^2 + 3*x2^2"
 
 

@@ -94,7 +94,6 @@ def test_poly_ring_ops():
     f, g = poly("x1 + x2"), poly("x1 - x2")
     assert (f * g).terms == poly("x1^2 - x2^2").terms
     assert (f + g).terms == poly("2*x1").terms
-    assert f.power(2).terms == poly("x1^2 + 2*x1*x2 + x2^2").terms
 
 
 def test_homogeneity_enforced():
@@ -294,9 +293,9 @@ def test_packed_kernel_matches_tuple_oracle():
                     agree([lift(g, 1) for g in gens] + [lift(g, 0) - lift(g, 1) for g in other],
                           groebner._ELIM_LAST)
         # an ideal with a unit, and the ring with no variables
-        assert agree([poly("x1^2 - x2^2", 2, p), Poly.constant(2, p, -1)], DRL) == [{(0, 0): 1}]
-        assert agree([Poly.constant(0, p, 1)], DRL) == [{(): 1}]
-        assert hilbert_function(Ideal(0, [Poly.constant(0, p, 1)], p), 2) == (0, 0, 0)
+        assert agree([poly("x1^2 - x2^2", 2, p), Poly(2, p, {(0, 0): -1})], DRL) == [{(0, 0): 1}]
+        assert agree([Poly(0, p, {(): 1})], DRL) == [{(): 1}]
+        assert hilbert_function(Ideal(0, [Poly(0, p, {(): 1})], p), 2) == (0, 0, 0)
         assert hilbert_function(Ideal(0, [], p), 2) == (1, 0, 0)
 
 
