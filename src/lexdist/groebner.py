@@ -2,8 +2,8 @@
 
 Covers reduced Groebner bases, degrevlex initial ideals, Hilbert functions
 of homogeneous quotients, ideal quotients / saturation and degree-0 local
-cohomology.  Buchberger takes any monomial order that defines packing(n):
-intersect eliminates with a block order.
+cohomology.  Buchberger takes any monomial order, which packing(n), its
+list of fields, defines alone: intersect eliminates with a block order.
 
 A Poly keys its terms by exponent tuples, but division and Buchberger run
 on packed monomials (Monagan-Pearce 2007): one int per monomial, made of
@@ -12,7 +12,8 @@ variable plus a degree field.  MonomialOrder.packing places the fields so
 that the order is integer comparison of m ^ mask, where mask flips the
 fields compared in reverse: degrevlex puts the degree on top, then
 x_n..x_1 flipped; lex puts x_1..x_n, then the degree; intersect's
-elimination order puts t, then the x-degree, then x_n..x_1 flipped.  A
+elimination order puts t, then the degree, then x_n..x_1 flipped.  The
+degree field always sums every variable, t included.  A
 product is then one addition, divisibility one subtract-and-mask and an
 lcm a field-wise max.  The width is chosen per call from the input's
 largest degree; a term that outgrows it sets its field's guard bit, and
@@ -198,12 +199,11 @@ class _Packing:
     """
 
     def __init__(self, order, n, width):
-        fields, summed = order.packing(n)
         ones = (1 << width) - 1
         self.width, self.ones = width, ones
         self.shifts = [0] * n
         self.mask = self.guards = 0
-        for k, (var, flip) in enumerate(reversed(fields)):
+        for k, (var, flip) in enumerate(reversed(order.packing(n))):
             at = k * (width + 1)
             self.guards |= 1 << (at + width)
             if flip:
@@ -212,13 +212,10 @@ class _Packing:
                 self._degree_at = at
             else:
                 self.shifts[var] = at
-        self.weights = [(1 << at) + ((1 << self._degree_at) if i in summed else 0)
-                        for i, at in enumerate(self.shifts)]
+        self.weights = [(1 << at) + (1 << self._degree_at) for at in self.shifts]
         self._vars = sum(ones << at for at in self.shifts)
-        src = [self.shifts[i] for i in summed]
-        self._sum_at = max(src, default=0)
-        self._summed = sum(ones << at for at in src)
-        self._sum_mul = sum(1 << (self._sum_at - at) for at in src)
+        self._sum_at = max(self.shifts, default=0)
+        self._sum_mul = sum(1 << (self._sum_at - at) for at in self.shifts)
 
     def pack(self, exps):
         return sum(map(operator.mul, exps, self.weights))
@@ -241,7 +238,7 @@ class _Packing:
         ge = ((a | self.guards) - b) & self.guards  # guard bits where a >= b
         take_a = ge - (ge >> self.width)  # those fields, all ones
         v = (a & take_a | b & ~take_a) & self._vars
-        degree = ((v & self._summed) * self._sum_mul >> self._sum_at) & ((2 << self.width) - 1)
+        degree = (v * self._sum_mul >> self._sum_at) & ((2 << self.width) - 1)
         return v | degree << self._degree_at
 
 
@@ -613,14 +610,15 @@ def saturate_variable(ideal: Ideal, i: int) -> Ideal:
 
 
 class _ElimLastOrder(MonomialOrder):
-    """Block order eliminating the last variable, degrevlex inside the block."""
+    """Block order eliminating the last variable, degrevlex inside the block.
 
-    def key(self, exps):
-        return (exps[-1], sum(exps[:-1]), tuple(-e for e in reversed(exps[:-1])))
+    Its degree field sums t too, which changes no comparison: t's field
+    sits above it, so the degree field only compares monomials with equal
+    t exponents, whose x-degrees it then orders.
+    """
 
     def packing(self, n):
-        return ([(n - 1, False), (None, False)] + [(i, True) for i in reversed(range(n - 1))],
-                range(n - 1))
+        return [(n - 1, False), (None, False)] + [(i, True) for i in reversed(range(n - 1))]
 
     def __repr__(self):
         return "elim-last"

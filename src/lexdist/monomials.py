@@ -132,27 +132,28 @@ def mask_to_monomials(n: int, d: int, mask: int):
 # ---------------------------------------------------------------------------
 
 class MonomialOrder:
-    """Total order on monomials given by a sortable key (bigger key = bigger).
+    """Total order on monomials, defined by packing alone.
 
-    packing(n) gives the same order as fixed-width integer fields, most
-    significant first, for groebner's packed monomials: (fields, summed),
-    where each field is (variable index, or None for the degree field that
-    sums the variables in summed; True if compared in reverse).
+    packing(n) lists the order's fields in n variables, most significant
+    first, each (variable index, or None for the degree field, the sum of
+    all exponents; True if compared in reverse).  groebner's packed
+    monomials lay them out as fixed-width integer fields, and key, the
+    sortable key of an exponent tuple (bigger key = bigger), reads them
+    off as a tuple, a reversed field negated.
     """
 
     def key(self, exps):
-        raise NotImplementedError
+        total = sum(exps)
+        return tuple(-v if flip else v for var, flip in self.packing(len(exps))
+                     for v in (total if var is None else exps[var],))
 
     def packing(self, n):
         raise NotImplementedError
 
 
 class DegRevLexOrder(MonomialOrder):
-    def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
-
     def packing(self, n):
-        return [(None, False)] + [(i, True) for i in reversed(range(n))], range(n)
+        return [(None, False)] + [(i, True) for i in reversed(range(n))]
 
     def __repr__(self):
         return "degrevlex"

@@ -451,20 +451,22 @@ class _BettiByPieces:
     merge, the componentwise maximum that the piece-state DP keeps over
     many prefixes, done on all fields at once: subtracting b from a with
     every top bit set leaves a field's top bit set iff a >= b there.
-    cells folds step over the chain of an ideal with graded pieces up to a
-    degree c whose generators above c are the base's: a superideal, c =
-    dmax, as _superideals yields it, or a lex target, c its accepted
-    cutoff, as _embed_series returns it.  Above c the pieces are the
-    shadows plus the base pieces: extended gives them up to dmax + 1, and
-    above the one in dmax + 1 after a last piece in dmax.  Its
-    result and final's hold the cells alone, field 3j + i - 4 for
-    beta_{i,j}; merge takes their maximum too, so cells exceed a bound
-    in some field iff merging them into the bound changes it.
-    table(cells, pieces) gives the table {(i, j): beta_{i,j}}, beta_{0,0} =
-    1 and nonzero values only, in ascending (i, j), of an ideal with those
-    cells and pieces, the same cells the DP compares, with E_j read off the
-    HF of the pieces extended to dmax + 1; the unit ideal has the empty
-    table.
+    cells is the one walk over the pieces of an ideal with graded pieces up
+    to a degree c whose generators above c are the base's: a superideal, c
+    = dmax, as _superideals yields it, or a lex target, c its accepted
+    cutoff, as _embed_series returns it.  For d = 0..dmax + 1 it takes the
+    given piece, or above c the shadow of the piece below plus the base
+    piece, steps the carry across the transition and reads the Hilbert
+    value, taking each shadow once; it returns the pair (cells, HF up to
+    dmax + 1).  above gives the shadow and the piece in dmax + 1 after a
+    last piece in dmax, for final.  The cells that cells and final return
+    hold no pending socle values, field 3j + i - 4 for beta_{i,j}; merge
+    takes their maximum too, so cells exceed a bound in some field iff
+    merging them into the bound changes it.  table(cells, hf) gives the table
+    {(i, j): beta_{i,j}}, beta_{0,0} = 1 and nonzero values only, in
+    ascending (i, j), of an ideal with that pair: the cells the DP
+    compares, with E_j read off the HF.  The unit ideal, hf[0] = 0, has
+    the empty table.
 
     None of these depends on the characteristic: upper Koszul complexes on
     at most three vertices have no torsion.  The colons behind the socle
@@ -524,29 +526,24 @@ class _BettiByPieces:
         below, high = self.above(piece)
         return self.step(self.dmax + 1, piece, high, below, carry) >> 2 * self.width
 
-    def extended(self, pieces):
-        """The graded pieces up to dmax + 1 of an ideal with pieces up to a
-        degree c and no generator above c but the base's."""
-        pieces = list(pieces[:self.dmax + 2])
-        for d in range(len(pieces), self.dmax + 2):
-            pieces.append(shadow_mask(self.n, d - 1, pieces[-1]) | self.base_masks[d])
-        return pieces
-
     def cells(self, pieces):
-        """The cells of an ideal with graded pieces up to a degree c and no
-        generator above c but the base's."""
-        carry, low, below = 0, 0, 0
-        for d, high in enumerate(self.extended(pieces)):
+        """(cells, HF up to dmax + 1) of an ideal with graded pieces up to a
+        degree c and no generator above c but the base's."""
+        n, top = self.n, self.dmax + 1
+        carry, low, below, hf = 0, 0, 0, []
+        for d in range(top + 1):
+            high = pieces[d] if d < len(pieces) else below | self.base_masks[d]
             carry = self.step(d, low, high, below, carry)
-            low, below = high, shadow_mask(self.n, d, high)
-        return carry >> 2 * self.width
+            hf.append(len(degree_monomials(n, d)) - high.bit_count())
+            if d < top:
+                low, below = high, shadow_mask(n, d, high)
+        return carry >> 2 * self.width, tuple(hf)
 
-    def table(self, cells, pieces):
-        """The table of an ideal with these cells and graded pieces up to a
-        degree c, and no generator above c but the base's."""
-        if pieces[0]:
+    def table(self, cells, hf):
+        """The table of an ideal with these cells and HF up to dmax + 1."""
+        if not hf[0]:
             return {}
-        euler = monomials.series_transform(piece_values(self.n, self.extended(pieces)), self.n)
+        euler = monomials.series_transform(hf, self.n)
         raw = {(0, 0): 1}
         for i in (1, 2, 3):
             for j in range(1, self.dmax + 2):  # beta_{2,j}'s cell lacks E_j
@@ -784,10 +781,12 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     first), so the run is decided on the piece-state DP without building
     an ideal: each final state carries the componentwise maximum of its
     ideals' cells, compared with the cells of the lex target of its series
-    key.  Only if some state fails does _extremal_cases walk the ideals of
-    the failing states, whose tables are compared with their target's,
-    each read off its cells and pieces (the target's once per target); in
-    more variables it yields every ideal, with koszul_betti on both sides.
+    key, whose (cells, HF) pair one walk over the target's pieces gives
+    once per key.  Only if some state fails does _extremal_cases walk the
+    ideals of the failing states, whose tables are compared with their
+    target's, each read off its (cells, HF) pair (the target's once per
+    distinct pair); in more variables it yields every ideal, with
+    koszul_betti on both sides.
     With pure powers present and small characteristic the statement is an
     open expectation, so violations are classified as findings rather than
     failures.
@@ -813,7 +812,7 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
         betti = _BettiByPieces(base, dmax)
         cases = _extremal_cases(
             report, base, dmax, budget, lambda _h, lex: betti.cells(lex),
-            lambda last, _h, carry, want: betti.merge(betti.final(last, carry), want) != want,
+            lambda last, _h, carry, want: betti.merge(betti.final(last, carry), want[0]) != want[0],
             betti)
         target_table = functools.cache(betti.table)
     else:
@@ -825,7 +824,7 @@ def verify_betti_extremal(a, dmax: int, budget: int | None = DEFAULT_BUDGET,
     hf_json = functools.cache(list)
     for ideal, h, pieces, lex, want in cases:
         if n <= 3:
-            mine, want = betti.table(betti.cells(pieces), pieces), target_table(want, lex)
+            mine, want = betti.table(*betti.cells(pieces)), target_table(*want)
         else:
             mine = koszul_betti(ideal, j_max, p).as_dict()
         bad = _exceeding(mine, want)

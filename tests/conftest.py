@@ -346,12 +346,9 @@ def rng():
 class LexOrder(MonomialOrder):
     """The lexicographic order, for Groebner bases the library never asks for."""
 
-    def key(self, exps):
-        return exps
-
     def packing(self, n):
         # the degree field never decides: equal exponents mean equal degrees
-        return [(i, False) for i in range(n)] + [(None, False)], range(n)
+        return [(i, False) for i in range(n)] + [(None, False)]
 
     def __repr__(self):
         return "lex"

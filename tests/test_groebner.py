@@ -299,40 +299,50 @@ def test_packed_kernel_matches_tuple_oracle():
         assert hilbert_function(Ideal(0, [], p), 2) == (1, 0, 0)
 
 
+# each order with a key written out as tuples, independent of its packing
+_ORDER_KEYS = (
+    (LEX, lambda e: e),
+    (DRL, lambda e: (sum(e), tuple(-x for x in reversed(e)))),
+    (groebner._ELIM_LAST, lambda e: (e[-1], sum(e[:-1]), tuple(-x for x in reversed(e[:-1])))),
+)
+
+
 @st.composite
 def _packable(draw):
-    # an order, a width, and two exponent vectors whose fields fit it
-    order = draw(st.sampled_from((LEX, DRL, groebner._ELIM_LAST)))
+    # an order with its tuple key, a width, and two exponent vectors whose
+    # fields fit it
+    order, key = draw(st.sampled_from(_ORDER_KEYS))
     n = draw(st.integers(1, 5))
     width = draw(st.integers(1, 6))
     limit = (1 << width) - 1
-    summed = order.packing(n)[1]
 
     def vector():
         exps = [draw(st.integers(0, limit)) for _ in range(n)]
-        while sum(exps[i] for i in summed) > limit:
-            exps[max(summed, key=lambda i: exps[i])] -= 1
+        while sum(exps) > limit:
+            exps[exps.index(max(exps))] -= 1
         return tuple(exps)
 
-    return order, n, width, vector(), vector()
+    return order, key, n, width, vector(), vector()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_packable())
 def test_packing_agrees_with_tuples(case):
-    # packed comparison, product, lcm and divisibility against order.key
-    # and monomials.mul / lcm / divides, up to the field limit; a product or
-    # lcm that outgrows it must set a guard bit instead of wrapping
-    order, n, width, u, v = case
+    # packed comparison and order.key against the tuple key, and packed
+    # product, lcm and divisibility against monomials.mul / lcm / divides,
+    # up to the field limit; a product or lcm that outgrows it must set a
+    # guard bit instead of wrapping
+    order, key, n, width, u, v = case
     pk = groebner._Packing(order, n, width)
     a, b = pk.pack(u), pk.pack(v)
     assert not (a | b) & pk.guards
     assert pk.unpack(a) == u
-    assert ((a ^ pk.mask) < (b ^ pk.mask)) == (order.key(u) < order.key(v))
+    assert ((a ^ pk.mask) < (b ^ pk.mask)) == (key(u) < key(v))
+    assert (order.key(u) < order.key(v)) == (key(u) < key(v))
     assert (a == b) == (u == v)
     assert pk.divides(a, b) == monomials.divides(u, v)
     for packed, exps in ((a + b, monomials.mul(u, v)), (pk.lcm(a, b), monomials.lcm(u, v))):
-        fits = all(f < 1 << width for f in (*exps, sum(exps[i] for i in order.packing(n)[1])))
+        fits = all(f < 1 << width for f in (*exps, sum(exps)))
         if fits:
             assert packed == pk.pack(exps)
         else:
@@ -356,9 +366,9 @@ def test_overflow_widens_and_restarts():
 def test_overflow_from_an_s_polynomial_widens_and_restarts():
     # the generators, their leads x1 and x1*x2^30 and the lcm of those fit
     # the first width, but the S-polynomial x2^30*(x1 + x2^40) - x1*x2^30
-    # = x2^70 does not.  For input homogeneous in the summed variables
-    # every S-polynomial term has the lcm's degree and fits, so only input
-    # that is not homogeneous, which no public ideal is, gets here.
+    # = x2^70 does not.  For homogeneous input every S-polynomial term has
+    # the lcm's degree and fits, so only input that is not homogeneous,
+    # which no public ideal is, gets here.
     gens = [poly("x1 + x2^40"), poly("x1*x2^30")]
     assert 70 >= 1 << max(groebner._MIN_WIDTH, (40).bit_length())
     got = [g.terms for g in groebner._buchberger(gens, LEX)]

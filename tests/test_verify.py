@@ -139,7 +139,9 @@ def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
     betti = verify._BettiByPieces(base, dmax)
     units = 0
     for ideal, _, pieces in verify._superideals(base, dmax):
-        got = betti.table(betti.cells(pieces), pieces)
+        cells, hf = betti.cells(pieces)
+        assert hf == hilbert_function(ideal, dmax + 1), ideal.gens
+        got = betti.table(cells, hf)
         units += got == {}
         for p in (2, P):
             # also in koszul_betti's (i, j) order, which failure payloads show
@@ -154,20 +156,24 @@ def test_betti_by_pieces_matches_koszul_and_taylor(base, dmax):
 def test_betti_by_pieces_reads_lex_targets_alone(base, dmax):
     # a target comes with its pieces up to the accepted cutoff and is read
     # off them extended to dmax + 1, where it can have generators that no
-    # superideal has
+    # superideal has; every base in two or three variables has such targets
     report = verify.VerificationReport("targets", {})
     targets = {lex for *_, lex, _ in verify._extremal_cases(
         report, base, dmax, None, lambda values, masks: None)}
     betti = verify._BettiByPieces(base, dmax)
+    at_top = 0
     for masks in targets:
         target = monomials.masks_to_ideal(base.n, masks)
-        got = betti.table(betti.cells(masks), masks)
+        at_top += any(sum(g) == dmax + 1 for g in target.gens)
+        cells, hf = betti.cells(masks)
+        assert hf == hilbert_function(target, dmax + 1), target.gens
+        got = betti.table(cells, hf)
         for p in (2, P):
             assert list(got.items()) == list(koszul_betti(target, dmax + 1, p).as_dict().items()), \
                 (target.gens, p)
         if len(target.gens) <= 10:
             assert got == taylor_betti_oracle(target, dmax + 1).as_dict(), target.gens
-    assert targets
+    assert targets and (at_top or base.n < 2)
 
 
 def test_betti_extremal_reads_both_sides_off_pieces(monkeypatch):
@@ -723,7 +729,8 @@ def _failing_state_ideals(base, dmax, table):
 def test_failing_runs_tabulate_only_the_ideals_in_failing_states(monkeypatch, kind, base):
     # the filing walk hands the checker only the ideals of failing final
     # states, less those it files as having no lex-embedding; betti-extremal
-    # builds one table per such ideal and one per lex target among them
+    # builds one table per such ideal and one per distinct (cells, HF) pair
+    # of the lex targets among them
     dmax = 3
     received, tables = [], []
     real_cases, real_table = verify._extremal_cases, verify._BettiByPieces.table
@@ -733,9 +740,9 @@ def test_failing_runs_tabulate_only_the_ideals_in_failing_states(monkeypatch, ki
             received.append(case)
             yield case
 
-    def table(self, cells, pieces):
+    def table(self, cells, hf):
         tables.append(cells)
-        return real_table(self, cells, pieces)
+        return real_table(self, cells, hf)
 
     monkeypatch.setattr(verify, "_extremal_cases", cases)
     monkeypatch.setattr(verify._BettiByPieces, "table", table)
@@ -756,7 +763,7 @@ def test_failing_runs_tabulate_only_the_ideals_in_failing_states(monkeypatch, ki
     assert got == [ideal for ideal in want if ideal in got]
     assert len(want) < report.cases_checked
     if kind == "betti":
-        assert len(tables) == len(got) + len({lex for *_, lex, _ in received})
+        assert len(tables) == len(got) + len({want for *_, want in received})
     else:
         assert tables == []
 
@@ -849,7 +856,7 @@ def test_last_piece_states_match_the_enumeration(base, dmax):
     want = {}
     for ideal, h, pieces in verify._superideals(base, dmax):
         top = max((sum(g) for g in ideal.gens if sum(g) <= dmax), default=0)
-        cells = fields(betti.cells(pieces)) if betti else 0
+        cells = fields(betti.cells(pieces)[0]) if betti else 0
         got = want.setdefault((pieces[-1], h), [0, top, cells])
         got[0] += 1
         if betti:
